@@ -30,7 +30,7 @@ DEMO_QUERIES = [(30.0, 3.0), (42.0, 7.0), (20.0, 4.0), (33.0, 4.0)]
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="seed of the synthetic speeds")
     parser.add_argument("--samples-per-mode", type=int, default=200)
     parser.add_argument("--out", help="write the trained bands as a model document")
     args = parser.parse_args()
@@ -41,7 +41,7 @@ def main():
     )
     print(f"{speeds.size} synthetic speed observations, modes at {MODES} km/h\n")
 
-    selection = select_k(speeds, range(2, 10), seed=args.seed)
+    selection = select_k(speeds, range(2, 10))
     print("K   mean silhouette")
     for k in sorted(selection.silhouette_by_k):
         marker = "  <- selected" if k == selection.best_k else ""
@@ -49,7 +49,7 @@ def main():
     if selection.best_k != 4:
         raise SystemExit(f"expected K=4 for four-level bands, got {selection.best_k}")
 
-    model = kmeans(speeds, 4, seed=args.seed)
+    model = kmeans(speeds, 4)
     bands = bands_from_clusters(model)
     print(f"\ncluster centers: {', '.join(f'{c:.3f}' for c in model.centers)} km/h")
     print(f"band boundaries: {', '.join(f'{b:.3f}' for b in bands.boundaries)} km/h\n")

@@ -113,7 +113,6 @@ def build_parser() -> _Parser:
     states = sub.add_parser("states", help="traffic-state training/classification").add_subparsers(dest="sub")
     p = states.add_parser("train", help="select K by silhouette and build bands")
     p.add_argument("--speeds", required=True, help="CSV with speed_kmh")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", help="write a model document with state bands")
     p = states.add_parser("classify", help="classify one (flow, density) observation")
     p.add_argument("--flow", type=float, required=True)
@@ -246,11 +245,7 @@ def _cmd_minimums(args, cfg: Config) -> dict:
 
 def _cmd_states_train(args, cfg: Config) -> dict:
     speeds = _read_column(args.speeds, "speed_kmh")
-    seed = args.seed if args.seed is not None else cfg.kmeans_seed
-    selection = traffic_state.select_k(
-        speeds, cfg.k_range, seed=seed,
-        max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol,
-    )
+    selection = traffic_state.select_k(speeds, cfg.k_range)
     print("K  silhouette")
     for k in sorted(selection.silhouette_by_k):
         marker = " *" if k == selection.best_k else ""
@@ -260,9 +255,7 @@ def _cmd_states_train(args, cfg: Config) -> dict:
             f"silhouette selected K={selection.best_k}; state bands need K=4 "
             "(four-level classification)"
         )
-    model = traffic_state.kmeans(
-        speeds, 4, seed=seed, max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol,
-    )
+    model = traffic_state.kmeans(speeds, 4)
     bands = traffic_state.bands_from_clusters(model)
     print("boundaries " + "  ".join(_fmt(b) for b in bands.boundaries))
     doc = io_store.ModelDocument(

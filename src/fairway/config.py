@@ -7,6 +7,7 @@ variable); unknown keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -25,21 +26,19 @@ class Config:
     v_f: Optional[float] = None  # km/h override; None = derive from data
     gap_bin_width: float = 5.0  # m
     density_bin_width: float = 0.2  # vessels/km
-    kmeans_seed: int = 0
-    kmeans_max_iter: int = 300
-    kmeans_tol: float = 1e-6  # km/h
     k_range_min: int = 2
     k_range_max: int = 9
 
     def __post_init__(self):
-        for name in ("v_min", "tail_fraction", "k1", "gap_bin_width",
-                     "density_bin_width", "kmeans_max_iter"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"config field {name} must be positive")
-        if self.v_f is not None and self.v_f <= 0:
-            raise DomainError("config field v_f must be positive when set")
-        if self.kmeans_tol < 0:
-            raise DomainError("config field kmeans_tol must be >= 0")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "v_f" and value is None:
+                continue
+            kinds = int if f.name.startswith("k_range") else (int, float)
+            if isinstance(value, bool) or not isinstance(value, kinds) \
+                    or not 0 < value < math.inf:
+                raise DomainError(f"config field {f.name} must be a finite positive "
+                                  f"{'integer' if kinds is int else 'number'}, got {value!r}")
         if not 2 <= self.k_range_min <= self.k_range_max:
             raise DomainError("k_range must satisfy 2 <= min <= max")
 

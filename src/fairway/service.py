@@ -39,7 +39,7 @@ def make_server(doc: ModelDocument, port: int, host: str = "127.0.0.1") -> Threa
             self.wfile.write(body)
 
         def _send_json(self, status: int, obj) -> None:
-            self._send(status, json.dumps(obj, separators=(",", ":")).encode())
+            self._send(status, json.dumps(obj, separators=(",", ":"), allow_nan=False).encode())
 
         def do_GET(self):
             url = urlparse(self.path)
@@ -65,9 +65,6 @@ def make_server(doc: ModelDocument, port: int, host: str = "127.0.0.1") -> Threa
                         400, {"error": f"invalid value for {name!r}: {query[name][0]!r}"}
                     )
                     return
-            if values["density"] <= 0:
-                self._send_json(422, {"error": "density must be positive"})
-                return
             try:
                 speed, state = classify_flow_density(bands, values["flow"], values["density"])
             except DomainError as exc:

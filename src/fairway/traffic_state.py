@@ -1,14 +1,14 @@
 """K-means speed clustering, silhouette-based K selection, and state bands.
 
-One-dimensional Lloyd iteration with a deterministic seeded start, a
-silhouette sweep to pick the cluster count, midpoint boundaries between
-adjacent centers, and the four-way congestion classification used by the
-navigation endpoint.
+Exact 1-D k-means (dynamic programming), a silhouette sweep to pick the
+cluster count, midpoint boundaries between adjacent centers, and the
+four-way congestion classification used by the navigation endpoint.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,8 +56,6 @@ class ClusterModel:
     k: int
     centers: tuple[float, ...]  # sorted ascending
     objective: float  # within-cluster sum of squares
-    seed: int
-    iterations_run: int
 
     def __post_init__(self):
         if self.k < 1 or len(self.centers) != self.k:
@@ -87,112 +85,115 @@ def assign_points(points: Sequence[float], centers: Sequence[float]) -> np.ndarr
     return np.argmin(np.abs(pts[:, None] - ctr[None, :]), axis=1)
 
 
-def _wcss(pts: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
-    return float(np.sum((pts - centers[labels]) ** 2))
+def _optimal_splits(pts: np.ndarray, k_max: int):
+    """Exact 1-D k-means for every K <= k_max by dynamic programming.
+
+    Optimal clusters are contiguous runs of the sorted distinct values
+    (Wang & Song 2011, Ckmeans.1d.dp), so equal values are never split.
+    Returns the distinct values, their counts and one row per K >= 2 giving,
+    for each prefix of j distinct values, where the last of its K optimal
+    clusters starts.  Those starts are monotone in j, so a leftmost-argmin
+    divide and conquer fills each row in O(n log n) (Gronlund et al. 2017,
+    arXiv:1701.07204).
+    """
+    if not np.isfinite(pts).all():
+        raise DomainError("points must be finite")
+    values, counts = np.unique(pts, return_counts=True)
+    m = values.size
+    if m < k_max:
+        raise DegenerateClusteringError(f"only {m} distinct values; cannot form {k_max} clusters")
+    # Shifting by a central value keeps the prefix sums small, so that their
+    # differences stay accurate.
+    y = values - values[m // 2]
+    w, s1, s2 = (np.concatenate(([0.0], np.cumsum(a)))
+                 for a in (counts, counts * y, counts * y * y))
+
+    def cost(i, j):  # within-cluster sum of squares of distinct values i..j-1
+        s = s1[j] - s1[i]
+        return s2[j] - s2[i] - s * s / (w[j] - w[i])
+
+    best = np.full(m + 1, np.inf)
+    best[1:] = cost(0, np.arange(1, m + 1))
+    table = []
+    for k in range(2, k_max + 1):
+        prev, best = best, np.full(m + 1, np.inf)
+        split = np.zeros(m + 1, dtype=int)
+        # Each level fills the middle j of every range [lo, hi] whose split
+        # is known to lie in [first, last], then halves the ranges.
+        lo, hi, first, last = (np.array([v]) for v in (k, m, k - 1, m - 1))
+        while lo.size:
+            mid = (lo + hi) // 2
+            span = np.minimum(last, mid - 1) - first + 1
+            start = np.cumsum(span) - span
+            i = np.arange(span.sum()) + np.repeat(first - start, span)
+            total = prev[i] + cost(i, np.repeat(mid, span))
+            best[mid] = np.minimum.reduceat(total, start)
+            hits = np.flatnonzero(total == np.repeat(best[mid], span))
+            split[mid] = arg = i[hits[np.searchsorted(hits, start)]]
+            left, right = lo < mid, mid < hi
+            lo, hi, first, last = (np.concatenate(pair) for pair in (
+                (lo[left], mid[right] + 1), (mid[left] - 1, hi[right]),
+                (first[left], arg[right]), (arg[left], last[right])))
+        table.append(split)
+    return values, counts, table
 
 
-def _farthest_point_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """First center nearest the median, then greedy max-min-distance picks."""
-    median = np.median(pts)
-    chosen = [int(np.argmin(np.abs(pts - median)))]
-    for _ in range(k - 1):
-        dmin = np.min(np.abs(pts[:, None] - pts[chosen][None, :]), axis=1)
-        tied = np.flatnonzero(dmin == dmin.max())
-        chosen.append(int(rng.choice(tied)))
-    return pts[chosen].copy()
+def _model(values: np.ndarray, counts: np.ndarray, table, k: int) -> ClusterModel:
+    """The K-cluster optimum read back from the split table."""
+    starts = [values.size]
+    for split in reversed(table[:k - 1]):
+        starts.append(split[starts[-1]])
+    starts = [0] + starts[:0:-1]
+    centers = np.add.reduceat(counts * values, starts) / np.add.reduceat(counts, starts)
+    labels = np.repeat(np.arange(k), np.diff(starts + [values.size]))
+    return ClusterModel(
+        k=k,
+        centers=tuple(centers.tolist()),
+        objective=float(np.sum(counts * (values - centers[labels]) ** 2)),
+    )
 
 
-def _lloyd(pts: np.ndarray, centers: np.ndarray, max_iter: int, tol: float):
-    prev_obj = np.inf
-    iterations = 0
-    for _ in range(max_iter):
-        iterations += 1
-        labels = assign_points(pts, centers)
-        new_centers = centers.copy()
-        repaired = False
-        for i in range(len(centers)):
-            members = pts[labels == i]
-            if members.size:
-                new_centers[i] = members.mean()
-            else:
-                # Empty-cluster repair: reseed at the point farthest from its center.
-                far = int(np.argmax(np.abs(pts - centers[labels])))
-                new_centers[i] = pts[far]
-                repaired = True
-        obj = _wcss(pts, new_centers, assign_points(pts, new_centers))
-        if not repaired:
-            assert obj <= prev_obj + 1e-9 * max(1.0, prev_obj), "objective increased"
-        prev_obj = obj
-        shift = float(np.max(np.abs(new_centers - centers)))
-        centers = new_centers
-        if shift < tol:
-            break
-    labels = assign_points(pts, centers)
-    return centers, labels, _wcss(pts, centers, labels), iterations
+def kmeans(points: Sequence[float], k: int, seed: int = 0) -> ClusterModel:
+    """Globally optimal k-means clustering of 1-D values.
 
-
-def kmeans(
-    points: Sequence[float],
-    k: int,
-    seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-    restarts: int = 16,
-) -> ClusterModel:
-    """Deterministic seeded Lloyd clustering of 1-D values.
-
-    Restart 0 uses a farthest-point start anchored at the median; further
-    restarts draw distinct initial points from a seeded generator.  The
-    best within-cluster sum of squares wins.
+    The result is exact and deterministic; ``seed`` is accepted for
+    compatibility and ignored.
     """
     pts = np.asarray(points, dtype=float)
     if k < 1:
         raise DomainError("k must be >= 1")
     if pts.size < k:
         raise DomainError(f"need at least {k} points, got {pts.size}")
-    if max_iter < 1 or tol < 0:
-        raise DomainError("max_iter must be >= 1 and tol >= 0")
-    distinct = np.unique(pts)
-    if distinct.size < k:
-        raise DegenerateClusteringError(
-            f"only {distinct.size} distinct values; cannot form {k} clusters"
-        )
-
-    best = None
-    for r in range(max(1, restarts)):
-        rng = np.random.default_rng([seed, r])
-        if r == 0:
-            init = _farthest_point_init(pts, k, rng)
-        else:
-            init = rng.choice(distinct, size=k, replace=False).astype(float)
-        centers, _, obj, iterations = _lloyd(pts, init, max_iter, tol)
-        if best is None or obj < best[1]:
-            best = (centers, obj, iterations)
-    centers, obj, iterations = best
-    return ClusterModel(
-        k=k,
-        centers=tuple(float(c) for c in np.sort(centers)),
-        objective=obj,
-        seed=seed,
-        iterations_run=iterations,
-    )
+    return _model(*_optimal_splits(pts, k), k)
 
 
 def silhouette(points: Sequence[float], assignments: Sequence[int]) -> float:
-    """Mean silhouette coefficient; singleton-cluster points score 0."""
+    """Mean silhouette coefficient; singleton-cluster points score 0.
+
+    Summed distances to each cluster come from its sorted prefix sums, in
+    O(n C log n) time and O(n C) memory for C clusters.
+    """
     pts = np.asarray(points, dtype=float)
     labels = np.asarray(assignments, dtype=int)
     if pts.size != labels.size:
         raise DomainError("points and assignments must be equal-length")
-    clusters = np.unique(labels)
+    if not np.isfinite(pts).all():
+        raise DomainError("points must be finite")
+    clusters, own_col, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if clusters.size < 2:
         raise DomainError("silhouette undefined for fewer than 2 clusters")
-    dist = np.abs(pts[:, None] - pts[None, :])
-    onehot = labels[:, None] == clusters[None, :]  # (n, C)
-    counts = onehot.sum(axis=0)
-    sums = dist @ onehot  # (n, C): summed distance to each cluster
+    pts = pts - np.median(pts)  # smaller magnitudes, smaller cancellation error
+    sums = np.empty((pts.size, clusters.size))  # summed distance to each cluster
+    for c in range(clusters.size):
+        members = np.sort(pts[own_col == c])
+        prefix = np.concatenate(([0.0], np.cumsum(members)))
+        below = np.searchsorted(members, pts, side="left")
+        above = np.searchsorted(members, pts, side="right")
+        # Members equal to the point add no terms, so a sum over only such
+        # members is exactly 0 and the tie conventions below still apply.
+        sums[:, c] = (pts * below - prefix[below]) + (
+            prefix[-1] - prefix[above] - pts * (counts[c] - above))
 
-    own_col = np.searchsorted(clusters, labels)
     n_own = counts[own_col]
     # Intra-cluster mean excludes the point itself (its self-distance is 0).
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -213,23 +214,21 @@ class KSelection:
     silhouette_by_k: dict[int, float]
 
 
-def select_k(
-    points: Sequence[float],
-    k_range: Sequence[int],
-    seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-    restarts: int = 16,
-) -> KSelection:
-    """Silhouette sweep over candidate cluster counts; ties go to smaller K."""
+def select_k(points: Sequence[float], k_range: Sequence[int], seed: int = 0) -> KSelection:
+    """Silhouette sweep over candidate cluster counts; ties go to smaller K.
+
+    One dynamic-programming pass up to the largest K gives the optimal
+    clustering for every K.  ``seed`` is accepted for compatibility and
+    ignored.
+    """
     pts = np.asarray(points, dtype=float)
     ks = sorted(set(int(k) for k in k_range))
     if not ks or ks[0] < 2 or ks[-1] > pts.size - 1:
         raise DomainError(f"k_range must lie within [2, {pts.size - 1}]")
-    table = {}
-    for k in ks:
-        model = kmeans(pts, k, seed=seed, max_iter=max_iter, tol=tol, restarts=restarts)
-        table[k] = silhouette(pts, assign_points(pts, model.centers))
+    splits = _optimal_splits(pts, ks[-1])
+    table = {
+        k: silhouette(pts, assign_points(pts, _model(*splits, k).centers)) for k in ks
+    }
     best_k = max(ks, key=lambda k: (table[k], -k))
     return KSelection(best_k=best_k, silhouette_by_k=table)
 
@@ -244,8 +243,8 @@ def bands_from_clusters(model: ClusterModel) -> StateBands:
 
 def classify_speed(bands: StateBands, v: float) -> TrafficState:
     """Map a positive speed to its band; upper bounds inclusive except smooth."""
-    if v <= 0:
-        raise DomainError(f"speed must be positive, got {v}")
+    if not 0 < v < math.inf:
+        raise DomainError(f"speed must be positive and finite, got {v}")
     return _STATE_ORDER[bisect_left(bands.boundaries, v)]
 
 
@@ -253,9 +252,9 @@ def classify_flow_density(
     bands: StateBands, flow: float, density: float
 ) -> tuple[float, TrafficState]:
     """Estimate speed as flow/density and classify it."""
-    if density <= 0:
-        raise DomainError(f"density must be positive, got {density}")
-    if flow < 0:
-        raise DomainError(f"flow must be non-negative, got {flow}")
+    if not 0 < density < math.inf:
+        raise DomainError(f"density must be positive and finite, got {density}")
+    if not 0 <= flow < math.inf:
+        raise DomainError(f"flow must be finite and non-negative, got {flow}")
     v = flow / density
-    return v, classify_speed(bands, v)
+    return v, classify_speed(bands, v)  # also rejects a quotient that overflows

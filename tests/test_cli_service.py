@@ -89,6 +89,19 @@ class TestFitFd:
         assert code == cli.EXIT_DATA
         assert "no_such_knob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("k1", "NaN"), ("v_min", '"2"'), ("v_f", "Infinity"), ("k_range_max", "9.5"),
+        ("kmeans_seed", "0"), ("kmeans_max_iter", "300"), ("kmeans_tol", "1e-6"),
+    ])
+    def test_invalid_config_exits_with_data_error(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": {value}}}')
+        path = density_speed_csv(tmp_path, GREENSHIELDS, [1, 2, 3, 4])
+        code = cli.main(["--config", str(cfg), "fit", "fd",
+                         "--form", "greenshields", "--input", path, "--raw"])
+        assert code == cli.EXIT_DATA
+        assert key in capsys.readouterr().err
+
 
 class TestFitSpeedGap:
     def test_generator_family_ranks_first(self, tmp_path, capsys):
@@ -167,6 +180,11 @@ class TestStates:
         assert cli.main(["states", "classify", "--flow", "30", "--density", "3",
                          "--model", str(out)]) == cli.EXIT_OK
         assert "smooth / green" in capsys.readouterr().out
+
+    def test_train_has_no_seed_option(self, tmp_path, capsys):
+        speeds = self.blob_speeds_csv(tmp_path)
+        assert cli.main(["states", "train", "--speeds", speeds,
+                         "--seed", "3"]) == cli.EXIT_USAGE
 
     def test_classify_congested(self, tmp_path, capsys):
         doc = ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES))
@@ -288,6 +306,17 @@ class TestService:
         resp = requests.get(f"{url}/state", params={"flow": 30, "density": 0},
                             timeout=5)
         assert resp.status_code == 422
+
+    @pytest.mark.parametrize("flow, density", [
+        ("nan", "4"), ("inf", "4"), ("1e308", "1e-308"),
+    ])
+    def test_non_finite_rejected(self, server_url, flow, density):
+        url, _ = server_url
+        resp = requests.get(f"{url}/state", params={"flow": flow, "density": density},
+                            timeout=5)
+        assert resp.status_code == 422
+        body = json.loads(resp.text, parse_constant=lambda name: pytest.fail(name))
+        assert "error" in body
 
     def test_unknown_path(self, server_url):
         url, _ = server_url

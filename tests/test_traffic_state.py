@@ -43,6 +43,50 @@ def exhaustive_optimum(points, k):
     return best
 
 
+def reference_dp(points, k):
+    """Optimal within-cluster sum of squares by the plain O(K n^2) DP.
+
+    Every cut between sorted points is a candidate, equal values included,
+    and every split of every prefix is tried.
+    """
+    pts = np.sort(np.asarray(points, dtype=float))
+    n = pts.size
+    cost = np.full((n + 1, n + 1), np.inf)  # cost[i, j]: points i..j-1
+    for i in range(n):
+        c = pts[i:] - pts[i]
+        count = np.arange(1, n - i + 1)
+        cost[i, i + 1:] = np.cumsum(c * c) - np.cumsum(c) ** 2 / count
+    best = cost[0].copy()
+    for _ in range(k - 1):
+        best = np.array([np.min(best[:j] + cost[:j, j]) if j else np.inf
+                         for j in range(n + 1)])
+    return best[n]
+
+
+def reference_silhouette(points, assignments):
+    """Mean silhouette from the full pairwise distance matrix."""
+    pts = np.asarray(points, dtype=float)
+    labels = np.asarray(assignments, dtype=int)
+    clusters = np.unique(labels)
+    dist = np.abs(pts[:, None] - pts[None, :])
+    onehot = labels[:, None] == clusters[None, :]  # (n, C)
+    counts = onehot.sum(axis=0)
+    sums = dist @ onehot  # (n, C): summed distance to each cluster
+
+    own_col = np.searchsorted(clusters, labels)
+    n_own = counts[own_col]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = sums[np.arange(pts.size), own_col] / (n_own - 1)
+        means = sums / counts[None, :]
+        means[np.arange(pts.size), own_col] = np.inf
+        b = means.min(axis=1)
+        scores = np.where(
+            np.maximum(a, b) > 0, (b - a) / np.maximum(a, b), 0.0
+        )
+    scores = np.where(n_own == 1, 0.0, scores)
+    return float(scores.mean())
+
+
 class TestKmeans:
     def test_single_cluster_mean_and_sse(self):
         model = kmeans([2, 4, 6], 1)
@@ -87,10 +131,34 @@ class TestKmeans:
         # Power-of-two factors keep the float arithmetic exactly equivariant.
         c = 2.0 ** exponent
         pts = np.random.default_rng(seed).uniform(1, 20, 30)
-        base = kmeans(pts, 3, seed=0, tol=0.0)
-        scaled = kmeans(c * pts, 3, seed=0, tol=0.0)
+        base = kmeans(pts, 3, seed=0)
+        scaled = kmeans(c * pts, 3, seed=0)
         assert scaled.centers == pytest.approx([c * v for v in base.centers], rel=1e-12)
         assert scaled.objective == pytest.approx(c * c * base.objective, rel=1e-12)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_dp(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 201))
+        modes = rng.uniform(0, 15, int(rng.integers(1, 10)))
+        pts = rng.choice(modes, n) + rng.normal(0, rng.uniform(0.01, 3), n)
+        repeat = rng.random(n) < rng.uniform(0, 0.7)  # forced duplicate values
+        pts[repeat] = rng.choice(pts, int(repeat.sum()))
+        k = int(rng.integers(1, min(9, np.unique(pts).size) + 1))
+        assert kmeans(pts, k).objective == pytest.approx(
+            reference_dp(pts, k), rel=1e-9, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = [1.0, 2.0, 3.0, bad, 5.0]
+        with pytest.raises(DomainError):
+            kmeans(pts, 2)
+        with pytest.raises(DomainError):
+            select_k(pts, [2])
+        with pytest.raises(DomainError):
+            silhouette(pts, [0, 0, 1, 1, 1])
 
 
 class TestSilhouette:
@@ -113,6 +181,12 @@ class TestSilhouette:
             previous = value
         assert previous > 0.99
 
+    def test_equal_values_split_across_clusters_score_zero(self):
+        # a = b = 0 for the 0.1 points, whose sums must come out exactly 0.
+        pts = [0.1] * 24 + [0.7] * 29
+        labels = [0] * 12 + [1] * 12 + [2] * 29
+        assert silhouette(pts, labels) == pytest.approx(29 / 53, abs=1e-12)
+
     def test_single_cluster_errors(self):
         with pytest.raises(DomainError):
             silhouette([1, 2, 3], [0, 0, 0])
@@ -127,6 +201,21 @@ class TestSilhouette:
         if len(set(labels.tolist())) < 2:
             return
         assert -1.0 <= silhouette(pts, labels) <= 1.0
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_pairwise_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 80))
+        if rng.random() < 0.5:
+            pts = rng.integers(0, 12, n) * 0.5  # many duplicate values
+        else:
+            pts = rng.uniform(0, 10, n)
+        labels = rng.integers(0, int(rng.integers(1, 6)), n)
+        labels[rng.integers(n)] = 7  # at least one singleton cluster
+        assert silhouette(pts, labels) == pytest.approx(
+            reference_silhouette(pts, labels), abs=1e-9
+        )
 
 
 class TestSelectK:
@@ -151,27 +240,28 @@ class TestSelectK:
         pts = np.random.default_rng(2).uniform(0, 10, 30)
         assert select_k(pts, [3], seed=0).best_k == 3
 
+    def test_twenty_thousand_speeds(self):
+        rng = np.random.default_rng(3)
+        pts = np.concatenate([rng.normal(c, 0.3, 5000) for c in (4.5, 6.5, 8.3, 10.5)])
+        assert select_k(pts, range(2, 10)).best_k == 4
+
 
 class TestBands:
     def test_midpoints(self):
-        model = ClusterModel(k=4, centers=(4.5, 6.5, 8.3, 10.5),
-                             objective=0.0, seed=0, iterations_run=1)
+        model = ClusterModel(k=4, centers=(4.5, 6.5, 8.3, 10.5), objective=0.0)
         assert bands_from_clusters(model).boundaries == pytest.approx((5.5, 7.4, 9.4))
 
     def test_arithmetic(self):
-        model = ClusterModel(k=4, centers=(1.0, 2.0, 3.0, 4.0),
-                             objective=0.0, seed=0, iterations_run=1)
+        model = ClusterModel(k=4, centers=(1.0, 2.0, 3.0, 4.0), objective=0.0)
         assert bands_from_clusters(model).boundaries == (1.5, 2.5, 3.5)
 
     def test_equal_spacing_preserved(self):
-        model = ClusterModel(k=4, centers=(2.0, 5.0, 8.0, 11.0),
-                             objective=0.0, seed=0, iterations_run=1)
+        model = ClusterModel(k=4, centers=(2.0, 5.0, 8.0, 11.0), objective=0.0)
         b = bands_from_clusters(model).boundaries
         assert np.diff(b) == pytest.approx([3.0, 3.0])
 
     def test_wrong_cardinality(self):
-        model = ClusterModel(k=3, centers=(1.0, 2.0, 3.0),
-                             objective=0.0, seed=0, iterations_run=1)
+        model = ClusterModel(k=3, centers=(1.0, 2.0, 3.0), objective=0.0)
         with pytest.raises(DomainError):
             bands_from_clusters(model)
 
@@ -189,6 +279,11 @@ class TestClassifySpeed:
     def test_non_positive_rejected(self):
         with pytest.raises(DomainError):
             classify_speed(BANDS, 0.0)
+
+    @pytest.mark.parametrize("v", [np.nan, np.inf])
+    def test_non_finite_rejected(self, v):
+        with pytest.raises(DomainError):
+            classify_speed(BANDS, v)
 
     @given(st.floats(0.01, 30), st.floats(0.01, 30))
     @settings(max_examples=200)
@@ -224,6 +319,13 @@ class TestClassifyFlowDensity:
     def test_zero_density_rejected(self):
         with pytest.raises(DomainError):
             classify_flow_density(BANDS, 30, 0)
+
+    @pytest.mark.parametrize("flow, density", [
+        (np.nan, 4), (np.inf, 4), (30, np.nan), (30, np.inf), (1e308, 1e-308),
+    ])
+    def test_non_finite_rejected(self, flow, density):
+        with pytest.raises(DomainError):
+            classify_flow_density(BANDS, flow, density)
 
 
 class TestStateMetadata:
