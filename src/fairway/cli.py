@@ -21,7 +21,7 @@ from pathlib import Path
 from . import fundamental_diagram as fd
 from . import io_store, regression, service, trajectory, traffic_state
 from .config import Config, load_config
-from .errors import FairwayError, ParseError
+from .errors import FairwayError
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 
@@ -37,28 +37,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x) -> str:
     return "-" if x is None else f"{x:.3f}"
-
-
-def _read_column(path, column) -> list[float]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise ParseError(f"{path}: missing required column {column!r}")
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                out.append(float(row[column]))
-            except (TypeError, ValueError):
-                raise ParseError(
-                    f"{path}:{lineno}:{column}: cannot parse {row[column]!r}"
-                ) from None
-    return out
-
-
-def _read_xy(path, x_col, y_col) -> list[tuple[float, float]]:
-    xs = _read_column(path, x_col)
-    ys = _read_column(path, y_col)
-    return list(zip(xs, ys))
 
 
 def _write_json(path, payload) -> None:
@@ -126,7 +104,7 @@ def build_parser() -> _Parser:
     p.add_argument("--k-min", type=float, required=True)
     p.add_argument("--k-max", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, dest="csv_out", help="k,v,q CSV to write")
 
     p = sub.add_parser("serve", help="run the classification HTTP service")
     p.add_argument("--model", required=True)
@@ -170,7 +148,7 @@ def _cmd_tracks_derive(args, cfg: Config) -> dict:
 
 
 def _cmd_fit_speed_gap(args, cfg: Config) -> dict:
-    points = _read_xy(args.input, "gap_m", "speed_kmh")
+    points = list(zip(*io_store.read_columns(args.input, "gap_m", "speed_kmh")))
     if not args.raw:
         binned = regression.bin_points(points, cfg.gap_bin_width, min_count=args.min_count)
         points = [(b.bin_center, b.mean_y) for b in binned]
@@ -187,7 +165,7 @@ def _cmd_fit_speed_gap(args, cfg: Config) -> dict:
 
 
 def _cmd_fit_fd(args, cfg: Config) -> dict:
-    points = _read_xy(args.input, "density_vpkm", "speed_kmh")
+    points = list(zip(*io_store.read_columns(args.input, "density_vpkm", "speed_kmh")))
     if not args.raw:
         binned = regression.bin_points(points, cfg.density_bin_width)
         points = [(b.bin_center, b.mean_y) for b in binned]
@@ -208,13 +186,12 @@ def _cmd_fit_fd(args, cfg: Config) -> dict:
         fd=model, v_min=v_min, characteristics=chars, fit=report,
         created_utc=datetime.now(timezone.utc).isoformat(),
     )
-    if args.out:
-        io_store.save_model(doc, args.out)
     return io_store.document_to_dict(doc)
 
 
 def _cmd_stats_summary(args, cfg: Config) -> dict:
-    stats = trajectory.summary_stats(_read_column(args.input, args.column))
+    (values,) = io_store.read_columns(args.input, args.column)
+    stats = trajectory.summary_stats(values)
     print(f"{'p15':>8} {'median':>8} {'p85':>8} {'mean':>8}")
     print(f"{_fmt(stats.p15):>8} {_fmt(stats.median):>8} {_fmt(stats.p85):>8} {_fmt(stats.mean):>8}")
     return {"p15": stats.p15, "median": stats.median, "p85": stats.p85, "mean": stats.mean}
@@ -222,8 +199,8 @@ def _cmd_stats_summary(args, cfg: Config) -> dict:
 
 def _cmd_economic_speed(args, cfg: Config) -> dict:
     result = fd.economic_speed({
-        "loaded": _read_column(args.loaded, "speed_kmh"),
-        "empty": _read_column(args.empty, "speed_kmh"),
+        "loaded": io_store.read_columns(args.loaded, "speed_kmh")[0],
+        "empty": io_store.read_columns(args.empty, "speed_kmh")[0],
     })
     print(f"loaded median {_fmt(result.loaded_median)} km/h  "
           f"empty median {_fmt(result.empty_median)} km/h  "
@@ -235,8 +212,8 @@ def _cmd_economic_speed(args, cfg: Config) -> dict:
 def _cmd_minimums(args, cfg: Config) -> dict:
     tail = args.tail if args.tail is not None else cfg.tail_fraction
     result = fd.recommend_minimums(
-        _read_column(args.speeds, "speed_kmh"),
-        _read_column(args.gaps, "gap_m"),
+        io_store.read_columns(args.speeds, "speed_kmh")[0],
+        io_store.read_columns(args.gaps, "gap_m")[0],
         tail_fraction=tail,
     )
     print(f"v_min {_fmt(result.v_min)} km/h  g_min {_fmt(result.g_min)} m  (tail {tail})")
@@ -244,7 +221,7 @@ def _cmd_minimums(args, cfg: Config) -> dict:
 
 
 def _cmd_states_train(args, cfg: Config) -> dict:
-    speeds = _read_column(args.speeds, "speed_kmh")
+    (speeds,) = io_store.read_columns(args.speeds, "speed_kmh")
     selection = traffic_state.select_k(speeds, cfg.k_range)
     print("K  silhouette")
     for k in sorted(selection.silhouette_by_k):
@@ -261,8 +238,6 @@ def _cmd_states_train(args, cfg: Config) -> dict:
     doc = io_store.ModelDocument(
         bands=bands, created_utc=datetime.now(timezone.utc).isoformat(),
     )
-    if args.out:
-        io_store.save_model(doc, args.out)
     return io_store.document_to_dict(doc)
 
 
@@ -279,9 +254,9 @@ def _cmd_emit_curve(args, cfg: Config) -> dict:
     doc = io_store.load_model(args.model)
     if doc.fd is None:
         raise FairwayError(f"{args.model}: document carries no diagram model")
-    rows = io_store.emit_curve_samples(doc.fd, (args.k_min, args.k_max), args.step, args.out)
-    print(f"wrote {rows} rows to {args.out}")
-    return {"rows": rows, "path": args.out}
+    rows = io_store.emit_curve_samples(doc.fd, (args.k_min, args.k_max), args.step, args.csv_out)
+    print(f"wrote {rows} rows to {args.csv_out}")
+    return {"rows": rows, "path": args.csv_out}
 
 
 def _cmd_serve(args, cfg: Config) -> dict:
@@ -323,9 +298,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         payload = handler(args, cfg)
         out = getattr(args, "out", None)
-        if out and args.command not in ("emit",) and not (
-            args.command in ("fit", "states") and getattr(args, "sub", None) in ("fd", "train")
-        ):
+        if out:
             _write_json(out, payload)
     except FairwayError as exc:
         print(f"error: {exc}", file=sys.stderr)

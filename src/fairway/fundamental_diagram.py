@@ -2,18 +2,28 @@
 
 Six forms: three classical speed-density curves (linear, logarithmic,
 exponential decay) and their piecewise variants with a free-flow plateau
-at v_f up to a breakpoint density k1.  Characteristic parameters are
-derived under a minimum-speed constraint: the maximum density k_max is
-where speed falls to v_min, and the throughput optimum is taken over
-(0, k_max] (closed-form interior optimum when feasible, else the best
-boundary candidate).
+at v_f up to a breakpoint density k1.  Each form's non-free branch has
+one of three shapes, and each shape is one row of ``_SHAPES``:
+
+    shape   branch v(k)        regression family  (a, b)    v at k->0+
+    linear  v = -c1*k + c2     linear             (-c1, c2)  c2
+    log     v = -c1*ln(k) + c2 logarithmic        (-c1, c2)  unbounded
+    exp     v = c1*e^(-c2*k)   exponential        (c1, -c2)  c1
+
+plus the closed forms of k_max (where v falls to v_min) and of the
+unconstrained argmax of k*v(k).  Branches are evaluated and fitted through
+the regression family, with the signs mapping (c1, c2) to (a, b).
+Characteristic parameters are derived under a minimum-speed constraint:
+the maximum density k_max is where speed falls to v_min, and the
+throughput optimum is taken over (0, k_max] (closed-form interior optimum
+when feasible, else the best boundary candidate).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -23,30 +33,44 @@ from .errors import (
     InsufficientDataError,
     NoFeasibleDensityError,
 )
-from .regression import FitReport, fit_curve, r_squared
+from .regression import FitReport, fit_curve, predict, r_squared
 from .trajectory import FlowSample
 
 CLASSICAL_FORMS = ("greenshields", "greenberg", "underwood")
 PIECEWISE_FORMS = ("piecewise_linear", "piecewise_log", "piecewise_exp")
 ALL_FORMS = CLASSICAL_FORMS + PIECEWISE_FORMS
 
-# Non-free branch of each piecewise form follows a classical shape.
-_BRANCH_SHAPE = {
-    "greenshields": "linear",
-    "greenberg": "log",
-    "underwood": "exp",
-    "piecewise_linear": "linear",
-    "piecewise_log": "log",
-    "piecewise_exp": "exp",
+
+class _Shape(NamedTuple):
+    family: str  # regression family the branch is evaluated and fitted as
+    signs: tuple[int, int]  # (a, b) = (signs[0]*c1, signs[1]*c2), and back
+    v_at_zero: Callable  # (c1, c2) -> v at k -> 0+, None when unbounded
+    k_max: Callable  # (c1, c2, v_min) -> k where v falls to v_min
+    argmax: Callable  # (c1, c2) -> unconstrained argmax of k * v(k)
+
+
+_SHAPES = {
+    "linear": _Shape("linear", (-1, 1), lambda c1, c2: c2,
+                     lambda c1, c2, v: (c2 - v) / c1, lambda c1, c2: c2 / (2 * c1)),
+    "log": _Shape("logarithmic", (-1, 1), lambda c1, c2: None,
+                  lambda c1, c2, v: math.exp((c2 - v) / c1),
+                  lambda c1, c2: math.exp(c2 / c1 - 1)),
+    "exp": _Shape("exponential", (1, -1), lambda c1, c2: c1,
+                  lambda c1, c2, v: math.log(c1 / v) / c2, lambda c1, c2: 1 / c2),
 }
 
-# Curve family used when fitting each branch shape via the regression module.
-_BRANCH_FAMILY = {"linear": "linear", "log": "logarithmic", "exp": "exponential"}
+# Non-free branch shape of each form; a piecewise form follows its classical one.
+_FORM_SHAPE = {"greenshields": "linear", "greenberg": "log", "underwood": "exp",
+               "piecewise_linear": "linear", "piecewise_log": "log", "piecewise_exp": "exp"}
+
+
+def _finite_positive(value) -> bool:
+    return value is not None and 0 < value < math.inf
 
 
 @dataclass(frozen=True)
 class FdModel:
-    """One fundamental-diagram form with positive branch coefficients (c1, c2).
+    """One fundamental-diagram form with finite positive branch coefficients (c1, c2).
 
     linear shape:  v = -c1*k + c2
     log shape:     v = -c1*ln(k) + c2
@@ -64,18 +88,13 @@ class FdModel:
     def __post_init__(self):
         if self.form not in ALL_FORMS:
             raise DomainError(f"unknown model form {self.form!r}")
-        if not (self.c1 > 0 and self.c2 > 0):
-            raise DomainError(
-                f"model coefficients must be positive, got ({self.c1}, {self.c2})"
-            )
-        if self.is_piecewise:
-            if self.v_f is None or self.v_f <= 0:
-                raise DomainError("piecewise forms require v_f > 0")
-            if self.k1 is None or self.k1 <= 0:
-                raise DomainError("piecewise forms require k1 > 0")
-        else:
-            if self.k1 is not None:
-                raise DomainError("classical forms take no breakpoint")
+        if not self.is_piecewise and self.k1 is not None:
+            raise DomainError("classical forms take no breakpoint")
+        required = ("c1", "c2", "v_f", "k1") if self.is_piecewise else ("c1", "c2")
+        for name in ("c1", "c2", "v_f", "k1"):
+            value = getattr(self, name)
+            if (name in required or value is not None) and not _finite_positive(value):
+                raise DomainError(f"{self.form} needs a finite positive {name}, got {value!r}")
 
     @property
     def is_piecewise(self) -> bool:
@@ -83,18 +102,14 @@ class FdModel:
 
     @property
     def branch_shape(self) -> str:
-        return _BRANCH_SHAPE[self.form]
+        return _FORM_SHAPE[self.form]
 
     @property
     def free_flow_speed(self) -> Optional[float]:
-        """v at k -> 0+: c2 (linear), c1 (exp), unbounded (log -> None)."""
+        """v at k -> 0+: v_f (piecewise), c2 (linear), c1 (exp), unbounded (log -> None)."""
         if self.is_piecewise:
             return self.v_f
-        if self.form == "greenshields":
-            return self.c2
-        if self.form == "underwood":
-            return self.c1
-        return None  # greenberg: v -> infinity as k -> 0+
+        return _SHAPES[self.branch_shape].v_at_zero(self.c1, self.c2)
 
 
 @dataclass(frozen=True)
@@ -124,17 +139,6 @@ class RecommendedMinimums:
     g_min: float  # m
 
 
-def _branch_speed(shape: str, c1: float, c2: float, k):
-    k = np.asarray(k, dtype=float)
-    if shape == "linear":
-        out = -c1 * k + c2
-    elif shape == "log":
-        out = -c1 * np.log(k) + c2
-    else:  # exp
-        out = c1 * np.exp(-c2 * k)
-    return out if out.ndim else float(out)
-
-
 def speed_at_density(model: FdModel, k: float):
     """Evaluate v(k) in km/h; piecewise forms plateau at v_f for k <= k1.
 
@@ -144,22 +148,18 @@ def speed_at_density(model: FdModel, k: float):
     arr = np.asarray(k, dtype=float)
     if np.any(arr < 0):
         raise DomainError("density must be non-negative")
+    if model.branch_shape == "log" and np.any(arr <= 0):
+        raise DomainError("logarithmic form undefined at k <= 0")
+    shape = _SHAPES[model.branch_shape]
+    out = predict(shape.family, shape.signs[0] * model.c1, shape.signs[1] * model.c2, arr)
     if model.is_piecewise:
-        if model.branch_shape == "log" and np.any(arr <= 0):
-            raise DomainError("logarithmic form undefined at k <= 0")
-        branch = _branch_speed(model.branch_shape, model.c1, model.c2, arr)
-        out = np.where(arr <= model.k1, model.v_f, branch)
-    else:
-        if model.branch_shape == "log" and np.any(arr <= 0):
-            raise DomainError("logarithmic form undefined at k <= 0")
-        out = np.asarray(_branch_speed(model.branch_shape, model.c1, model.c2, arr))
+        out = np.where(arr <= model.k1, model.v_f, out)
     return out if np.ndim(k) else float(out)
 
 
 def flow_at_density(model: FdModel, k: float):
     """q(k) = k * v(k) in vessels/h."""
-    return np.asarray(k, dtype=float) * speed_at_density(model, k) if np.ndim(k) \
-        else k * speed_at_density(model, k)
+    return k * speed_at_density(model, k)
 
 
 def scale_speed_units(model: FdModel, factor: float) -> FdModel:
@@ -176,24 +176,6 @@ def scale_speed_units(model: FdModel, factor: float) -> FdModel:
     return replace(model, c1=model.c1 * factor, c2=model.c2 * factor, v_f=v_f)
 
 
-def _k_max(shape: str, c1: float, c2: float, v_min: float) -> float:
-    """Density where the branch speed falls to v_min (closed form)."""
-    if shape == "linear":
-        return (c2 - v_min) / c1
-    if shape == "log":
-        return math.exp((c2 - v_min) / c1)
-    return math.log(c1 / v_min) / c2  # exp
-
-
-def _interior_optimum(shape: str, c1: float, c2: float) -> float:
-    """Unconstrained argmax of k * v(k) on the branch."""
-    if shape == "linear":
-        return c2 / (2 * c1)
-    if shape == "log":
-        return math.exp(c2 / c1 - 1)
-    return 1 / c2  # exp
-
-
 def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams:
     """Characteristic parameters under the minimum-speed constraint.
 
@@ -202,19 +184,20 @@ def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams
     (when it lies in the feasible open interval) and the boundary candidates
     k1 (piecewise) and k_max.
     """
-    if v_min <= 0:
-        raise DomainError("v_min must be positive")
-    shape, c1, c2 = model.branch_shape, model.c1, model.c2
+    if not _finite_positive(v_min):
+        raise DomainError(f"v_min must be a finite positive number, got {v_min}")
+    shape, c1, c2 = _SHAPES[model.branch_shape], model.c1, model.c2
     sup_v = model.free_flow_speed  # None means unbounded (log shape)
     if sup_v is not None and v_min >= sup_v:
         raise NoFeasibleDensityError(
             f"v_min {v_min} is not below the maximum attainable speed {sup_v}"
         )
-    if shape == "exp" and v_min >= c1:
+    branch_v0 = shape.v_at_zero(c1, c2)
+    if branch_v0 is not None and v_min >= branch_v0:
         raise NoFeasibleDensityError(
-            f"v_min {v_min} exceeds the branch amplitude {c1}"
+            f"v_min {v_min} is not below the branch speed {branch_v0} at k -> 0+"
         )
-    k_max = _k_max(shape, c1, c2, v_min)
+    k_max = shape.k_max(c1, c2, v_min)
     lower = model.k1 if model.is_piecewise else 0.0
     if k_max <= lower:
         raise NoFeasibleDensityError(
@@ -224,7 +207,7 @@ def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams
     candidates = [k_max]
     if model.is_piecewise:
         candidates.append(model.k1)
-    k_star = _interior_optimum(shape, c1, c2)
+    k_star = shape.argmax(c1, c2)
     if lower < k_star <= k_max:
         candidates.append(k_star)
 
@@ -240,20 +223,33 @@ def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams
     )
 
 
-def _model_from_branch_fit(form: str, report: FitReport, v_f=None, k1=None) -> FdModel:
-    """Map a regression-family fit onto branch coefficients, enforcing signs."""
-    shape = _BRANCH_SHAPE[form]
-    if shape == "linear":
-        c1, c2 = -report.a, report.b
-    elif shape == "log":
-        c1, c2 = -report.a, report.b
-    else:  # exp: v = a * e^(b*k) with b expected negative
-        c1, c2 = report.a, -report.b
+def _density_speed(samples: Sequence[FlowSample]) -> tuple[np.ndarray, np.ndarray]:
+    ks = np.asarray([s.density for s in samples], dtype=float)
+    vs = np.asarray([s.mean_speed for s in samples], dtype=float)
+    return ks, vs
+
+
+def _fit_branch(form: str, ks: np.ndarray, vs: np.ndarray, k1=None, v_f=None):
+    """Fit the branch to the samples beyond k1 (all of them when k1 is None).
+
+    Returns the model, with the fit mapped onto signed coefficients, and the
+    regression report.  Raises InsufficientDataError below 2 branch samples
+    and DegenerateFitError when a coefficient comes out non-positive.
+    """
+    shape = _SHAPES[_FORM_SHAPE[form]]
+    beyond = slice(None) if k1 is None else ks > k1
+    branch_points = list(zip(ks[beyond].tolist(), vs[beyond].tolist()))
+    if len(branch_points) < 2:
+        raise InsufficientDataError(
+            f"only {len(branch_points)} samples beyond k1={k1}; need at least 2"
+        )
+    report = fit_curve(shape.family, branch_points)
+    c1, c2 = shape.signs[0] * report.a, shape.signs[1] * report.b
     if c1 <= 0 or c2 <= 0:
         raise DegenerateFitError(
             f"fitted {form} coefficients violate positivity: ({c1:.6g}, {c2:.6g})"
         )
-    return FdModel(form=form, c1=c1, c2=c2, v_f=v_f, k1=k1)
+    return FdModel(form=form, c1=c1, c2=c2, v_f=v_f, k1=k1), report
 
 
 def fit_fd(
@@ -274,33 +270,23 @@ def fit_fd(
         raise DomainError(f"unknown model form {form!r}")
     if len(samples) < 3:
         raise InsufficientDataError("fitting needs at least 3 samples")
-    points = [(s.density, s.mean_speed) for s in samples]
-
+    ks, vs = _density_speed(samples)
     if form in CLASSICAL_FORMS:
-        report = fit_curve(_BRANCH_FAMILY[_BRANCH_SHAPE[form]], points)
-        return _model_from_branch_fit(form, report), report
+        return _fit_branch(form, ks, vs)
 
-    if v_f is None or v_f <= 0:
-        raise DomainError("piecewise fitting requires v_f > 0")
+    if not _finite_positive(v_f):
+        raise DomainError(f"piecewise fitting requires a finite v_f > 0, got {v_f}")
     if k1 is None:
         if not k1_candidates:
             raise DomainError("piecewise fitting requires k1 or k1_candidates")
         k1 = estimate_breakpoint(samples, v_f, k1_candidates, form=form)
-    branch_points = [(k, v) for k, v in points if k > k1]
-    if len(branch_points) < 2:
-        raise InsufficientDataError(
-            f"only {len(branch_points)} samples beyond k1={k1}; need at least 2"
-        )
-    branch_report = fit_curve(_BRANCH_FAMILY[_BRANCH_SHAPE[form]], branch_points)
-    model = _model_from_branch_fit(form, branch_report, v_f=v_f, k1=k1)
-    observed = [v for _, v in points]
-    estimated = [speed_at_density(model, k) for k, _ in points]
+    model, _ = _fit_branch(form, ks, vs, k1, v_f)
     report = FitReport(
         family=form,
         a=model.c1,
         b=model.c2,
-        r_squared=r_squared(observed, estimated),
-        n_points=len(points),
+        r_squared=r_squared(vs, speed_at_density(model, ks)),
+        n_points=len(ks),
         fit_space="original",
     )
     return model, report
@@ -315,25 +301,24 @@ def estimate_breakpoint(
     """Pick the breakpoint minimizing total squared error of the piecewise fit.
 
     For each candidate: flat v_f for k <= candidate plus the best-fit branch
-    beyond it.  Ties go to the smaller candidate.  Candidates leaving fewer
-    than 2 samples in the non-free branch are skipped.
+    beyond it, scored over all samples at once.  Ties go to the smaller
+    candidate.  Candidates leaving fewer than 2 samples in the non-free
+    branch, or whose branch fit is degenerate or out of domain, are skipped.
     """
-    if not candidates or any(c <= 0 for c in candidates):
-        raise DomainError("candidates must be non-empty and positive")
+    if not candidates or not all(_finite_positive(c) for c in candidates):
+        raise DomainError("candidates must be non-empty, finite and positive")
+    if not _finite_positive(v_f):
+        raise DomainError(f"breakpoint search requires a finite v_f > 0, got {v_f}")
     if form not in PIECEWISE_FORMS:
         raise DomainError(f"estimate_breakpoint needs a piecewise form, got {form!r}")
-    points = [(s.density, s.mean_speed) for s in samples]
+    ks, vs = _density_speed(samples)
     best = None
     for cand in sorted(candidates):
-        branch_points = [(k, v) for k, v in points if k > cand]
-        if len(branch_points) < 2:
-            continue
         try:
-            report = fit_curve(_BRANCH_FAMILY[_BRANCH_SHAPE[form]], branch_points)
-            model = _model_from_branch_fit(form, report, v_f=v_f, k1=cand)
-        except (DomainError, DegenerateFitError):
+            model, _ = _fit_branch(form, ks, vs, cand, v_f)
+        except (InsufficientDataError, DomainError, DegenerateFitError):
             continue
-        sse = sum((v - speed_at_density(model, k)) ** 2 for k, v in points)
+        sse = float(np.sum((vs - speed_at_density(model, ks)) ** 2))
         if best is None or sse < best[0]:
             best = (sse, cand)
     if best is None:

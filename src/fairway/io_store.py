@@ -3,14 +3,16 @@
 All inputs are UTF-8 comma-separated files with a mandatory header row.
 Loaders never silently drop rows: every data row is either accepted or
 recorded as a reject with its line number (strict mode raises on the
-first reject).  Model documents are JSON with full-precision numbers so
-save/load round-trips are bit-identical.
+first reject); a float cell must hold a finite number.  Model documents
+are JSON with full-precision numbers so save/load round-trips are
+bit-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -98,9 +100,25 @@ def _field(row, lineno, column, cast):
     if raw is None or raw == "":
         raise _RowError(lineno, column, "missing value")
     try:
-        return cast(raw)
+        value = cast(raw)
     except (TypeError, ValueError):
         raise _RowError(lineno, column, f"cannot parse {raw!r}") from None
+    if cast is float and not math.isfinite(value):
+        raise _RowError(lineno, column, f"not a finite number: {raw!r}")
+    return value
+
+
+def read_columns(path, *columns: str) -> tuple[list[float], ...]:
+    """Finite float columns of a CSV, one list per named column, read in one pass.
+
+    Strict: the first bad cell raises ParseError naming path:line:column.
+    """
+    rows, _ = _parse_rows(
+        path, columns,
+        lambda row, lineno: [_field(row, lineno, c, float) for c in columns],
+        strict=True,
+    )
+    return tuple([row[i] for row in rows] for i in range(len(columns)))
 
 
 def load_vessel_meta(path, strict: bool = True) -> LoadResult:
@@ -313,6 +331,8 @@ def load_model(path) -> ModelDocument:
 def emit_curve_samples(model: FdModel, k_range: tuple[float, float], step: float, path) -> int:
     """Write a k,v,q CSV over an inclusive density grid; returns the row count."""
     lo, hi = k_range
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise DomainError("k_range bounds and step must be finite")
     if step <= 0:
         raise DomainError("step must be positive")
     if hi < lo:

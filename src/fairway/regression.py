@@ -1,10 +1,17 @@
 """Binning and four-family curve fitting with explained-variance R^2.
 
-Families: linear v = a*x + b, logarithmic v = a*ln(x) + b,
-exponential v = a*e^(b*x), power v = a*x^b.  Exponential and power are
-fitted by ordinary least squares after log-linearization; their default
-R^2 is reported in the transformed space (``fit_space="transformed"``),
-switchable to the original space.
+Each family is one row of ``_FAMILIES``: whether x and y are log-
+transformed before the straight-line fit, and the curve in (a, b).
+
+    linear       v = a*x + b       fitted as y on x
+    logarithmic  v = a*ln(x) + b   fitted as y on ln(x)
+    exponential  v = a*e^(b*x)     fitted as ln(y) on x, a = e^intercept
+    power        v = a*x^b         fitted as ln(y) on ln(x), a = e^intercept
+
+``predict`` and ``fit_curve`` read the table.  Log-linearised families
+report R^2 in the transformed space by default (``fit_space=
+"transformed"``), switchable to the original space; the others always
+report it in the original space.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +29,27 @@ log = logging.getLogger(__name__)
 
 # Tie-break order when ranking by R^2.
 FAMILIES = ("logarithmic", "power", "linear", "exponential")
+
+
+class _Family(NamedTuple):
+    log_x: bool  # fit against ln(x); needs x > 0
+    log_y: bool  # log-linearised: fit ln(y), a = e^intercept; needs y > 0
+    curve: Callable  # (a, b, x) -> v
+
+
+_FAMILIES = {
+    "linear": _Family(False, False, lambda a, b, x: a * x + b),
+    "logarithmic": _Family(True, False, lambda a, b, x: a * np.log(x) + b),
+    "exponential": _Family(False, True, lambda a, b, x: a * np.exp(b * x)),
+    "power": _Family(True, True, lambda a, b, x: a * np.power(x, b)),
+}
+
+
+def _family(name: str) -> _Family:
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        raise DomainError(f"unknown curve family {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -52,17 +80,7 @@ class BinnedPoint:
 
 def predict(family: str, a: float, b: float, x):
     """Evaluate a family curve at x (scalar or array)."""
-    x = np.asarray(x, dtype=float)
-    if family == "linear":
-        out = a * x + b
-    elif family == "logarithmic":
-        out = a * np.log(x) + b
-    elif family == "exponential":
-        out = a * np.exp(b * x)
-    elif family == "power":
-        out = a * np.power(x, b)
-    else:
-        raise DomainError(f"unknown curve family {family!r}")
+    out = _family(family).curve(a, b, np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -76,8 +94,10 @@ def bin_points(
     Bin b covers [b*width, (b+1)*width); its representative x is the
     midpoint.  Bins with fewer than ``min_count`` members are dropped.
     """
-    if width <= 0:
-        raise DomainError("bin width must be positive")
+    if not 0 < width < math.inf:
+        raise DomainError("bin width must be a finite positive number")
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in points):
+        raise DomainError("bin_points needs finite points")
     buckets: dict[int, list[float]] = {}
     for x, y in points:
         buckets.setdefault(math.floor(x / width), []).append(y)
@@ -128,52 +148,30 @@ def fit_curve(
     original_space_r2: bool = False,
 ) -> FitReport:
     """Least-squares fit of one family; log-linearized for exponential/power."""
-    if family not in FAMILIES:
-        raise DomainError(f"unknown curve family {family!r}")
+    spec = _family(family)
     if len(points) < 2:
         raise DegenerateFitError("a fit needs at least 2 points")
     x = np.asarray([p[0] for p in points], dtype=float)
     y = np.asarray([p[1] for p in points], dtype=float)
 
-    if family in ("logarithmic", "power"):
-        bad = [tuple(p) for p in points if p[0] <= 0]
+    for logged, axis, col in ((spec.log_x, "x", 0), (spec.log_y, "y", 1)):
+        bad = [tuple(p) for p in points if p[col] <= 0] if logged else []
         if bad:
-            raise DomainError(f"{family} fit requires x > 0; offending points: {bad}")
-    if family in ("exponential", "power"):
-        bad = [tuple(p) for p in points if p[1] <= 0]
-        if bad:
-            raise DomainError(
-                f"{family} fit (log-linearized) requires y > 0; offending points: {bad}"
-            )
+            raise DomainError(f"{family} fit requires {axis} > 0; offending points: {bad}")
+    fx = np.log(x) if spec.log_x else x
+    fy = np.log(y) if spec.log_y else y
 
-    if family == "linear":
-        a, b = _ols(x, y)
-        fit_space = "original"
-        y_hat = a * x + b
-        r2 = _r2_tolerant(y, y_hat)
-    elif family == "logarithmic":
-        a, b = _ols(np.log(x), y)
-        fit_space = "original"
-        y_hat = a * np.log(x) + b
-        r2 = _r2_tolerant(y, y_hat)
-    elif family == "exponential":
-        slope, intercept = _ols(x, np.log(y))
-        a, b = math.exp(intercept), slope
+    slope, intercept = _ols(fx, fy)
+    try:
+        a, b = (math.exp(intercept), slope) if spec.log_y else (slope, intercept)
+    except OverflowError:
+        raise DegenerateFitError(f"{family} fit amplitude e^{intercept:.6g} overflows") from None
+    if spec.log_y and not original_space_r2:
         fit_space = "transformed"
-        if original_space_r2:
-            fit_space = "original"
-            r2 = _r2_tolerant(y, a * np.exp(b * x))
-        else:
-            r2 = _r2_tolerant(np.log(y), intercept + slope * x)
-    else:  # power
-        slope, intercept = _ols(np.log(x), np.log(y))
-        a, b = math.exp(intercept), slope
-        fit_space = "transformed"
-        if original_space_r2:
-            fit_space = "original"
-            r2 = _r2_tolerant(y, a * np.power(x, b))
-        else:
-            r2 = _r2_tolerant(np.log(y), intercept + slope * np.log(x))
+        r2 = _r2_tolerant(fy, intercept + slope * fx)
+    else:
+        fit_space = "original"
+        r2 = _r2_tolerant(y, spec.curve(a, b, x))
 
     return FitReport(family=family, a=a, b=b, r_squared=r2, n_points=len(points), fit_space=fit_space)
 

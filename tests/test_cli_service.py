@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +12,20 @@ import requests
 
 from fairway import cli
 from fairway.fundamental_diagram import FdModel, speed_at_density
-from fairway.io_store import ModelDocument, document_to_dict, load_model, save_model
+from fairway.io_store import (
+    ModelDocument,
+    document_to_dict,
+    load_model,
+    save_model,
+    serialize_document,
+)
 from fairway.service import make_server
 from fairway.traffic_state import StateBands
 
 from reference_data import STATE_BOUNDARIES, V_MIN
 
 GREENSHIELDS = FdModel(form="greenshields", c1=0.7634, c2=11.817)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_csv(path, header, rows):
@@ -103,6 +114,27 @@ class TestFitFd:
         assert key in capsys.readouterr().err
 
 
+    def test_out_is_the_canonical_document(self, tmp_path, capsys):
+        path = density_speed_csv(tmp_path, GREENSHIELDS, [1, 2, 3, 4])
+        out = tmp_path / "model.json"
+        assert cli.main(["fit", "fd", "--form", "greenshields", "--input", path,
+                         "--raw", "--out", str(out)]) == cli.EXIT_OK
+        assert out.read_text() == serialize_document(load_model(out))
+
+    @pytest.mark.parametrize("option, value, name", [
+        ("--v-min", "nan", "v_min"), ("--v-min", "inf", "v_min"),
+        ("--v-f", "nan", "v_f"), ("--v-f", "inf", "v_f"),
+    ])
+    def test_non_finite_option_exits_with_data_error(self, tmp_path, capsys,
+                                                     option, value, name):
+        model = FdModel(form="piecewise_exp", c1=13.62, c2=0.115, v_f=10.5, k1=4.0)
+        path = density_speed_csv(tmp_path, model, [k / 2 for k in range(1, 31)])
+        code = cli.main(["fit", "fd", "--form", "piecewise_exp", "--input", path,
+                         "--raw", "--v-f", "10.5", option, value])
+        assert code == cli.EXIT_DATA
+        assert name in capsys.readouterr().err
+
+
 class TestFitSpeedGap:
     def test_generator_family_ranks_first(self, tmp_path, capsys):
         rows = [(g, 1.3382 * np.log(g) + 0.4536) for g in range(20, 301, 20)]
@@ -122,6 +154,14 @@ class TestFitSpeedGap:
         assert payload["families"][0]["n_points"] == 36
 
 
+    @pytest.mark.parametrize("raw", [[], ["--raw"]])
+    def test_non_finite_gap_exits_with_data_error(self, tmp_path, capsys, raw):
+        rows = [(20.0, 5.0), ("nan", 6.0), (60.0, 7.0)]
+        path = write_csv(tmp_path / "gv.csv", ["gap_m", "speed_kmh"], rows)
+        assert cli.main(["fit", "speed-gap", "--input", path, *raw]) == cli.EXIT_DATA
+        assert "gv.csv:3:gap_m" in capsys.readouterr().err
+
+
 class TestStatsAndScalars:
     def test_stats_summary(self, tmp_path, capsys):
         path = write_csv(tmp_path / "v.csv", ["speed_kmh"],
@@ -135,6 +175,12 @@ class TestStatsAndScalars:
         path = write_csv(tmp_path / "v.csv", ["other"], [(1,)])
         assert cli.main(["stats", "summary", "--input", path,
                          "--column", "speed_kmh"]) == cli.EXIT_DATA
+
+    def test_stats_non_finite_cell(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "v.csv", ["speed_kmh"], [(1.0,), ("nan",), (3.0,)])
+        assert cli.main(["stats", "summary", "--input", path,
+                         "--column", "speed_kmh"]) == cli.EXIT_DATA
+        assert "v.csv:3:speed_kmh" in capsys.readouterr().err
 
     def test_economic_speed(self, tmp_path, capsys):
         loaded = write_csv(tmp_path / "l.csv", ["speed_kmh"], [(5,), (6,), (7,)])
@@ -214,6 +260,40 @@ class TestEmitCurve:
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert float(rows[0]["v"]) == pytest.approx(11.817 - 0.7634)
+
+    def test_non_finite_model_field_exits_with_data_error(self, tmp_path, capsys):
+        model = FdModel(form="piecewise_exp", c1=13.62, c2=0.115, v_f=10.5, k1=4.0)
+        raw = document_to_dict(ModelDocument(fd=model))
+        raw["model"]["v_f"] = float("nan")
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(raw))
+        out = tmp_path / "curve.csv"
+        code = cli.main(["emit", "curve", "--model", str(model_path),
+                         "--k-min", "1", "--k-max", "10", "--step", "1",
+                         "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        assert "v_f" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k_max, step", [("inf", "1"), ("10", "nan"), ("10", "inf")])
+    def test_non_finite_range_exits_with_data_error(self, tmp_path, k_max, step):
+        # A subprocess with a timeout: an unchecked infinite range never stops writing.
+        model_path = tmp_path / "model.json"
+        save_model(ModelDocument(fd=GREENSHIELDS), model_path)
+        out = tmp_path / "curve.csv"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "fairway.cli", "emit", "curve",
+             "--model", str(model_path), "--k-min", "1", "--k-max", k_max,
+             "--step", step, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert result.returncode == cli.EXIT_DATA, result.stderr
+        assert "finite" in result.stderr
+        assert not out.exists()
 
 
 class TestTracksDerive:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fairway import fundamental_diagram
 from fairway.errors import (
+    DegenerateFitError,
     DomainError,
     InsufficientDataError,
     NoFeasibleDensityError,
@@ -22,6 +24,7 @@ from fairway.fundamental_diagram import (
     scale_speed_units,
     speed_at_density,
 )
+from fairway.regression import fit_curve
 from fairway.trajectory import FlowSample
 
 from reference_data import (
@@ -81,6 +84,55 @@ def random_valid_model(rng) -> tuple[FdModel, float]:
         v_f = branch_at_k1 * rng.uniform(1.0, 1.4)
         return FdModel(form, c1, c2, v_f=v_f, k1=k1), v_min
     return FdModel(form, c1, c2), v_min
+
+
+PIECEWISE = ("piecewise_linear", "piecewise_log", "piecewise_exp")
+
+
+def random_branch(rng, form):
+    """Positive branch coefficients of the size the published fits have."""
+    if form in ("greenshields", "piecewise_linear"):
+        return rng.uniform(0.2, 2.0), rng.uniform(8.0, 20.0)
+    if form in ("greenberg", "piecewise_log"):
+        return rng.uniform(1.0, 4.0), rng.uniform(6.0, 20.0)
+    return rng.uniform(6.0, 20.0), rng.uniform(0.02, 0.4)
+
+
+def reference_speed(form, c1, c2, v_f, k1, k):
+    """v(k) written out per shape, the way it was before the shape table."""
+    k = np.asarray(k, dtype=float)
+    if form in ("greenshields", "piecewise_linear"):
+        out = -c1 * k + c2
+    elif form in ("greenberg", "piecewise_log"):
+        out = -c1 * np.log(k) + c2
+    else:
+        out = c1 * np.exp(-c2 * k)
+    if form in PIECEWISE:
+        out = np.where(k <= k1, v_f, out)
+    return out if out.ndim else float(out)
+
+
+def reference_breakpoint(samples, v_f, candidates, form):
+    """The breakpoint search as a per-sample loop; None when no candidate is usable."""
+    family = {"piecewise_linear": "linear", "piecewise_log": "logarithmic",
+              "piecewise_exp": "exponential"}[form]
+    best = None
+    for cand in sorted(candidates):
+        branch = [(s.density, s.mean_speed) for s in samples if s.density > cand]
+        if len(branch) < 2:
+            continue
+        try:
+            fit = fit_curve(family, branch)
+        except (DomainError, DegenerateFitError):
+            continue
+        c1, c2 = (fit.a, -fit.b) if family == "exponential" else (-fit.a, fit.b)
+        if c1 <= 0 or c2 <= 0:
+            continue
+        sse = sum((s.mean_speed - reference_speed(form, c1, c2, v_f, cand, s.density)) ** 2
+                  for s in samples)
+        if best is None or sse < best[0]:
+            best = (sse, cand)
+    return None if best is None else best[1]
 
 
 def grid_optimum(model, k_max, step=1e-4):
@@ -218,6 +270,16 @@ class TestDeriveCharacteristics:
                     getattr(chars, field), rel=1e-9
                 )
 
+    @pytest.mark.parametrize("v_min", [math.nan, math.inf, 0.0])
+    def test_non_finite_v_min_rejected(self, v_min):
+        with pytest.raises(DomainError):
+            derive_characteristics(FdModel("greenshields", 0.7634, 11.817), v_min)
+
+    def test_v_min_above_exp_branch_amplitude(self):
+        # The plateau v_f = 10.5 is above v_min, but the branch starts at c1 = 6.
+        with pytest.raises(NoFeasibleDensityError):
+            derive_characteristics(FdModel("piecewise_exp", 6.0, 0.115, v_f=10.5, k1=4.0), 7.0)
+
     def test_log_form_reports_no_free_flow_speed(self):
         chars = derive_characteristics(FdModel("greenberg", 2.502, 11.227), V_MIN)
         assert chars.v_f is None
@@ -250,6 +312,15 @@ class TestFitFd:
         truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)
         with pytest.raises(DomainError):
             fit_fd("piecewise_exp", samples_from(truth, K_GRID), k1=4.0)
+
+    @pytest.mark.parametrize("v_f", [math.nan, math.inf])
+    def test_non_finite_v_f_rejected(self, v_f):
+        truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)
+        with pytest.raises(DomainError):
+            fit_fd("piecewise_exp", samples_from(truth, K_GRID), v_f=v_f, k1=4.0)
+        with pytest.raises(DomainError):
+            fit_fd("piecewise_exp", samples_from(truth, K_GRID), v_f=v_f,
+                   k1_candidates=[3.0, 4.0])
 
 
 class TestEstimateBreakpoint:
@@ -291,6 +362,57 @@ class TestEstimateBreakpoint:
         samples = samples_from(truth, [1.0, 2.0])
         with pytest.raises(InsufficientDataError):
             estimate_breakpoint(samples, 10.5, [5.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_non_finite_candidate_rejected(self, bad):
+        truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)
+        with pytest.raises(DomainError):
+            estimate_breakpoint(samples_from(truth, K_GRID), 10.5, [3.0, bad, 4.0])
+
+    @pytest.mark.parametrize("v_f", [math.nan, math.inf])
+    def test_non_finite_v_f_rejected(self, v_f):
+        truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)
+        with pytest.raises(DomainError):
+            estimate_breakpoint(samples_from(truth, K_GRID), v_f, [3.0, 4.0])
+
+    def test_one_prediction_call_per_candidate(self, monkeypatch):
+        calls = []
+        real = fundamental_diagram.speed_at_density
+
+        def counting(model, k):
+            calls.append(np.ndim(k))
+            return real(model, k)
+
+        monkeypatch.setattr(fundamental_diagram, "speed_at_density", counting)
+        truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)
+        samples = samples_from(truth, [0.01 * i for i in range(1, 1201)])
+        candidates = [float(c) for c in range(1, 11)]
+        assert estimate_breakpoint(samples, 10.5, candidates) == 4.0
+        assert calls == [1] * len(candidates)
+
+    @given(seed=st.integers(0, 2**32 - 1), form=st.sampled_from(PIECEWISE),
+           n_candidates=st.integers(1, 40))
+    @example(seed=51753, form="piecewise_exp", n_candidates=4)  # an amplitude overflows
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_sample_reference(self, seed, form, n_candidates):
+        rng = np.random.default_rng(seed)
+        c1, c2 = random_branch(rng, form)
+        k1 = rng.uniform(1.0, 5.0)
+        branch_at_k1 = reference_speed(form, c1, c2, 0.0, 0.0, k1)
+        v_f = max(branch_at_k1, 1.0) * rng.uniform(1.0, 1.3)
+        ks = np.sort(rng.uniform(0.2, 12.0, rng.integers(5, 80)))
+        vs = reference_speed(form, c1, c2, v_f, k1, ks)
+        vs = np.clip(vs + rng.normal(0.0, rng.uniform(0.05, 1.0), ks.size), 0.05, None)
+        samples = [FlowSample.from_density_speed(float(k), float(v)) for k, v in zip(ks, vs)]
+        # Half the candidates sit exactly on a sample density.
+        candidates = [float(rng.choice(ks)) if rng.random() < 0.5 else rng.uniform(0.1, 12.0)
+                      for _ in range(n_candidates)]
+        expected = reference_breakpoint(samples, v_f, candidates, form)
+        if expected is None:
+            with pytest.raises(InsufficientDataError):
+                estimate_breakpoint(samples, v_f, candidates, form=form)
+        else:
+            assert estimate_breakpoint(samples, v_f, candidates, form=form) == expected
 
 
 class TestEconomicSpeed:
@@ -346,3 +468,36 @@ class TestModelValidation:
     def test_classical_rejects_breakpoint(self):
         with pytest.raises(DomainError):
             FdModel("underwood", 12.999, 0.107, k1=4.0)
+
+    @pytest.mark.parametrize("field", ["c1", "c2", "v_f", "k1"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_non_finite_fields_rejected(self, field, bad):
+        values = {"c1": 13.62, "c2": 0.115, "v_f": 10.5, "k1": 4.0, field: bad}
+        with pytest.raises(DomainError):
+            FdModel("piecewise_exp", **values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_classical_v_f_if_given_must_be_finite(self, bad):
+        with pytest.raises(DomainError):
+            FdModel("greenshields", 0.7634, 11.817, v_f=bad)
+
+
+class TestClosedFormReference:
+    """The shape table reproduces the per-shape closed forms bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), form=st.sampled_from(ALL_FORMS))
+    @settings(max_examples=200, deadline=None)
+    def test_speed_equals_closed_form(self, seed, form):
+        rng = np.random.default_rng(seed)
+        c1, c2 = random_branch(rng, form)
+        v_f, k1 = (rng.uniform(5.0, 15.0), rng.uniform(0.5, 6.0)) \
+            if form in PIECEWISE else (None, None)
+        model = FdModel(form, c1, c2, v_f=v_f, k1=k1)
+        ks = rng.uniform(1e-3, 30.0, 50)
+        if k1 is not None:
+            ks[0] = k1  # the breakpoint itself is still free-flow
+        assert np.array_equal(speed_at_density(model, ks),
+                              reference_speed(form, c1, c2, v_f, k1, ks))
+        for k in ks[:5].tolist():
+            assert speed_at_density(model, k) == reference_speed(form, c1, c2, v_f, k1, k)
+            assert flow_at_density(model, k) == k * reference_speed(form, c1, c2, v_f, k1, k)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -20,6 +21,7 @@ from fairway.io_store import (
     load_tracks,
     load_vessel_meta,
     meta_map,
+    read_columns,
     save_model,
     serialize_document,
 )
@@ -102,6 +104,12 @@ class TestLoadVesselMeta:
         assert len(result.rejects) == 1
         assert "positive" in result.rejects[0].message
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_length_rejected(self, tmp_path, cell):
+        path = write(tmp_path, "meta.csv", META_HEADER + f"run_a,1,{cell},12.0,loaded\n")
+        with pytest.raises(ParseError, match=r"meta\.csv:2:length_m: not a finite number"):
+            load_vessel_meta(path)
+
 
 class TestLoadTracks:
     def fixture_paths(self, tmp_path):
@@ -162,6 +170,13 @@ class TestLoadTracks:
         assert [r.line for r in result.rejects] == [3]
         assert [f.t for f in runs[0].tracks[0].fixes] == [0, 2]
 
+    def test_non_finite_coordinate_rejected(self, tmp_path):
+        meta_path = write(tmp_path, "meta.csv",
+                          META_HEADER + "run_a,1,85.0,12.0,loaded\n")
+        track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + "run_a,1,0,0.0,nan\n")
+        with pytest.raises(ParseError, match=r"tracks\.csv:2:y_m"):
+            load_tracks(track_path, meta_map(load_vessel_meta(meta_path)))
+
 
 class TestLoadSurveillance:
     def test_happy_path(self, tmp_path):
@@ -187,6 +202,42 @@ class TestLoadSurveillance:
         assert [r.column for r in result.rejects] == [
             "interval_start", "direction", "flow_vph", "mean_speed_kmh",
         ]
+
+    def test_non_finite_flow_rejected(self, tmp_path):
+        path = write(tmp_path, "surv.csv", SURV_HEADER + (
+            "2021-06-01T08:00:00,upstream,nan,6.0,5,2\n"
+            "2021-06-01T08:05:00,upstream,42,inf,5,2\n"
+        ))
+        result = load_surveillance(path, strict=False)
+        assert result.items == ()
+        assert [(r.line, r.column) for r in result.rejects] == [
+            (2, "flow_vph"), (3, "mean_speed_kmh"),
+        ]
+
+
+class TestReadColumns:
+    def test_columns_in_requested_order(self, tmp_path):
+        path = write(tmp_path, "kv.csv", "speed_kmh,note,density_vpkm\n9.5,a,1\n8.0,b,2.5\n")
+        assert read_columns(path, "density_vpkm", "speed_kmh") == ([1.0, 2.5], [9.5, 8.0])
+        assert read_columns(path, "speed_kmh") == ([9.5, 8.0],)
+
+    def test_header_only(self, tmp_path):
+        path = write(tmp_path, "kv.csv", "gap_m,speed_kmh\n")
+        assert read_columns(path, "gap_m", "speed_kmh") == ([], [])
+
+    def test_missing_column(self, tmp_path):
+        path = write(tmp_path, "kv.csv", "gap_m\n1\n")
+        with pytest.raises(ParseError, match="speed_kmh"):
+            read_columns(path, "gap_m", "speed_kmh")
+
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "not a finite number"), ("-inf", "not a finite number"),
+        ("fast", "cannot parse"), ("", "missing value"),
+    ])
+    def test_bad_cell_names_file_line_column(self, tmp_path, cell, message):
+        path = write(tmp_path, "kv.csv", f"gap_m,speed_kmh\n10,5\n20,{cell}\n")
+        with pytest.raises(ParseError, match=rf"kv\.csv:3:speed_kmh: {message}"):
+            read_columns(path, "gap_m", "speed_kmh")
 
 
 def make_document():
@@ -303,6 +354,16 @@ class TestEmitCurveSamples:
             emit_curve_samples(self.MODEL, (0.5, 12.0), 0.0, path)
         with pytest.raises(DomainError):
             emit_curve_samples(self.MODEL, (12.0, 0.5), 0.5, path)
+
+    @pytest.mark.parametrize("k_range, step", [
+        ((0.5, math.inf), 0.5), ((-math.inf, 12.0), 0.5), ((math.nan, 12.0), 0.5),
+        ((0.5, 12.0), math.nan), ((0.5, 12.0), math.inf),
+    ])
+    def test_non_finite_arguments_rejected_before_writing(self, tmp_path, k_range, step):
+        path = tmp_path / "curve.csv"
+        with pytest.raises(DomainError):
+            emit_curve_samples(self.MODEL, k_range, step, path)
+        assert not path.exists()
 
     def test_single_point_range(self, tmp_path):
         path = tmp_path / "curve.csv"

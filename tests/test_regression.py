@@ -24,6 +24,33 @@ def noiseless(family, a, b, xs):
     return [(x, predict(family, a, b, x)) for x in xs]
 
 
+def reference_predict(family, a, b, x):
+    """Each family's curve written out, the way it was before the family table."""
+    x = np.asarray(x, dtype=float)
+    if family == "linear":
+        out = a * x + b
+    elif family == "logarithmic":
+        out = a * np.log(x) + b
+    elif family == "exponential":
+        out = a * np.exp(b * x)
+    else:
+        out = a * np.power(x, b)
+    return out if out.ndim else float(out)
+
+
+def reference_fit(family, x, y, original_space_r2):
+    """(a, b, R^2, fit_space) from each family's own straight-line fit."""
+    fx = np.log(x) if family in ("logarithmic", "power") else x
+    if family in ("linear", "logarithmic"):
+        a, b = (float(c) for c in np.polyfit(fx, y, 1))
+        return a, b, r_squared(y, reference_predict(family, a, b, x)), "original"
+    slope, intercept = (float(c) for c in np.polyfit(fx, np.log(y), 1))
+    a, b = math.exp(intercept), slope
+    if original_space_r2:
+        return a, b, r_squared(y, reference_predict(family, a, b, x)), "original"
+    return a, b, r_squared(np.log(y), intercept + slope * fx), "transformed"
+
+
 class TestBinPoints:
     def test_single_bin_mean(self):
         out = bin_points([(51, 6), (53, 8)], width=5)
@@ -62,6 +89,12 @@ class TestBinPoints:
 
     def test_empty_input(self):
         assert bin_points([], width=5) == []
+
+    @pytest.mark.parametrize("point", [(math.nan, 1.0), (1.0, math.nan),
+                                       (math.inf, 1.0), (1.0, -math.inf)])
+    def test_non_finite_points_rejected(self, point):
+        with pytest.raises(DomainError):
+            bin_points([(1.0, 2.0), point], width=5)
 
     @given(st.lists(st.tuples(st.floats(0, 100), st.floats(-10, 10)),
                     min_size=1, max_size=50),
@@ -136,6 +169,35 @@ class TestFitCurve:
             fit_curve("logarithmic", [(-1.0, 2.0), (3.0, 4.0)])
         with pytest.raises(DomainError):
             fit_curve("exponential", [(1.0, -2.0), (3.0, 4.0)])
+
+    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES),
+           original_space_r2=st.booleans())
+    @settings(max_examples=200)
+    def test_matches_per_family_reference(self, seed, family, original_space_r2):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.5, 300.0, rng.integers(2, 40))
+        y = rng.uniform(0.5, 20.0, x.size)
+        report = fit_curve(family, list(zip(x.tolist(), y.tolist())),
+                           original_space_r2=original_space_r2)
+        assert (report.a, report.b, report.r_squared, report.fit_space) == \
+            reference_fit(family, x, y, original_space_r2)
+
+    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES))
+    @settings(max_examples=200)
+    def test_predict_equals_closed_form(self, seed, family):
+        rng = np.random.default_rng(seed)
+        a, b = rng.uniform(-5.0, 5.0), rng.uniform(-1.0, 1.0)
+        xs = rng.uniform(1e-3, 50.0, 50)
+        assert np.array_equal(predict(family, a, b, xs), reference_predict(family, a, b, xs))
+        for x in xs[:5].tolist():
+            assert predict(family, a, b, x) == reference_predict(family, a, b, x)
+
+    def test_overflowing_amplitude_is_degenerate(self):
+        # Two close points with a steep drop: ln(a) = intercept is ~800.
+        pts = [(11.932201309325283, 0.5096019305112505), (11.96843421521361, 0.05)]
+        with pytest.raises(DegenerateFitError):
+            fit_curve("exponential", pts)
+        assert "exponential" not in [r.family for r in rank_families(pts)]
 
     def test_zero_x_variance(self):
         with pytest.raises(DegenerateFitError):
