@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from datetime import datetime, timezone
@@ -114,36 +115,50 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _write_rows(handle, key: list, *columns) -> int:
+    """Rows of ``key`` and one value per column, as csv.writer writes them; returns the count.
+
+    Only the key can need quoting, so it alone goes through csv.
+    """
+    head = io.StringIO()
+    csv.writer(head).writerow(key)
+    row = head.getvalue()[:-2].replace("%", "%%") + ",%r" * len(columns) + "\r\n"
+    handle.write("".join(map(row.__mod__, zip(*(c.tolist() for c in columns)))))
+    return len(columns[0])
+
+
 def _cmd_tracks_derive(args, cfg: Config) -> dict:
     meta = io_store.meta_map(io_store.load_vessel_meta(args.meta))
     runs, _ = io_store.load_tracks(args.tracks, meta, delta_t=args.delta_t)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    counts = {"runs": len(runs), "speeds": 0, "gaps": 0, "flow_samples": 0}
+    counts = {"runs": len(runs), "speeds": 0, "gaps": 0, "flow_samples": 0, "stationary": 0}
     with open(out_dir / "speeds.csv", "w", newline="", encoding="utf-8") as sh, \
          open(out_dir / "gaps.csv", "w", newline="", encoding="utf-8") as gh, \
          open(out_dir / "flow_samples.csv", "w", newline="", encoding="utf-8") as fh:
-        sw, gw, fw = csv.writer(sh), csv.writer(gh), csv.writer(fh)
-        sw.writerow(["run_id", "fleet_position", "t_seconds", "speed_kmh"])
-        gw.writerow(["run_id", "follower_position", "t_seconds", "gap_m", "overlap_flagged"])
-        fw.writerow(["run_id", "t_seconds", "density_vpkm", "speed_kmh", "flow_vph"])
+        csv.writer(sh).writerow(["run_id", "fleet_position", "t_seconds", "speed_kmh"])
+        csv.writer(gh).writerow(
+            ["run_id", "follower_position", "t_seconds", "gap_m", "overlap_flagged"])
+        csv.writer(fh).writerow(["run_id", "t_seconds", "density_vpkm", "speed_kmh", "flow_vph"])
         for run in runs:
-            for track in run.tracks:
-                for t, v in sorted(trajectory.speed_series(track, run.delta_t).items()):
-                    sw.writerow([run.run_id, track.meta.fleet_position, t, repr(v)])
-                    counts["speeds"] += 1
-            for leader, follower in zip(run.tracks, run.tracks[1:]):
-                for g in trajectory.derive_gap(leader, follower):
-                    gw.writerow([run.run_id, follower.meta.fleet_position, g.t,
-                                 repr(g.gap_m), int(g.overlap_flagged)])
-                    counts["gaps"] += 1
-            for s in trajectory.fleet_flow_samples(run):
-                fw.writerow([run.run_id, s.t, repr(s.density), repr(s.mean_speed), repr(s.flow)])
-                counts["flow_samples"] += 1
+            # Each series is derived once, written, and reused for the flow samples.
+            speeds = [trajectory.speed_series(track, run.delta_t) for track in run.tracks]
+            for track, (t, v) in zip(run.tracks, speeds):
+                counts["speeds"] += _write_rows(sh, [run.run_id, track.meta.fleet_position], t, v)
+            gaps = [trajectory.derive_gap(leader, follower)
+                    for leader, follower in zip(run.tracks, run.tracks[1:])]
+            for follower, g in zip(run.tracks[1:], gaps):
+                counts["gaps"] += _write_rows(gh, [run.run_id, follower.meta.fleet_position],
+                                              g.t, g.gap_m, g.overlap_flagged.astype(int))
+            s = trajectory.fleet_flow_samples(run, speeds, gaps)
+            counts["flow_samples"] += _write_rows(fh, [run.run_id], s.t, s.density,
+                                                  s.mean_speed, s.flow)
+            counts["stationary"] += s.stationary
 
     print(f"runs {counts['runs']}  speeds {counts['speeds']}  "
-          f"gaps {counts['gaps']}  flow samples {counts['flow_samples']}")
+          f"gaps {counts['gaps']}  flow samples {counts['flow_samples']}  "
+          f"stationary timestamps skipped {counts['stationary']}")
     return counts
 
 

@@ -41,6 +41,14 @@ PIECEWISE_FORMS = ("piecewise_linear", "piecewise_log", "piecewise_exp")
 ALL_FORMS = CLASSICAL_FORMS + PIECEWISE_FORMS
 
 
+def _exp(x: float) -> float:
+    """math.exp, with overflow reported as a DomainError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(f"logarithmic closed form overflows: exp({x:.6g})") from None
+
+
 class _Shape(NamedTuple):
     family: str  # regression family the branch is evaluated and fitted as
     signs: tuple[int, int]  # (a, b) = (signs[0]*c1, signs[1]*c2), and back
@@ -53,8 +61,7 @@ _SHAPES = {
     "linear": _Shape("linear", (-1, 1), lambda c1, c2: c2,
                      lambda c1, c2, v: (c2 - v) / c1, lambda c1, c2: c2 / (2 * c1)),
     "log": _Shape("logarithmic", (-1, 1), lambda c1, c2: None,
-                  lambda c1, c2, v: math.exp((c2 - v) / c1),
-                  lambda c1, c2: math.exp(c2 / c1 - 1)),
+                  lambda c1, c2, v: _exp((c2 - v) / c1), lambda c1, c2: _exp(c2 / c1 - 1)),
     "exp": _Shape("exponential", (1, -1), lambda c1, c2: c1,
                   lambda c1, c2, v: math.log(c1 / v) / c2, lambda c1, c2: 1 / c2),
 }
@@ -122,6 +129,9 @@ class CharacteristicParams:
     v_min: float  # km/h, the input constraint echoed
 
     def __post_init__(self):
+        values = (self.v_f, self.v_m, self.k_m, self.q_m, self.k_max, self.v_min)
+        if not all(v is None or math.isfinite(v) for v in values):
+            raise DomainError(f"characteristic parameters must be finite, got {values}")
         if abs(self.q_m - self.k_m * self.v_m) > 1e-9 * max(1.0, abs(self.q_m)):
             raise DomainError("q_m must equal k_m * v_m")
 

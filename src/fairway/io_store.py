@@ -1,11 +1,11 @@
 """CSV ingestion, model-document persistence, and plot-ready curve export.
 
 All inputs are UTF-8 comma-separated files with a mandatory header row.
-Loaders never silently drop rows: every data row is either accepted or
-recorded as a reject with its line number (strict mode raises on the
-first reject); a float cell must hold a finite number.  Model documents
-are JSON with full-precision numbers so save/load round-trips are
-bit-identical.
+Loaders parse a column at a time and never silently drop rows: every data
+row is either accepted or recorded as a reject with its line number (strict
+mode raises on the first reject).  A float cell must hold a finite number,
+an integer cell must fit in 64 bits.  Model documents are JSON with
+full-precision numbers so save/load round-trips are bit-identical.
 """
 
 from __future__ import annotations
@@ -13,18 +13,23 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, is_dataclass
 from datetime import datetime
+from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError, ParseError, SchemaVersionError
 from .fundamental_diagram import CharacteristicParams, FdModel, speed_at_density
 from .regression import FitReport
 from .traffic_state import StateBands
-from .trajectory import FleetRun, GnssFix, VesselMeta, VesselTrack
+from .trajectory import FleetRun, VesselMeta, VesselTrack
 
 SCHEMA_VERSION = 1
+_BLOCK_ROWS = 16384  # rows of a CSV file held as text at once
 
 TRACK_COLUMNS = ("run_id", "fleet_position", "t_seconds", "x_m", "y_m")
 META_COLUMNS = ("run_id", "fleet_position", "length_m", "locator_offset_m", "load_state")
@@ -61,51 +66,89 @@ class LoadResult:
     rejects: tuple[RejectedRow, ...] = field(default=())
 
 
-def _check_header(path, fieldnames: Sequence[str], required: Sequence[str]) -> None:
-    missing = [c for c in required if c not in fieldnames]
-    if missing:
-        raise ParseError(f"{path}: missing required column(s) {missing}")
-
-
-def _parse_rows(path, required, row_fn: Callable, strict: bool):
-    """Shared scaffolding: header check, per-row parse, reject bookkeeping."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: empty file, header row required")
-        _check_header(path, reader.fieldnames, required)
-        items, rejects = [], []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                items.append(row_fn(row, lineno))
-            except _RowError as exc:
-                if strict:
-                    raise ParseError(
-                        f"{path}:{exc.line}:{exc.column}: {exc.message}"
-                    ) from None
-                rejects.append(
-                    RejectedRow(line=exc.line, column=exc.column, message=exc.message)
-                )
-    return items, rejects
-
-
-class _RowError(Exception):
-    def __init__(self, line, column, message):
-        super().__init__(message)
-        self.line, self.column, self.message = line, column, message
-
-
-def _field(row, lineno, column, cast):
-    raw = row.get(column)
-    if raw is None or raw == "":
-        raise _RowError(lineno, column, "missing value")
+def _parse_cell(raw: str, cast):
+    """``cast(raw)``; a ValueError says what is wrong with the cell."""
+    if raw == "":
+        raise ValueError("missing value")
     try:
         value = cast(raw)
-    except (TypeError, ValueError):
-        raise _RowError(lineno, column, f"cannot parse {raw!r}") from None
+    except ValueError:
+        raise ValueError(f"cannot parse {raw!r}") from None
     if cast is float and not math.isfinite(value):
-        raise _RowError(lineno, column, f"not a finite number: {raw!r}")
+        raise ValueError(f"not a finite number: {raw!r}")
+    if cast is int and not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"outside the 64-bit integer range: {raw!r}")
     return value
+
+
+def _typed_column(cells: list, column: str, cast, first_row: int) -> tuple:
+    """The cells cast at once, and {row: RejectedRow}; float and int give arrays.
+
+    Only a block holding a bad cell is parsed cell by cell, to name each
+    failure; a bad cell reads as cast("0").
+    """
+    dtype = {float: np.float64, int: np.int64}.get(cast)
+    if "" not in cells:
+        try:
+            values = (list(map(cast, cells)) if dtype is None
+                      else np.fromiter(map(cast, cells), dtype, len(cells)))
+            if cast is not float or np.isfinite(values).all():
+                return values, {}
+        except (ValueError, OverflowError):
+            pass
+    values, errors = [], {}
+    for row, raw in enumerate(cells, start=first_row):
+        try:
+            values.append(_parse_cell(raw, cast))
+        except ValueError as exc:
+            values.append(cast("0"))
+            errors[row] = RejectedRow(row + 2, column, str(exc))
+    return (values if dtype is None else np.array(values, dtype)), errors
+
+
+def _read_columns(path, required: Sequence[str], casts: Sequence) -> list[tuple]:
+    """Each required column as ``_typed_column`` returns it, read in blocks of rows.
+
+    Blank lines are skipped and not counted (data row i is line i + 2), a
+    short row reads "" for the cells it lacks, and a repeated column name
+    reads its last occurrence.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{path}: empty file, header row required")
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ParseError(f"{path}: missing required column(s) {missing}")
+        picks = [max(i for i, name in enumerate(header) if name == c) for c in required]
+        # An empty first block gives each column its type, even in a file without rows.
+        parts = [[_typed_column([], c, cast, 0)] for c, cast in zip(required, casts)]
+        n = 0
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            rows = [row + [""] * (max(picks, default=-1) + 1 - len(row)) for row in block if row]
+            for part, i, column, cast in zip(parts, picks, required, casts):
+                part.append(_typed_column([row[i] for row in rows], column, cast, n))
+            n += len(rows)
+    return [(np.concatenate([v for v, _ in part]) if isinstance(part[0][0], np.ndarray)
+             else list(chain.from_iterable(v for v, _ in part)),
+             {row: reject for _, errors in part for row, reject in errors.items()})
+            for part in parts]
+
+
+def _rejects(path, strict: bool, *column_errors: dict) -> tuple[RejectedRow, ...]:
+    """Each bad row's first error (checks in precedence order), in line order.
+
+    Strict mode raises the first of them as a ParseError.
+    """
+    first: dict = {}
+    for errors in column_errors:
+        for row, reject in errors.items():
+            first.setdefault(row, reject)
+    found = tuple(first[row] for row in sorted(first))
+    if strict and found:
+        raise ParseError(f"{path}:{found[0].line}:{found[0].column}: {found[0].message}")
+    return found
 
 
 def read_columns(path, *columns: str) -> tuple[list[float], ...]:
@@ -113,38 +156,36 @@ def read_columns(path, *columns: str) -> tuple[list[float], ...]:
 
     Strict: the first bad cell raises ParseError naming path:line:column.
     """
-    rows, _ = _parse_rows(
-        path, columns,
-        lambda row, lineno: [_field(row, lineno, c, float) for c in columns],
-        strict=True,
-    )
-    return tuple([row[i] for row in rows] for i in range(len(columns)))
+    typed = _read_columns(path, columns, [float] * len(columns))
+    _rejects(path, True, *(errors for _, errors in typed))
+    return tuple(values.tolist() for values, _ in typed)
 
 
 def load_vessel_meta(path, strict: bool = True) -> LoadResult:
-    """Vessel metadata keyed by (run_id, fleet_position) via ``meta_map``."""
-    seen = set()
+    """Vessel metadata keyed by (run_id, fleet_position) via ``meta_map``.
 
-    def parse(row, lineno):
-        run_id = _field(row, lineno, "run_id", str)
-        pos = _field(row, lineno, "fleet_position", int)
-        key = (run_id, pos)
-        if key in seen:
-            raise _RowError(lineno, "fleet_position", f"duplicate key {key}")
-        seen.add(key)
+    A row repeating the key of an earlier row is a duplicate even when that
+    row is rejected for a later cell.
+    """
+    (run_ids, run_err), (pos, pos_err), (length, len_err), (offset, off_err), (load, load_err) = \
+        _read_columns(path, META_COLUMNS, (str, int, float, float, str))
+    rows = list(zip(run_ids, pos.tolist(), length.tolist(), offset.tolist(), load))
+    seen, dup_err, items, domain_err = set(), {}, {}, {}
+    for row, (run_id, p, *fields) in enumerate(rows):
+        if row not in run_err and row not in pos_err:
+            if (run_id, p) in seen:
+                dup_err[row] = RejectedRow(row + 2, "fleet_position",
+                                           f"duplicate key {(run_id, p)}")
+            seen.add((run_id, p))
         try:
-            meta = VesselMeta(
-                fleet_position=pos,
-                length=_field(row, lineno, "length_m", float),
-                locator_offset=_field(row, lineno, "locator_offset_m", float),
-                load_state=_field(row, lineno, "load_state", str),
-            )
+            items[row] = (run_id, VesselMeta(p, *fields))
         except DomainError as exc:
-            raise _RowError(lineno, None, str(exc)) from None
-        return (run_id, meta)
-
-    items, rejects = _parse_rows(path, META_COLUMNS, parse, strict)
-    return LoadResult(items=tuple(items), rejects=tuple(rejects))
+            domain_err[row] = RejectedRow(row + 2, None, str(exc))
+    rejects = _rejects(path, strict, run_err, pos_err, dup_err, len_err, off_err, load_err,
+                       domain_err)
+    for r in rejects:
+        items.pop(r.line - 2, None)
+    return LoadResult(items=tuple(items.values()), rejects=rejects)
 
 
 def meta_map(result: LoadResult) -> dict[tuple[str, int], VesselMeta]:
@@ -157,70 +198,72 @@ def load_tracks(
     delta_t: float = 1.0,
     strict: bool = True,
 ) -> tuple[list[FleetRun], LoadResult]:
-    """Fleet runs assembled from a track file plus a vessel-meta map."""
-    seen = set()
+    """Fleet runs assembled from a track file plus a vessel-meta map.
 
-    def parse(row, lineno):
-        run_id = _field(row, lineno, "run_id", str)
-        pos = _field(row, lineno, "fleet_position", int)
-        t = _field(row, lineno, "t_seconds", int)
-        key = (run_id, pos, t)
-        if key in seen:
-            raise _RowError(lineno, "t_seconds", f"duplicate key {key}")
-        seen.add(key)
-        try:
-            fix = GnssFix(t=t, x=_field(row, lineno, "x_m", float),
-                          y=_field(row, lineno, "y_m", float))
-        except DomainError as exc:
-            raise _RowError(lineno, None, str(exc)) from None
-        return (run_id, pos, fix)
+    Cells are parsed a column at a time and rows grouped by one lexsort over
+    (run, position, t), with no object per fix.  A row repeating the key of
+    an earlier row is a duplicate even when that row has a bad coordinate.
+    ``items`` holds the accepted rows' line numbers.
+    """
+    # run_id cells are interned: a few names repeat on every row.
+    (run_ids, run_err), (p, p_err), (t, t_err), (x, x_err), (y, y_err) = _read_columns(
+        path, TRACK_COLUMNS, (sys.intern, int, int, float, float))
+    names = sorted(set(run_ids))  # str order, so runs come out sorted by run_id
+    code = {name: i for i, name in enumerate(names)}
+    run = np.array([code[r] for r in run_ids], dtype=np.int64)
+    keyed = np.ones(len(run), dtype=bool)
+    keyed[list({**run_err, **p_err, **t_err})] = False
+    order = np.lexsort((t, p, run))  # stable: equal keys stay in line order
+    order = order[keyed[order]]
+    later, earlier = order[1:], order[:-1]
+    dups = later[(run[later] == run[earlier]) & (p[later] == p[earlier]) & (t[later] == t[earlier])]
+    dup_err = {r: RejectedRow(r + 2, "t_seconds",
+                              f"duplicate key {(run_ids[r], int(p[r]), int(t[r]))}")
+               for r in dups.tolist()}
+    rejects = _rejects(path, strict, run_err, p_err, t_err, dup_err, x_err, y_err)
+    accepted = np.ones(len(run), dtype=bool)
+    accepted[[r.line - 2 for r in rejects]] = False
+    order = order[accepted[order]]
+    run, p, t, x, y = (column[order] for column in (run, p, t, x, y))
+    first = np.ones(len(order), dtype=bool)  # rows that start a (run, position) track
+    first[1:] = (run[1:] != run[:-1]) | (p[1:] != p[:-1])
+    starts = np.flatnonzero(first).tolist()
 
-    items, rejects = _parse_rows(path, TRACK_COLUMNS, parse, strict)
-
-    grouped: dict[str, dict[int, list[GnssFix]]] = {}
-    for run_id, pos, fix in items:
-        grouped.setdefault(run_id, {}).setdefault(pos, []).append(fix)
-
-    runs = []
-    for run_id in sorted(grouped):
-        tracks = []
-        for pos in sorted(grouped[run_id]):
-            key = (run_id, pos)
-            if key not in meta:
-                raise ParseError(f"{path}: no vessel metadata for run {run_id!r} position {pos}")
-            fixes = sorted(grouped[run_id][pos], key=lambda f: f.t)
-            tracks.append(VesselTrack(meta=meta[key], fixes=tuple(fixes)))
-        runs.append(FleetRun(run_id=run_id, tracks=tuple(tracks), delta_t=delta_t))
-    return runs, LoadResult(items=tuple(items), rejects=tuple(rejects))
+    runs, tracks = [], []
+    for a, b in zip(starts, starts[1:] + [len(order)]):
+        key = (names[run[a]], int(p[a]))
+        if key not in meta:
+            raise ParseError(f"{path}: no vessel metadata for run {key[0]!r} position {key[1]}")
+        tracks.append(VesselTrack(meta=meta[key], t=t[a:b], x=x[a:b], y=y[a:b]))
+        if b == len(order) or run[b] != run[a]:
+            runs.append(FleetRun(run_id=key[0], tracks=tuple(tracks), delta_t=delta_t))
+            tracks = []
+    return runs, LoadResult(items=tuple((np.flatnonzero(accepted) + 2).tolist()), rejects=rejects)
 
 
 def load_surveillance(path, strict: bool = True) -> LoadResult:
-    def parse(row, lineno):
-        start = _field(row, lineno, "interval_start", str)
+    (start, start_err), (way, way_err), (flow, flow_err), (speed, speed_err), \
+        (loaded, loaded_err), (empty, empty_err) = _read_columns(
+            path, SURVEILLANCE_COLUMNS, (str, str, float, float, int, int))
+    not_iso = {}
+    for row, text in enumerate(start):
         try:
-            datetime.fromisoformat(start)
+            datetime.fromisoformat(text)
         except ValueError:
-            raise _RowError(lineno, "interval_start", f"not ISO-8601: {start!r}") from None
-        direction = _field(row, lineno, "direction", str)
-        if direction not in DIRECTIONS:
-            raise _RowError(lineno, "direction", f"must be one of {DIRECTIONS}, got {direction!r}")
-        flow = _field(row, lineno, "flow_vph", float)
-        speed = _field(row, lineno, "mean_speed_kmh", float)
-        if flow < 0:
-            raise _RowError(lineno, "flow_vph", "flow must be >= 0")
-        if flow > 0 and speed <= 0:
-            raise _RowError(lineno, "mean_speed_kmh", "speed must be positive when flow > 0")
-        return SurveillanceRow(
-            interval_start=start,
-            direction=direction,
-            flow_vph=flow,
-            mean_speed_kmh=speed,
-            loaded_count=_field(row, lineno, "loaded_count", int),
-            empty_count=_field(row, lineno, "empty_count", int),
-        )
-
-    items, rejects = _parse_rows(path, SURVEILLANCE_COLUMNS, parse, strict)
-    return LoadResult(items=tuple(items), rejects=tuple(rejects))
+            not_iso[row] = RejectedRow(row + 2, "interval_start", f"not ISO-8601: {text!r}")
+    unknown_way = {r: RejectedRow(r + 2, "direction",
+                                  f"must be one of {DIRECTIONS}, got {w!r}")
+                   for r, w in enumerate(way) if w not in DIRECTIONS}
+    negative = {r: RejectedRow(r + 2, "flow_vph", "flow must be >= 0")
+                for r in np.flatnonzero(flow < 0).tolist()}
+    still = {r: RejectedRow(r + 2, "mean_speed_kmh", "speed must be positive when flow > 0")
+             for r in np.flatnonzero((flow > 0) & (speed <= 0)).tolist()}
+    rejects = _rejects(path, strict, start_err, not_iso, way_err, unknown_way, flow_err,
+                       speed_err, negative, still, loaded_err, empty_err)
+    bad = {r.line - 2 for r in rejects}
+    rows = zip(start, way, flow.tolist(), speed.tolist(), loaded.tolist(), empty.tolist())
+    items = tuple(SurveillanceRow(*row) for i, row in enumerate(rows) if i not in bad)
+    return LoadResult(items=items, rejects=rejects)
 
 
 @dataclass(frozen=True)
@@ -238,69 +281,37 @@ class ModelDocument:
     def __post_init__(self):
         if self.fd is None and self.bands is None:
             raise DomainError("a model document needs a diagram model or state bands")
+        if self.v_min is not None and not 0 < self.v_min < math.inf:
+            raise DomainError(f"v_min must be a finite positive number, got {self.v_min!r}")
 
 
 def document_to_dict(doc: ModelDocument) -> dict:
     out: dict = {"schema_version": doc.schema_version}
-    if doc.fd is not None:
-        out["model"] = {
-            "form": doc.fd.form,
-            "c1": doc.fd.c1,
-            "c2": doc.fd.c2,
-            "v_f": doc.fd.v_f,
-            "k1": doc.fd.k1,
-        }
-    if doc.v_min is not None:
-        out["v_min"] = doc.v_min
-    if doc.characteristics is not None:
-        c = doc.characteristics
-        out["characteristics"] = {
-            "v_f": c.v_f, "v_m": c.v_m, "k_m": c.k_m,
-            "q_m": c.q_m, "k_max": c.k_max, "v_min": c.v_min,
-        }
+    for key, part in (("model", doc.fd), ("v_min", doc.v_min),
+                      ("characteristics", doc.characteristics), ("bands", doc.bands),
+                      ("fit", doc.fit), ("created_utc", doc.created_utc)):
+        if part is not None:
+            out[key] = asdict(part) if is_dataclass(part) else part
     if doc.bands is not None:
-        out["bands"] = {"boundaries": list(doc.bands.boundaries)}
-    if doc.fit is not None:
-        out["fit"] = {
-            "family": doc.fit.family, "a": doc.fit.a, "b": doc.fit.b,
-            "r_squared": doc.fit.r_squared, "n_points": doc.fit.n_points,
-            "fit_space": doc.fit.fit_space,
-        }
-    if doc.created_utc is not None:
-        out["created_utc"] = doc.created_utc
+        out["bands"]["boundaries"] = list(doc.bands.boundaries)
     return out
 
 
 def document_from_dict(raw: dict) -> ModelDocument:
+    """The document's sections; a section holding an unknown key is malformed."""
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}"
         )
-    fd = None
-    if "model" in raw:
-        m = raw["model"]
-        fd = FdModel(form=m["form"], c1=m["c1"], c2=m["c2"],
-                     v_f=m.get("v_f"), k1=m.get("k1"))
-    characteristics = None
-    if "characteristics" in raw:
-        c = raw["characteristics"]
-        characteristics = CharacteristicParams(
-            v_f=c.get("v_f"), v_m=c["v_m"], k_m=c["k_m"],
-            q_m=c["q_m"], k_max=c["k_max"], v_min=c["v_min"],
-        )
-    bands = None
-    if "bands" in raw:
-        bands = StateBands(boundaries=tuple(raw["bands"]["boundaries"]))
-    fit = None
-    if "fit" in raw:
-        f = raw["fit"]
-        fit = FitReport(family=f["family"], a=f["a"], b=f["b"],
-                        r_squared=f["r_squared"], n_points=f["n_points"],
-                        fit_space=f["fit_space"])
     return ModelDocument(
-        fd=fd, v_min=raw.get("v_min"), characteristics=characteristics,
-        bands=bands, fit=fit, created_utc=raw.get("created_utc"),
+        fd=FdModel(**raw["model"]) if "model" in raw else None,
+        v_min=raw.get("v_min"),
+        characteristics=(CharacteristicParams(**{"v_f": None, **raw["characteristics"]})
+                         if "characteristics" in raw else None),
+        bands=StateBands(boundaries=tuple(raw["bands"]["boundaries"])) if "bands" in raw else None,
+        fit=FitReport(**raw["fit"]) if "fit" in raw else None,
+        created_utc=raw.get("created_utc"),
     )
 
 

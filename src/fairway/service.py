@@ -22,8 +22,11 @@ def make_server(doc: ModelDocument, port: int, host: str = "127.0.0.1") -> Threa
     if doc.bands is None:
         raise DomainError("the served model document must contain state bands")
     bands = doc.bands
-    model_body = json.dumps(document_to_dict(doc), sort_keys=True,
-                            separators=(",", ":")).encode()
+    try:
+        model_body = json.dumps(document_to_dict(doc), sort_keys=True,
+                                separators=(",", ":"), allow_nan=False).encode()
+    except ValueError as exc:
+        raise DomainError(f"the model document is not strict JSON: {exc}") from None
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"

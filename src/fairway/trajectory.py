@@ -1,16 +1,21 @@
 """Microscopic and macroscopic quantities from per-second GNSS fleet recordings.
 
-Speeds come from consecutive-fix displacements, gaps from leader/follower
-positions corrected for locator offsets and leader length.  Internally all
-arithmetic is SI (m, s); km/h and vessels/km appear only at the boundary
-(exact factors 3.6 and 1000).
+A track is columnar: read-only numpy arrays t (whole seconds), x and y (m),
+validated once.  Speeds come from consecutive-fix displacements, gaps from
+leader/follower positions on shared timestamps, corrected for locator offsets
+and leader length, and flow samples from one batch per run.  Each value takes
+the float operations of a per-fix loop in the same order, so the bits match.
+Internally all arithmetic is SI (m, s); km/h and vessels/km appear only at the
+boundary (exact factors 3.6 and 1000).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from functools import partial, reduce
+from operator import add
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -20,19 +25,6 @@ MS_TO_KMH = 3.6
 M_PER_KM = 1000.0
 
 LOAD_STATES = ("loaded", "empty")
-
-
-@dataclass(frozen=True)
-class GnssFix:
-    """One positioning fix: whole seconds since run start, easting/northing in m."""
-
-    t: int
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DomainError(f"non-finite coordinates at t={self.t}")
 
 
 @dataclass(frozen=True)
@@ -53,18 +45,32 @@ class VesselMeta:
             raise DomainError(f"load_state must be one of {LOAD_STATES}, got {self.load_state!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VesselTrack:
     meta: VesselMeta
-    fixes: tuple[GnssFix, ...]
+    t: np.ndarray  # s, int64
+    x: np.ndarray  # m
+    y: np.ndarray  # m
 
     def __post_init__(self):
-        object.__setattr__(self, "fixes", tuple(self.fixes))
-        if len(self.fixes) < 2:
+        t = np.array(self.t, dtype=np.int64)
+        x, y = np.array(self.x, dtype=float), np.array(self.y, dtype=float)
+        if not t.ndim == 1 or not t.shape == x.shape == y.shape:
+            raise MalformedTrackError("t, x and y must be 1-D columns of one length")
+        if len(t) < 2:
             raise MalformedTrackError("a track needs at least 2 fixes")
-        times = [f.t for f in self.fixes]
-        if any(b <= a for a, b in zip(times, times[1:])):
+        if np.any(t[1:] <= t[:-1]):
             raise MalformedTrackError("fix timestamps must be strictly increasing")
+        _require_finite("non-finite coordinates", t, x, y)
+        for name, column in zip("txy", (t, x, y)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other):
+        if not isinstance(other, VesselTrack):
+            return NotImplemented
+        return self.meta == other.meta and all(
+            np.array_equal(getattr(self, n), getattr(other, n)) for n in "txy")
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,20 @@ class FleetRun:
             raise MalformedTrackError(
                 f"fleet positions must be consecutive 1..n, got {positions}"
             )
-        if self.delta_t <= 0:
-            raise DomainError("delta_t must be positive")
+        if not 0 < self.delta_t < math.inf:
+            raise DomainError(f"delta_t must be finite and positive, got {self.delta_t}")
+
+
+@np.errstate(all="ignore")
+def _check_flow(density, mean_speed, flow) -> None:
+    """Finite density > 0, mean_speed >= 0, flow = density * mean_speed; scalars or a batch."""
+    k, v, q = (np.asarray(a, dtype=float) for a in (density, mean_speed, flow))
+    for rule, ok, got in (("density must be finite and positive", (k > 0) & (k < math.inf), k),
+                          ("mean_speed must be finite and >= 0", (v >= 0) & (v < math.inf), v),
+                          ("flow must equal density*speed",
+                           np.abs(q - k * v) <= 1e-9 * np.maximum(1.0, np.abs(k * v)), q)):
+        if not np.all(ok):
+            raise DomainError(f"{rule}, got {got[~ok].flat[0]}")
 
 
 @dataclass(frozen=True)
@@ -94,28 +112,53 @@ class FlowSample:
     t: Optional[int] = None  # absent for surveillance intervals
 
     def __post_init__(self):
-        if self.density <= 0:
-            raise DomainError(f"density must be positive, got {self.density}")
-        if self.mean_speed < 0:
-            raise DomainError(f"mean_speed must be >= 0, got {self.mean_speed}")
-        expected = self.density * self.mean_speed
-        if abs(self.flow - expected) > 1e-9 * max(1.0, abs(expected)):
-            raise DomainError(
-                f"flow {self.flow} inconsistent with density*speed {expected}"
-            )
+        _check_flow(self.density, self.mean_speed, self.flow)
 
     @classmethod
     def from_density_speed(cls, density, mean_speed, t=None):
         return cls(density=density, mean_speed=mean_speed, flow=density * mean_speed, t=t)
 
 
-@dataclass(frozen=True)
-class GapSample:
-    """Gap at one timestamp; non-positive gaps are kept but flagged."""
+@dataclass(frozen=True, eq=False)
+class FlowSamples:
+    """A run's flow samples as columns, checked as one batch.
 
+    ``stationary`` counts the timestamps left out because a vessel stood still.
+    """
+
+    t: np.ndarray
+    density: np.ndarray  # vessels/km
+    mean_speed: np.ndarray  # km/h
+    flow: np.ndarray  # vessels/h
+    stationary: int = 0
+
+    def __post_init__(self):
+        _check_flow(self.density, self.mean_speed, self.flow)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+
+class GapSample(NamedTuple):
     t: int
     gap_m: float
-    overlap_flagged: bool = field(default=False)
+    overlap_flagged: bool  # gap <= 0: GNSS error, kept but flagged
+
+
+@dataclass(frozen=True, eq=False)
+class GapSamples:
+    """One follower's gaps as columns; iterating yields one GapSample per timestamp."""
+
+    t: np.ndarray
+    gap_m: np.ndarray
+    overlap_flagged: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __iter__(self):
+        return map(GapSample._make, zip(*(c.tolist() for c in (self.t, self.gap_m,
+                                                              self.overlap_flagged))))
 
 
 @dataclass(frozen=True)
@@ -126,105 +169,93 @@ class SummaryStats:
     mean: float
 
 
-def _check_uniform_spacing(track: VesselTrack, delta_t: float) -> None:
-    bad = [
-        (a.t, b.t)
-        for a, b in zip(track.fixes, track.fixes[1:])
-        if b.t - a.t != delta_t
-    ]
-    if bad:
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    # math.hypot, not np.hypot: the two differ in the last ulp on some inputs.
+    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float)
+
+
+def _require_finite(problem: str, t: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+    bad = ~np.logical_and.reduce([np.isfinite(c) for c in columns])
+    if bad.any():
+        raise DomainError(f"{problem} at t={t[bad.argmax()]}")
+    return columns[0]
+
+
+@np.errstate(all="ignore")
+def speed_series(track: VesselTrack, delta_t: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(t, v): speeds in km/h keyed by the timestamp of the earlier fix of each pair."""
+    t = track.t
+    bad = np.flatnonzero(np.diff(t) != delta_t)
+    if len(bad):
         raise MalformedTrackError(
-            f"non-uniform time spacing (expected {delta_t}s) at fix pairs: {bad}"
-        )
+            f"non-uniform time spacing (expected {delta_t}s) at {len(bad)} fix pair(s), "
+            f"first at ({t[bad[0]]}, {t[bad[0] + 1]})")
+    dist = _hypot(np.diff(track.x), np.diff(track.y))
+    return t[:-1], _require_finite("speed overflows", t, dist / delta_t * MS_TO_KMH)
 
 
-def derive_speed(track: VesselTrack, delta_t: float = 1.0) -> list[float]:
-    """Per-step speeds in km/h from consecutive fixes; length = len(fixes) - 1."""
-    _check_uniform_spacing(track, delta_t)
-    out = []
-    for a, b in zip(track.fixes, track.fixes[1:]):
-        dist = math.hypot(b.x - a.x, b.y - a.y)
-        out.append(dist / delta_t * MS_TO_KMH)
-    return out
-
-
-def speed_series(track: VesselTrack, delta_t: float = 1.0) -> dict[int, float]:
-    """Speeds keyed by the timestamp of the earlier fix of each pair (km/h)."""
-    speeds = derive_speed(track, delta_t)
-    return {fix.t: v for fix, v in zip(track.fixes, speeds)}
-
-
-def derive_gap(leader: VesselTrack, follower: VesselTrack) -> list[GapSample]:
+@np.errstate(all="ignore")
+def derive_gap(leader: VesselTrack, follower: VesselTrack) -> GapSamples:
     """Bow-to-stern gaps (m) on the timestamp intersection of the two tracks.
 
     gap(t) = distance(leader, follower) + d_leader - d_follower - L_leader.
     Missing timestamps on either side are skipped; non-positive gaps are
-    retained with ``overlap_flagged`` set (GNSS error, not physical overlap).
+    retained but flagged.
     """
     if leader.meta.fleet_position != follower.meta.fleet_position - 1:
         raise DomainError(
             "leader must be the vessel immediately ahead of the follower "
             f"(positions {leader.meta.fleet_position} vs {follower.meta.fleet_position})"
         )
-    lead = {f.t: f for f in leader.fixes}
-    foll = {f.t: f for f in follower.fixes}
-    common = sorted(lead.keys() & foll.keys())
-    if not common:
+    t, i, j = np.intersect1d(leader.t, follower.t, assume_unique=True, return_indices=True)
+    if not len(t):
         raise DomainError("tracks share no common timestamp")
     offset = leader.meta.locator_offset - follower.meta.locator_offset - leader.meta.length
-    out = []
-    for t in common:
-        a, b = lead[t], foll[t]
-        gap = math.hypot(a.x - b.x, a.y - b.y) + offset
-        out.append(GapSample(t=t, gap_m=gap, overlap_flagged=gap <= 0))
-    return out
+    gap = _hypot(leader.x[i] - follower.x[j], leader.y[i] - follower.y[j]) + offset
+    return GapSamples(t=t, gap_m=_require_finite("gap overflows", t, gap), overlap_flagged=gap <= 0)
 
 
-def harmonic_mean_speed(speeds: Sequence[float]) -> float:
-    """Space-mean speed: n / sum(1/v_i).  Requires all speeds positive."""
-    if not len(speeds):
+@np.errstate(divide="ignore", over="ignore")
+def harmonic_mean_speed(speeds):
+    """Space-mean speed n / sum(1/v_i) over axis 0 (per column of vessels x times)."""
+    v = np.asarray(speeds, dtype=float)
+    if not len(v):
         raise DomainError("harmonic mean of an empty list is undefined")
-    if any(v <= 0 for v in speeds):
+    if np.any(v <= 0):
         raise DomainError("harmonic mean undefined for non-positive speeds")
-    return len(speeds) / sum(1.0 / v for v in speeds)
+    return len(v) / reduce(add, 1.0 / v)  # row by row, left to right, as sum() adds
 
 
-def fleet_density(gaps: Sequence[float], follower_lengths: Sequence[float]) -> float:
-    """Vessels per km occupied by m followers: m / (sum of gap+length, in km)."""
-    if len(gaps) == 0 or len(gaps) != len(follower_lengths):
+@np.errstate(divide="ignore", over="ignore")
+def fleet_density(gaps, follower_lengths):
+    """Vessels per km occupied by m followers: m / (sum of gap+length, in km), over axis 0."""
+    g, lengths = np.asarray(gaps, dtype=float), np.asarray(follower_lengths, dtype=float)
+    if len(g) == 0 or len(g) != len(lengths):
         raise DomainError("gaps and follower_lengths must be equal-length and non-empty")
-    if any(length <= 0 for length in follower_lengths):
+    if np.any(lengths <= 0):
         raise DomainError("vessel lengths must be positive")
-    occupied_m = sum(g + length for g, length in zip(gaps, follower_lengths))
-    return len(gaps) / (occupied_m / M_PER_KM)
+    return len(g) / (reduce(add, g + lengths.reshape((-1,) + (1,) * (g.ndim - 1))) / M_PER_KM)
 
 
-def fleet_flow_samples(run: FleetRun) -> list[FlowSample]:
+def fleet_flow_samples(run: FleetRun, speeds=None, gaps=None) -> FlowSamples:
     """Per-timestamp (density, space-mean speed, flow) for a fleet run.
 
-    Timestamps where any member speed or gap is unavailable are skipped.
+    Timestamps where any member speed or gap is unavailable are skipped, and
+    so are those where a vessel stood still.  ``speeds`` and ``gaps`` (the
+    run's speed_series per track, derive_gap per pair) are derived unless given.
     """
-    speed_by_vessel = [speed_series(tr, run.delta_t) for tr in run.tracks]
-    gap_by_pair = [
-        {g.t: g.gap_m for g in derive_gap(lead, foll)}
-        for lead, foll in zip(run.tracks, run.tracks[1:])
-    ]
-    follower_lengths = [tr.meta.length for tr in run.tracks[1:]]
-
-    common: set[int] = set(speed_by_vessel[0])
-    for series in speed_by_vessel[1:]:
-        common &= set(series)
-    for series in gap_by_pair:
-        common &= set(series)
-
-    out = []
-    for t in sorted(common):
-        speeds = [series[t] for series in speed_by_vessel]
-        gaps = [series[t] for series in gap_by_pair]
-        v_bar = harmonic_mean_speed(speeds)
-        k = fleet_density(gaps, follower_lengths)
-        out.append(FlowSample.from_density_speed(k, v_bar, t=t))
-    return out
+    speeds = speeds or [speed_series(tr, run.delta_t) for tr in run.tracks]
+    gaps = gaps or [derive_gap(a, b) for a, b in zip(run.tracks, run.tracks[1:])]
+    series = list(speeds) + [(g.t, g.gap_m) for g in gaps]
+    common = reduce(partial(np.intersect1d, assume_unique=True), [t for t, _ in series])
+    at_common = [values[np.searchsorted(t, common)] for t, values in series]
+    v, g = (np.array(part).reshape(len(part), len(common))
+            for part in (at_common[:len(speeds)], at_common[len(speeds):]))
+    moving = np.all(v > 0, axis=0)
+    v_bar = harmonic_mean_speed(v[:, moving])
+    k = fleet_density(g[:, moving], [tr.meta.length for tr in run.tracks[1:]])
+    return FlowSamples(t=common[moving], density=k, mean_speed=v_bar, flow=k * v_bar,
+                       stationary=int(np.count_nonzero(~moving)))
 
 
 def density_from_flow_speed(flow: float, speed: float) -> float:

@@ -1,16 +1,24 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairway import cli
+from fairway.errors import FairwayError
 from fairway.fundamental_diagram import FdModel, speed_at_density
 from fairway.io_store import (
     ModelDocument,
@@ -23,6 +31,7 @@ from fairway.service import make_server
 from fairway.traffic_state import StateBands
 
 from reference_data import STATE_BOUNDARIES, V_MIN
+from reference_tracks import reference_meta, reference_tracks_derive
 
 GREENSHIELDS = FdModel(form="greenshields", c1=0.7634, c2=11.817)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -133,6 +142,15 @@ class TestFitFd:
                          "--raw", "--v-f", "10.5", option, value])
         assert code == cli.EXIT_DATA
         assert name in capsys.readouterr().err
+
+
+    def test_log_shape_overflow_exits_with_data_error(self, tmp_path, capsys):
+        # A near-flat greenberg fit: k_max = exp((c2 - v_min) / c1) overflows.
+        path = write_csv(tmp_path / "kv.csv", ["density_vpkm", "speed_kmh"],
+                         [(1, 1000), (2, 999.99), (3, 999.985), (4, 999.98)])
+        code = cli.main(["fit", "fd", "--form", "greenberg", "--input", path, "--raw"])
+        assert code == cli.EXIT_DATA
+        assert "overflows" in capsys.readouterr().err
 
 
 class TestFitSpeedGap:
@@ -247,6 +265,17 @@ class TestStates:
                          "--model", str(path)]) == cli.EXIT_DATA
 
 
+    @pytest.mark.parametrize("v_min", [float("nan"), float("inf"), 0.0])
+    def test_classify_rejects_document_with_bad_v_min(self, tmp_path, capsys, v_min):
+        raw = document_to_dict(ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES)))
+        raw["v_min"] = v_min
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["states", "classify", "--flow", "30", "--density", "3",
+                         "--model", str(path)]) == cli.EXIT_DATA
+        assert "v_min" in capsys.readouterr().err
+
+
 class TestEmitCurve:
     def test_round_trip_from_saved_model(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -327,6 +356,125 @@ class TestTracksDerive:
         with open(out_dir / "flow_samples.csv", newline="") as handle:
             assert len(list(csv.DictReader(handle))) == 4
 
+    def test_stationary_second_is_skipped(self, tmp_path, capsys):
+        # The lead vessel holds its position from t=2 to t=3.
+        lead_x = [200.0, 202.5, 205.0, 205.0, 207.5]
+        rows = [row for t in range(5) for row in (
+            ("r1", 1, t, lead_x[t], 0.0), ("r1", 2, t, 50.0 + 2.5 * t, 0.0))]
+        tracks, meta = convoy_files(tmp_path, rows)
+        out_dir = tmp_path / "derived"
+        code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                         "--out-dir", str(out_dir)])
+        assert code == cli.EXIT_OK
+        assert "stationary timestamps skipped 1" in capsys.readouterr().out
+        with open(out_dir / "speeds.csv", newline="") as handle:
+            speeds = [r for r in csv.DictReader(handle) if r["fleet_position"] == "1"]
+        assert [float(r["speed_kmh"]) for r in speeds][2] == 0.0
+        with open(out_dir / "flow_samples.csv", newline="") as handle:
+            assert [r["t_seconds"] for r in csv.DictReader(handle)] == ["0", "1", "3"]
+
+    @pytest.mark.parametrize("delta_t", ["nan", "inf", "2"])
+    def test_bad_delta_t_exits_with_a_short_error(self, tmp_path, delta_t):
+        rows = [row for t in range(3600) for row in (
+            ("r1", 1, t, 200.0 + 2.5 * t, 0.0), ("r1", 2, t, 50.0 + 2.5 * t, 0.0))]
+        tracks, meta = convoy_files(tmp_path, rows)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                             "--out-dir", str(tmp_path / "derived"), "--delta-t", delta_t])
+        assert code == cli.EXIT_DATA
+        assert 0 < len(err.getvalue()) < 1024
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_fix_reference_byte_for_byte(self, data):
+        """Any run ids, holes, stationary seconds and row order: the same three files."""
+        run_ids = data.draw(st.lists(st.sampled_from(["r1", "9", "10", "b,x", 'q"1', "p%s"]),
+                                     min_size=1, max_size=2, unique=True))
+        rows, meta_rows = [], []
+        for run_id in run_ids:
+            for pos in range(1, data.draw(st.integers(1, 3)) + 1):
+                meta_rows.append((run_id, pos, data.draw(st.floats(20, 120)),
+                                  data.draw(st.floats(0, 20)), "loaded"))
+                start = data.draw(st.integers(0, 2))
+                x = 1000.0 - 150.0 * pos
+                for t in range(start, start + data.draw(st.integers(2, 6))):
+                    rows.append((run_id, pos, t, x, data.draw(st.floats(-5, 5))))
+                    x += data.draw(st.sampled_from([0.0, 1.0, 2.5, 3.7]))
+        rows = data.draw(st.permutations(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            tracks, meta = convoy_files(tmp, rows, meta_rows)
+            (tmp / "want").mkdir()
+            try:
+                reference_tracks_derive(tracks, reference_meta(meta_rows), tmp / "want")
+                want = cli.EXIT_OK
+            except FairwayError:
+                want = cli.EXIT_DATA
+            with contextlib.redirect_stdout(io.StringIO()), \
+                 contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                                 "--out-dir", str(tmp / "got")])
+            assert code == want
+            if want == cli.EXIT_OK:
+                for name in ("speeds.csv", "gaps.csv", "flow_samples.csv"):
+                    assert (tmp / "got" / name).read_bytes() == (tmp / "want" / name).read_bytes()
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_numeric_text_in_any_cell_exits_0_or_2(self, data):
+        """No traceback, no warning, and every number written is finite."""
+        rows = [["r1", str(pos), str(t), repr(200.0 - 150 * pos + 2.5 * t), "0.0"]
+                for t in range(4) for pos in (1, 2)]
+        meta_rows = [["r1", "1", "85.0", "12.0", "loaded"], ["r1", "2", "90.0", "10.0", "loaded"]]
+        # Coordinates, lengths and offsets often get finite but extreme text, so
+        # that some runs succeed; any cell now and then gets any numeric text.
+        for table, finite_cells in ((rows, (3, 4)), (meta_rows, (2, 3))):
+            for row in table:
+                for i in range(len(row)):
+                    if i in finite_cells and data.draw(st.integers(0, 7)) == 0:
+                        row[i] = data.draw(FINITE_TEXT)
+                    elif data.draw(st.integers(0, 60)) == 0:
+                        row[i] = data.draw(NUMERIC_TEXT)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            tracks, meta = convoy_files(tmp, rows, meta_rows)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                 contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                                 "--out-dir", str(tmp / "out")])
+            assert code in (cli.EXIT_OK, cli.EXIT_DATA)
+            if code == cli.EXIT_OK:
+                for name, numeric in (("speeds.csv", 3), ("gaps.csv", 4), ("flow_samples.csv", 4)):
+                    with open(tmp / "out" / name, newline="") as handle:
+                        for row in list(csv.reader(handle))[1:]:
+                            assert all(math.isfinite(float(c)) for c in row[-numeric:]), row
+
+
+FINITE_TEXT = st.one_of(
+    st.sampled_from(["-0", "0", "1e308", "-1e308", "5e-324", "2.2250738585072014e-308",
+                     "1_0", " 7 ", "1e-320"]),
+    st.floats(0, 1e6).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+NUMERIC_TEXT = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "-0", "0", "1e308", "-1e308",
+                     "5e-324", "2.2250738585072014e-308", "", "1_0", " 7 ", "1e-320", "3"]),
+    st.floats().map(repr),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+)
+
+
+def convoy_files(tmp_path, rows, meta_rows=(("r1", 1, 85.0, 12.0, "loaded"),
+                                            ("r1", 2, 90.0, 10.0, "loaded"))):
+    meta = write_csv(tmp_path / "meta.csv",
+                     ["run_id", "fleet_position", "length_m", "locator_offset_m", "load_state"],
+                     meta_rows)
+    tracks = write_csv(tmp_path / "tracks.csv",
+                       ["run_id", "fleet_position", "t_seconds", "x_m", "y_m"], rows)
+    return tracks, meta
+
 
 @pytest.fixture(scope="module")
 def server_url():
@@ -406,3 +554,9 @@ class TestService:
         from fairway.errors import DomainError
         with pytest.raises(DomainError):
             make_server(ModelDocument(fd=GREENSHIELDS), 0)
+
+    def test_model_body_must_be_strict_json(self):
+        from fairway.errors import DomainError
+        doc = ModelDocument(bands=StateBands(boundaries=(5.0, 7.0, float("inf"))))
+        with pytest.raises(DomainError, match="strict JSON"):
+            make_server(doc, 0)

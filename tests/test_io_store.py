@@ -1,8 +1,13 @@
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairway.errors import DomainError, ParseError, SchemaVersionError
 from fairway.fundamental_diagram import (
@@ -30,6 +35,12 @@ from fairway.traffic_state import StateBands
 from fairway.trajectory import fleet_flow_samples
 
 from reference_data import STATE_BOUNDARIES, V_MIN
+from reference_tracks import (
+    reference_load_surveillance,
+    reference_load_tracks,
+    reference_load_vessel_meta,
+    reference_meta,
+)
 
 META_HEADER = "run_id,fleet_position,length_m,locator_offset_m,load_state\n"
 TRACK_HEADER = "run_id,fleet_position,t_seconds,x_m,y_m\n"
@@ -97,12 +108,33 @@ class TestLoadVesselMeta:
         with pytest.raises(ParseError, match="duplicate"):
             load_vessel_meta(path)
 
+    def test_bad_length_row_still_claims_its_key(self, tmp_path):
+        path = write(tmp_path, "meta.csv", META_HEADER + (
+            "run_a,1,oops,12.0,loaded\n"
+            "run_a,1,85.0,12.0,loaded\n"
+        ))
+        result = load_vessel_meta(path, strict=False)
+        assert [(r.line, r.column) for r in result.rejects] == [
+            (2, "length_m"), (3, "fleet_position")]
+
     def test_negative_length_rejected(self, tmp_path):
         path = write(tmp_path, "meta.csv", META_HEADER + "run_a,1,-5.0,12.0,loaded\n")
         result = load_vessel_meta(path, strict=False)
         assert result.items == ()
         assert len(result.rejects) == 1
         assert "positive" in result.rejects[0].message
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_row_at_a_time_reference(self, data, strict):
+        rows = [[data.draw(st.sampled_from(RUN_NAMES)), str(data.draw(st.integers(-1, 3))),
+                 repr(data.draw(st.floats(-10, 200))), repr(data.draw(st.floats(-5, 50))),
+                 data.draw(st.sampled_from(["loaded", "empty", "ballast"]))]
+                for _ in range(data.draw(st.integers(0, 8)))]
+        text = noisy_csv(data, META_HEADER.strip().split(","), rows)
+        assert_same_as_reference(
+            text, lambda path: load_vessel_meta(path, strict=strict),
+            lambda path: reference_load_vessel_meta(path, strict=strict))
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_length_rejected(self, tmp_path, cell):
@@ -133,11 +165,13 @@ class TestLoadTracks:
         run = runs[0]
         assert run.run_id == "run_a"
         assert [tr.meta.fleet_position for tr in run.tracks] == [1, 2]
-        assert [f.t for f in run.tracks[0].fixes] == [0, 1, 2, 3]
+        assert run.tracks[0].t.tolist() == [0, 1, 2, 3]
+        assert run.tracks[1].x.tolist() == [50.0, 53.0, 56.0, 59.0]
+        assert result.items == (2, 3, 4, 5, 6, 7, 8, 9)  # accepted line numbers
         # steady 3 m/s convoy: usable downstream of the loaders
         samples = fleet_flow_samples(run)
         assert len(samples) == 3
-        assert samples[0].mean_speed == pytest.approx(10.8)
+        assert samples.mean_speed[0] == pytest.approx(10.8)
 
     def test_missing_metadata_errors(self, tmp_path):
         track_path, meta_path = self.fixture_paths(tmp_path)
@@ -168,7 +202,7 @@ class TestLoadTracks:
             track_path, meta_map(load_vessel_meta(meta_path)), strict=False
         )
         assert [r.line for r in result.rejects] == [3]
-        assert [f.t for f in runs[0].tracks[0].fixes] == [0, 2]
+        assert runs[0].tracks[0].t.tolist() == [0, 2]
 
     def test_non_finite_coordinate_rejected(self, tmp_path):
         meta_path = write(tmp_path, "meta.csv",
@@ -176,6 +210,140 @@ class TestLoadTracks:
         track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + "run_a,1,0,0.0,nan\n")
         with pytest.raises(ParseError, match=r"tracks\.csv:2:y_m"):
             load_tracks(track_path, meta_map(load_vessel_meta(meta_path)))
+
+    def test_bad_coordinate_row_still_claims_its_key(self, tmp_path):
+        """The key is taken before the coordinates parse: both rows are rejected."""
+        meta_path = write(tmp_path, "meta.csv", META_HEADER + "run_a,1,85.0,12.0,loaded\n")
+        track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + (
+            "run_a,1,0,0.0,0.0\n"
+            "run_a,1,1,oops,0.0\n"
+            "run_a,1,1,3.0,0.0\n"
+            "run_a,1,2,6.0,0.0\n"
+        ))
+        runs, result = load_tracks(
+            track_path, meta_map(load_vessel_meta(meta_path)), strict=False)
+        assert [(r.line, r.column) for r in result.rejects] == [(3, "x_m"), (4, "t_seconds")]
+        assert "duplicate key ('run_a', 1, 1)" in result.rejects[1].message
+        assert runs[0].tracks[0].t.tolist() == [0, 2]
+        assert result.items == (2, 5)
+
+    def test_rows_grouped_from_any_order(self, tmp_path):
+        meta_path = write(tmp_path, "meta.csv", META_HEADER + (
+            "b,1,85.0,12.0,loaded\n" "a,1,85.0,12.0,loaded\n" "a,2,90.0,10.0,empty\n"))
+        track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + (
+            "b,1,1,1.0,0.0\n" "a,2,1,1.0,0.0\n" "a,1,1,3.0,0.0\n"
+            "\n"  # blank lines are skipped and not counted
+            "a,2,0,0.0,0.0\n" "b,1,0,0.0,0.0\n" "a,1,0,2.0,0.0\n" "a,1\n"
+        ))
+        runs, result = load_tracks(
+            track_path, meta_map(load_vessel_meta(meta_path)), strict=False)
+        assert [r.run_id for r in runs] == ["a", "b"]
+        assert [[tr.x.tolist() for tr in r.tracks] for r in runs] == [
+            [[2.0, 3.0], [0.0, 1.0]], [[0.0, 1.0]]]
+        assert [(r.line, r.column, r.message) for r in result.rejects] == [
+            (8, "t_seconds", "missing value")]
+
+    @pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809"])
+    def test_integer_cell_outside_64_bits_rejected(self, tmp_path, cell):
+        meta_path = write(tmp_path, "meta.csv", META_HEADER + "run_a,1,85.0,12.0,loaded\n")
+        track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + f"run_a,1,{cell},0.0,0.0\n")
+        with pytest.raises(ParseError, match=r"tracks\.csv:2:t_seconds: outside the 64-bit"):
+            load_tracks(track_path, meta_map(load_vessel_meta(meta_path)))
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_fix_reference(self, data, strict):
+        """Shuffled rows, timestamp holes, duplicate keys and bad cells: same
+        runs, accepted count and rejects (or the same error) as the per-fix loader."""
+        text = data.draw(track_file_text())
+        meta = reference_meta(
+            (run, pos, 80.0 + pos, 5.0, "loaded")
+            for run in RUN_NAMES for pos in (1, 2, 3)
+            if data.draw(st.integers(0, 15), label=f"meta {run} {pos}"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "tracks.csv"
+            path.write_text(text, encoding="utf-8")
+            expected = _outcome(lambda: reference_load_tracks(path, meta, strict=strict))
+            got = _outcome(lambda: _columnar_as_reference(load_tracks(path, meta, strict=strict)))
+        assert got == expected
+
+
+RUN_NAMES = ("r1", "r2", "9", "10", "b,x", 'q"1', " s")
+NOISE = ("", "nan", "inf", "-inf", "oops", " 3 ", "1_0", "-0", "1e308", "5e-324", "1.5", "2")
+
+
+@st.composite
+def track_file_text(draw):
+    coordinate = st.floats(-1e6, 1e6, allow_nan=False)
+    rows = []
+    for run in draw(st.lists(st.sampled_from(RUN_NAMES), min_size=1, max_size=3, unique=True)):
+        for pos in range(1, draw(st.integers(1, 3)) + 1):
+            # repeated t are duplicate keys, skipped t are holes in the track
+            for t in draw(st.lists(st.integers(0, 5), min_size=1, max_size=7)):
+                rows.append([run, str(pos), str(t), repr(draw(coordinate)), repr(draw(coordinate))])
+    rows = draw(st.permutations(rows))
+    for row in rows:
+        if draw(st.integers(0, 7)) == 0:
+            row[draw(st.integers(0, 4))] = draw(st.sampled_from(NOISE))
+        if draw(st.integers(0, 20)) == 0:
+            del row[draw(st.integers(1, 4)):]  # a short row
+    if draw(st.booleans()):  # a bad-coordinate row followed by a same-key row
+        i = draw(st.integers(0, len(rows) - 1))
+        rows.insert(i, rows[i][:3] + ["nan", "0.0"])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [])  # a blank line
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["run_id", "fleet_position", "t_seconds", "x_m", "y_m"])
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def noisy_csv(data, header, rows) -> str:
+    """Rows with some cells replaced by noise, some cut short, and a blank line."""
+    for row in rows:
+        if data.draw(st.integers(0, 4)) == 0:
+            row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(NOISE))
+        if data.draw(st.integers(0, 15)) == 0:
+            del row[data.draw(st.integers(0, len(row) - 1)):]
+    if rows and data.draw(st.booleans()):
+        rows.insert(data.draw(st.integers(0, len(rows))), [])
+    out = io.StringIO()
+    csv.writer(out).writerows([header] + rows)
+    return out.getvalue()
+
+
+def assert_same_as_reference(text, load, reference):
+    """Same items and rejects (line, column, message), or the same error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(text, encoding="utf-8")
+
+        def columnar():
+            result = load(path)
+            items = [tuple(vars(i).values()) if hasattr(i, "__dict__") else i
+                     for i in result.items]
+            return items, [(r.line, r.column, r.message) for r in result.rejects]
+
+        assert _outcome(columnar) == _outcome(lambda: reference(path))
+
+
+def _outcome(load):
+    try:
+        return load()
+    except Exception as exc:  # compared: the same error class and message
+        return type(exc).__name__, str(exc)
+
+
+def _columnar_as_reference(loaded):
+    runs, result = loaded
+    return (
+        [(r.run_id, r.delta_t,
+          [(tr.meta, list(zip(tr.t.tolist(), tr.x.tolist(), tr.y.tolist()))) for tr in r.tracks])
+         for r in runs],
+        len(result.items),
+        [(r.line, r.column, r.message) for r in result.rejects],
+    )
 
 
 class TestLoadSurveillance:
@@ -203,6 +371,30 @@ class TestLoadSurveillance:
             "interval_start", "direction", "flow_vph", "mean_speed_kmh",
         ]
 
+    @given(st.data(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_row_at_a_time_reference(self, data, strict):
+        rows = [[data.draw(st.sampled_from(["2021-06-01T08:00:00", "2021-06-01", "noon"])),
+                 data.draw(st.sampled_from(["upstream", "downstream", "sideways"])),
+                 repr(data.draw(st.floats(-5, 60))), repr(data.draw(st.floats(-1, 12))),
+                 str(data.draw(st.integers(0, 9))), str(data.draw(st.integers(0, 9)))]
+                for _ in range(data.draw(st.integers(0, 8)))]
+        text = noisy_csv(data, SURV_HEADER.strip().split(","), rows)
+        assert_same_as_reference(
+            text, lambda path: load_surveillance(path, strict=strict),
+            lambda path: reference_load_surveillance(path, strict=strict))
+
+    def test_first_failing_check_in_row_order_is_reported(self, tmp_path):
+        path = write(tmp_path, "surv.csv", SURV_HEADER + (
+            "2021-06-01T08:00:00,upstream,-1,oops,5,2\n"
+            "2021-06-01T08:00:00,upstream,-1,0.0,x,2\n"
+            "noon,sideways,1,1,1,1\n"
+        ))
+        result = load_surveillance(path, strict=False)
+        assert [(r.column, r.message) for r in result.rejects] == [
+            ("mean_speed_kmh", "cannot parse 'oops'"), ("flow_vph", "flow must be >= 0"),
+            ("interval_start", "not ISO-8601: 'noon'")]
+
     def test_non_finite_flow_rejected(self, tmp_path):
         path = write(tmp_path, "surv.csv", SURV_HEADER + (
             "2021-06-01T08:00:00,upstream,nan,6.0,5,2\n"
@@ -220,6 +412,10 @@ class TestReadColumns:
         path = write(tmp_path, "kv.csv", "speed_kmh,note,density_vpkm\n9.5,a,1\n8.0,b,2.5\n")
         assert read_columns(path, "density_vpkm", "speed_kmh") == ([1.0, 2.5], [9.5, 8.0])
         assert read_columns(path, "speed_kmh") == ([9.5, 8.0],)
+
+    def test_repeated_column_reads_its_last_occurrence(self, tmp_path):
+        path = write(tmp_path, "kv.csv", "gap_m,speed_kmh,gap_m\n1,2,3\n")
+        assert read_columns(path, "gap_m") == ([3.0],)
 
     def test_header_only(self, tmp_path):
         path = write(tmp_path, "kv.csv", "gap_m,speed_kmh\n")
@@ -310,6 +506,37 @@ class TestModelDocument:
         path = write(tmp_path, "model.json", json.dumps(raw))
         with pytest.raises(DomainError, match="positive"):
             load_model(path)
+
+    @pytest.mark.parametrize("v_min", ["NaN", "Infinity", "-1.0", "0.0"])
+    def test_bad_v_min_rejected_on_load(self, tmp_path, v_min):
+        text = json.dumps(document_to_dict(make_document())).replace(
+            f'"v_min": {V_MIN}', f'"v_min": {v_min}', 1)
+        assert f'"v_min": {v_min}' in text
+        path = write(tmp_path, "model.json", text)
+        with pytest.raises(DomainError, match="v_min"):
+            load_model(path)
+
+    @pytest.mark.parametrize("name", ["v_m", "k_m", "q_m", "k_max", "v_f", "v_min"])
+    def test_non_finite_characteristics_rejected_on_load(self, tmp_path, name):
+        raw = document_to_dict(make_document())
+        raw["characteristics"][name] = math.nan
+        path = write(tmp_path, "model.json", json.dumps(raw))
+        with pytest.raises(DomainError, match="finite"):
+            load_model(path)
+
+    @pytest.mark.parametrize("section", ["model", "characteristics", "fit"])
+    def test_unknown_key_in_a_section_is_malformed(self, tmp_path, section):
+        raw = document_to_dict(make_document())
+        raw[section]["colour"] = "red"
+        path = write(tmp_path, "model.json", json.dumps(raw))
+        with pytest.raises(ParseError, match="colour"):
+            load_model(path)
+
+    def test_characteristics_without_v_f_load(self, tmp_path):
+        raw = document_to_dict(make_document())
+        del raw["characteristics"]["v_f"]
+        path = write(tmp_path, "model.json", json.dumps(raw))
+        assert load_model(path).characteristics.v_f is None
 
     def test_inconsistent_characteristics_rejected(self):
         with pytest.raises(DomainError, match="q_m"):
