@@ -30,6 +30,9 @@ def make_server(doc: ModelDocument, port: int, host: str = "127.0.0.1") -> Threa
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        # Headers and body leave as two sends: without TCP_NODELAY, Nagle holds the
+        # body until the client's delayed ACK (~40 ms) on every keep-alive answer.
+        disable_nagle_algorithm = True
 
         def log_message(self, fmt, *args):  # quiet by default
             pass

@@ -68,14 +68,14 @@ class ClusterModel:
 
 @dataclass(frozen=True)
 class StateBands:
-    """Three ascending speed thresholds partitioning (0, inf) into four states."""
+    """Three ascending speed thresholds in (0, inf) partitioning it into four states."""
 
     boundaries: tuple[float, float, float]  # km/h
 
     def __post_init__(self):
         b = self.boundaries
-        if len(b) != 3 or not (b[0] < b[1] < b[2]):
-            raise DomainError(f"boundaries must be 3 strictly ascending values, got {b}")
+        if len(b) != 3 or not (0 < b[0] < b[1] < b[2] < math.inf):
+            raise DomainError(f"boundaries must be 3 ascending values in (0, inf), got {b}")
 
 
 def assign_points(points: Sequence[float], centers: Sequence[float]) -> np.ndarray:

@@ -37,10 +37,10 @@ class VesselMeta:
     def __post_init__(self):
         if self.fleet_position < 1:
             raise DomainError(f"fleet_position must be >= 1, got {self.fleet_position}")
-        if self.length <= 0:
-            raise DomainError(f"vessel length must be positive, got {self.length}")
-        if self.locator_offset < 0:
-            raise DomainError(f"locator_offset must be >= 0, got {self.locator_offset}")
+        if not 0 < self.length < math.inf:
+            raise DomainError(f"vessel length must be finite and positive, got {self.length}")
+        if not 0 <= self.locator_offset < math.inf:
+            raise DomainError(f"locator_offset must be finite and >= 0, got {self.locator_offset}")
         if self.load_state not in LOAD_STATES:
             raise DomainError(f"load_state must be one of {LOAD_STATES}, got {self.load_state!r}")
 

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import http.client
 import io
 import json
 import math
@@ -8,8 +9,10 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
@@ -274,6 +277,16 @@ class TestStates:
         assert cli.main(["states", "classify", "--flow", "30", "--density", "3",
                          "--model", str(path)]) == cli.EXIT_DATA
         assert "v_min" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("boundaries", [[5.0, 7.0, float("inf")], [0.0, 7.0, 9.0]])
+    def test_classify_rejects_document_with_bad_bands(self, tmp_path, capsys, boundaries):
+        raw = document_to_dict(ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES)))
+        raw["bands"]["boundaries"] = boundaries
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["states", "classify", "--flow", "30", "--density", "3",
+                         "--model", str(path)]) == cli.EXIT_DATA
+        assert "boundaries" in capsys.readouterr().err
 
 
 class TestEmitCurve:
@@ -546,6 +559,48 @@ class TestService:
         body = json.loads(resp.text, parse_constant=lambda name: pytest.fail(name))
         assert "error" in body
 
+    @given(flow=st.one_of(NUMERIC_TEXT, FINITE_TEXT),
+           density=st.one_of(NUMERIC_TEXT, FINITE_TEXT))
+    @settings(max_examples=150, deadline=None)
+    def test_numeric_text_in_query(self, server_url, flow, density):
+        """200 exactly when flow/density is a positive finite speed, else 400 or 422."""
+        url, _ = server_url
+        resp = requests.get(f"{url}/state", params={"flow": flow, "density": density},
+                            timeout=5)
+        body = json.loads(resp.text, parse_constant=lambda name: pytest.fail(name))
+        try:
+            f, k = float(flow), float(density)
+        except ValueError:
+            assert resp.status_code == 400
+            return
+        if 0 <= f < math.inf and 0 < k < math.inf and 0 < f / k < math.inf:
+            assert resp.status_code == 200
+            assert body["speed_kmh"] == f / k
+        else:
+            assert resp.status_code == 422
+
+    def test_keep_alive_answers_do_not_stall(self, server_url):
+        """50 answers on one connection; the Nagle/delayed-ACK stall cost ~40 ms each."""
+        url, _ = server_url
+        parts = urlsplit(url)
+        queries = [
+            ("flow=42&density=7", {"speed_kmh": 6.0, "state": "congested", "color": "red"}),
+            ("flow=30&density=3", {"speed_kmh": 10.0, "state": "smooth", "color": "green"}),
+        ]
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+        try:
+            start = time.perf_counter()
+            for i in range(50):
+                query, want = queries[i % 2]
+                conn.request("GET", f"/state?{query}")
+                resp = conn.getresponse()
+                assert resp.status == 200
+                assert json.loads(resp.read()) == want
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 1.0
+
     def test_unknown_path(self, server_url):
         url, _ = server_url
         assert requests.get(f"{url}/nothing", timeout=5).status_code == 404
@@ -557,6 +612,8 @@ class TestService:
 
     def test_model_body_must_be_strict_json(self):
         from fairway.errors import DomainError
-        doc = ModelDocument(bands=StateBands(boundaries=(5.0, 7.0, float("inf"))))
+        bands = StateBands(boundaries=STATE_BOUNDARIES)
+        # StateBands refuses (5, 7, inf) itself; bypass it to reach make_server's check.
+        object.__setattr__(bands, "boundaries", (5.0, 7.0, float("inf")))
         with pytest.raises(DomainError, match="strict JSON"):
-            make_server(doc, 0)
+            make_server(ModelDocument(bands=bands), 0)

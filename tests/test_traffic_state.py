@@ -265,6 +265,15 @@ class TestBands:
         with pytest.raises(DomainError):
             bands_from_clusters(model)
 
+    @pytest.mark.parametrize("boundaries", [
+        (5.0, 7.0, float("inf")), (5.0, 7.0, float("nan")), (float("nan"), 7.0, 9.0),
+        (float("-inf"), 7.0, 9.0), (0.0, 7.0, 9.0), (-1.0, 7.0, 9.0), (5.0, 5.0, 9.0),
+        (7.0, 5.0, 9.0), (5.0, 7.0),
+    ])
+    def test_bands_ascending_positive_finite(self, boundaries):
+        with pytest.raises(DomainError, match="boundaries"):
+            StateBands(boundaries=boundaries)
+
 
 class TestClassifySpeed:
     def test_upper_boundary_inclusive(self):

@@ -459,3 +459,10 @@ class TestInvariantEnforcement:
             VesselMeta(1, -5.0, 0.0, "loaded")
         with pytest.raises(DomainError):
             VesselMeta(1, 40.0, 0.0, "half-full")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_meta_length_and_offset_finite(self, bad):
+        with pytest.raises(DomainError, match="length"):
+            VesselMeta(1, bad, 0.0, "loaded")
+        with pytest.raises(DomainError, match="locator_offset"):
+            VesselMeta(1, 40.0, bad, "loaded")
