@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import fundamental_diagram as fd
-from . import io_store, regression, service, trajectory, traffic_state
+from . import io_store, regression, trajectory, traffic_state
 from .config import Config, load_config
 from .errors import FairwayError
 
@@ -38,11 +37,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x) -> str:
     return "-" if x is None else f"{x:.3f}"
-
-
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 def build_parser() -> _Parser:
@@ -275,6 +269,8 @@ def _cmd_emit_curve(args, cfg: Config) -> dict:
 
 
 def _cmd_serve(args, cfg: Config) -> dict:
+    from . import service  # http.server is imported only by the command that serves
+
     doc = io_store.load_model(args.model)
     print(f"serving on {args.host}:{args.port}")
     service.serve(doc, args.port, host=args.host)
@@ -314,7 +310,7 @@ def main(argv=None) -> int:
         payload = handler(args, cfg)
         out = getattr(args, "out", None)
         if out:
-            _write_json(out, payload)
+            Path(out).write_text(io_store.json_text(payload, indent=2) + "\n", encoding="utf-8")
     except FairwayError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

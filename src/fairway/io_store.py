@@ -4,8 +4,13 @@ All inputs are UTF-8 comma-separated files with a mandatory header row.
 Loaders parse a column at a time and never silently drop rows: every data
 row is either accepted or recorded as a reject with its line number (strict
 mode raises on the first reject).  A float cell must hold a finite number,
-an integer cell must fit in 64 bits.  Model documents are JSON with
-full-precision numbers so save/load round-trips are bit-identical.
+an integer cell must fit in 64 bits.  Files are read in blocks of rows.
+numpy's C parser reads a block of printable-ASCII lines without '"' when it
+yields the same values with no reject; any other block goes through
+csv.reader and a per-cell cast that names each reject, and so does the rest
+of the file after the first block holding a quote or another character.
+Model documents are strict JSON with full-precision numbers, so save/load
+round-trips are bit-identical.
 """
 
 from __future__ import annotations
@@ -13,9 +18,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, is_dataclass
 from datetime import datetime
+from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Optional, Sequence
@@ -30,6 +38,10 @@ from .trajectory import FleetRun, VesselMeta, VesselTrack
 
 SCHEMA_VERSION = 1
 _BLOCK_ROWS = 16384  # rows of a CSV file held as text at once
+MAX_CURVE_ROWS = 1_000_000  # rows emit_curve_samples writes at most
+_DTYPES = {float: np.float64, int: np.int64}
+_PLAIN = re.compile(r"[ -!#-~\r\n]*").fullmatch  # printable ASCII without '"'
+_BLANK = ("\n", "\r\n", "\r")  # lines csv.reader reads as no row
 
 TRACK_COLUMNS = ("run_id", "fleet_position", "t_seconds", "x_m", "y_m")
 META_COLUMNS = ("run_id", "fleet_position", "length_m", "locator_offset_m", "load_state")
@@ -66,44 +78,73 @@ class LoadResult:
     rejects: tuple[RejectedRow, ...] = field(default=())
 
 
-def _parse_cell(raw: str, cast):
-    """``cast(raw)``; a ValueError says what is wrong with the cell."""
-    if raw == "":
-        raise ValueError("missing value")
-    try:
-        value = cast(raw)
-    except ValueError:
-        raise ValueError(f"cannot parse {raw!r}") from None
-    if cast is float and not math.isfinite(value):
-        raise ValueError(f"not a finite number: {raw!r}")
-    if cast is int and not -2 ** 63 <= value < 2 ** 63:
-        raise ValueError(f"outside the 64-bit integer range: {raw!r}")
-    return value
-
-
 def _typed_column(cells: list, column: str, cast, first_row: int) -> tuple:
-    """The cells cast at once, and {row: RejectedRow}; float and int give arrays.
+    """The cells cast one by one, and {row: RejectedRow}; float and int give arrays.
 
-    Only a block holding a bad cell is parsed cell by cell, to name each
-    failure; a bad cell reads as cast("0").
+    A bad cell reads as cast("0"), and its reject says what is wrong with it.
     """
-    dtype = {float: np.float64, int: np.int64}.get(cast)
-    if "" not in cells:
-        try:
-            values = (list(map(cast, cells)) if dtype is None
-                      else np.fromiter(map(cast, cells), dtype, len(cells)))
-            if cast is not float or np.isfinite(values).all():
-                return values, {}
-        except (ValueError, OverflowError):
-            pass
     values, errors = [], {}
     for row, raw in enumerate(cells, start=first_row):
         try:
-            values.append(_parse_cell(raw, cast))
+            if raw == "":
+                raise ValueError("missing value")
+            try:
+                value = cast(raw)
+            except ValueError:
+                raise ValueError(f"cannot parse {raw!r}") from None
+            if cast is float and not math.isfinite(value):
+                raise ValueError(f"not a finite number: {raw!r}")
+            if cast is int and not -2 ** 63 <= value < 2 ** 63:
+                raise ValueError(f"outside the 64-bit integer range: {raw!r}")
+            values.append(value)
         except ValueError as exc:
             values.append(cast("0"))
             errors[row] = RejectedRow(row + 2, column, str(exc))
-    return (values if dtype is None else np.array(values, dtype)), errors
+    return (np.array(values, _DTYPES[cast]) if cast in _DTYPES else values), errors
+
+
+def _fast_columns(lines: list, picks: list, casts: Sequence) -> Optional[list]:
+    """Quote-free lines as ``_typed_column`` reads them, through numpy's C parser.
+
+    None wherever the two could differ: a parse that fails or warns, a row
+    count other than the lines', a non-finite float, or an empty string.
+    """
+    numeric = [j for j, cast in enumerate(casts) if cast in _DTYPES]
+    read = partial(np.loadtxt, lines, delimiter=",", comments=None, ndmin=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy 1.2x warns on "1.5" read as an int
+        try:
+            table = read(np.dtype([(str(j), _DTYPES[casts[j]]) for j in numeric]),
+                         usecols=[picks[j] for j in numeric]) if numeric else {}
+            columns = [table[str(j)] if cast in _DTYPES else read(str, usecols=[pick]).tolist()
+                       for j, (pick, cast) in enumerate(zip(picks, casts))]
+        except (ValueError, OverflowError, Warning):
+            return None
+    out = []
+    for values, cast in zip(columns, casts):
+        if len(values) != len(lines) or cast not in _DTYPES and "" in values:
+            return None
+        if cast is float and not np.isfinite(values).all():
+            return None
+        out.append((values if cast in _DTYPES else list(map(cast, values)), {}))
+    return out
+
+
+def _blocks(handle):
+    """(lines or None, csv rows) for each block of the file's rows.
+
+    Blocks of printable ASCII without '"' also come as their lines, blank ones
+    left out.  From the first other block on, the rest of the file goes
+    through csv.reader, so a quoted field holding a newline is never cut.
+    """
+    while block := list(islice(handle, _BLOCK_ROWS)):
+        if not _PLAIN("".join(block)):
+            break
+        lines = [line for line in block if line not in _BLANK]
+        yield lines, csv.reader(lines)
+    reader = csv.reader(chain(block, handle))
+    while rows := list(islice(reader, _BLOCK_ROWS)):
+        yield None, rows
 
 
 def _read_columns(path, required: Sequence[str], casts: Sequence) -> list[tuple]:
@@ -111,24 +152,32 @@ def _read_columns(path, required: Sequence[str], casts: Sequence) -> list[tuple]
 
     Blank lines are skipped and not counted (data row i is line i + 2), a
     short row reads "" for the cells it lacks, and a repeated column name
-    reads its last occurrence.
+    reads its last occurrence.  Only the csv path names rejects, so numpy
+    reads a block only where that gives the same values and no rejects.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header = next(csv.reader(handle), None)
         if header is None:
             raise ParseError(f"{path}: empty file, header row required")
         missing = [c for c in required if c not in header]
         if missing:
             raise ParseError(f"{path}: missing required column(s) {missing}")
         picks = [max(i for i, name in enumerate(header) if name == c) for c in required]
+        width = max(picks, default=-1) + 1
         # An empty first block gives each column its type, even in a file without rows.
         parts = [[_typed_column([], c, cast, 0)] for c, cast in zip(required, casts)]
         n = 0
-        while block := list(islice(reader, _BLOCK_ROWS)):
-            rows = [row + [""] * (max(picks, default=-1) + 1 - len(row)) for row in block if row]
-            for part, i, column, cast in zip(parts, picks, required, casts):
-                part.append(_typed_column([row[i] for row in rows], column, cast, n))
+        for lines, rows in _blocks(handle):
+            typed = _fast_columns(lines, picks, casts) if lines else None
+            if typed:
+                rows = lines  # one row per line
+            else:
+                rows = [row if len(row) >= width else row + [""] * (width - len(row))
+                        for row in rows if row]
+                typed = [_typed_column([row[i] for row in rows], column, cast, n)
+                         for i, column, cast in zip(picks, required, casts)]
+            for part, column in zip(parts, typed):
+                part.append(column)
             n += len(rows)
     return [(np.concatenate([v for v, _ in part]) if isinstance(part[0][0], np.ndarray)
              else list(chain.from_iterable(v for v, _ in part)),
@@ -315,9 +364,17 @@ def document_from_dict(raw: dict) -> ModelDocument:
     )
 
 
+def json_text(payload, **layout) -> str:
+    """Strict JSON text with sorted keys; a NaN or an infinity raises DomainError."""
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False, **layout)
+    except ValueError as exc:
+        raise DomainError(f"not strict JSON: {exc}") from None
+
+
 def serialize_document(doc: ModelDocument) -> str:
     """Deterministic JSON text: sorted keys, repr-precision floats."""
-    return json.dumps(document_to_dict(doc), indent=2, sort_keys=True) + "\n"
+    return json_text(document_to_dict(doc), indent=2) + "\n"
 
 
 def save_model(doc: ModelDocument, path) -> None:
@@ -340,7 +397,11 @@ def load_model(path) -> ModelDocument:
 
 
 def emit_curve_samples(model: FdModel, k_range: tuple[float, float], step: float, path) -> int:
-    """Write a k,v,q CSV over an inclusive density grid; returns the row count."""
+    """Write a k,v,q CSV over an inclusive density grid; returns the row count.
+
+    The grid is lo + i*step up to hi plus 1e-12.  A grid that could exceed
+    MAX_CURVE_ROWS rows is refused before the file is opened.
+    """
     lo, hi = k_range
     if not all(math.isfinite(x) for x in (lo, hi, step)):
         raise DomainError("k_range bounds and step must be finite")
@@ -348,14 +409,15 @@ def emit_curve_samples(model: FdModel, k_range: tuple[float, float], step: float
         raise DomainError("step must be positive")
     if hi < lo:
         raise DomainError("k_range upper bound below lower bound")
-    rows = 0
+    # At most n rows: rounding moves each k by less than a float spacing.
+    n = (hi + 1e-12 - lo + 2 * math.ulp(max(abs(lo), abs(hi)))) / step + 2
+    if n > MAX_CURVE_ROWS:
+        raise DomainError(f"a step of {step!r} could give more than {MAX_CURVE_ROWS} rows")
+    k = lo + np.arange(n) * step
+    k = k[k <= hi + 1e-12]
+    v = speed_at_density(model, k)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["k", "v", "q"])
-        k = lo
-        while k <= hi + 1e-12:
-            v = speed_at_density(model, k)
-            writer.writerow([repr(k), repr(v), repr(k * v)])
-            rows += 1
-            k = lo + (rows) * step
-    return rows
+        writer.writerows(zip(*(map(repr, c.tolist()) for c in (k, v, k * v))))
+    return len(k)

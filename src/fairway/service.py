@@ -13,7 +13,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from .errors import DomainError
-from .io_store import ModelDocument, document_to_dict
+from .io_store import ModelDocument, document_to_dict, json_text
 from .traffic_state import classify_flow_density
 
 
@@ -22,11 +22,7 @@ def make_server(doc: ModelDocument, port: int, host: str = "127.0.0.1") -> Threa
     if doc.bands is None:
         raise DomainError("the served model document must contain state bands")
     bands = doc.bands
-    try:
-        model_body = json.dumps(document_to_dict(doc), sort_keys=True,
-                                separators=(",", ":"), allow_nan=False).encode()
-    except ValueError as exc:
-        raise DomainError(f"the model document is not strict JSON: {exc}") from None
+    model_body = json_text(document_to_dict(doc), separators=(",", ":")).encode()
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"

@@ -85,6 +85,11 @@ def assign_points(points: Sequence[float], centers: Sequence[float]) -> np.ndarr
     return np.argmin(np.abs(pts[:, None] - ctr[None, :]), axis=1)
 
 
+def _exponent(values: np.ndarray) -> int:
+    """The exponent e that puts finite ``values`` times 2**-e inside (-1, 1)."""
+    return int(np.frexp(np.abs(values).max())[1])
+
+
 def _optimal_splits(pts: np.ndarray, k_max: int):
     """Exact 1-D k-means for every K <= k_max by dynamic programming.
 
@@ -102,9 +107,12 @@ def _optimal_splits(pts: np.ndarray, k_max: int):
     m = values.size
     if m < k_max:
         raise DegenerateClusteringError(f"only {m} distinct values; cannot form {k_max} clusters")
-    # Shifting by a central value keeps the prefix sums small, so that their
+    # Scaling by a power of two into (-1, 1) is exact and keeps the squares
+    # finite at any scale, so the partition does not depend on the units;
+    # shifting by a central value keeps the prefix sums small, so that their
     # differences stay accurate.
-    y = values - values[m // 2]
+    y = np.ldexp(values, -_exponent(values))
+    y -= y[m // 2]
     w, s1, s2 = (np.concatenate(([0.0], np.cumsum(a)))
                  for a in (counts, counts * y, counts * y * y))
 
@@ -144,7 +152,9 @@ def _model(values: np.ndarray, counts: np.ndarray, table, k: int) -> ClusterMode
     for split in reversed(table[:k - 1]):
         starts.append(split[starts[-1]])
     starts = [0] + starts[:0:-1]
-    centers = np.add.reduceat(counts * values, starts) / np.add.reduceat(counts, starts)
+    e = _exponent(values)  # exact scaling: the sums cannot overflow
+    centers = np.ldexp(np.add.reduceat(counts * np.ldexp(values, -e), starts)
+                       / np.add.reduceat(counts, starts), e)
     labels = np.repeat(np.arange(k), np.diff(starts + [values.size]))
     return ClusterModel(
         k=k,
@@ -182,7 +192,10 @@ def silhouette(points: Sequence[float], assignments: Sequence[int]) -> float:
     clusters, own_col, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if clusters.size < 2:
         raise DomainError("silhouette undefined for fewer than 2 clusters")
-    pts = pts - np.median(pts)  # smaller magnitudes, smaller cancellation error
+    # Exactly rescaled (the score is a ratio) and centred: smaller magnitudes,
+    # smaller cancellation error, and sums that cannot overflow.
+    pts = np.ldexp(pts, -_exponent(pts))
+    pts -= np.median(pts)
     sums = np.empty((pts.size, clusters.size))  # summed distance to each cluster
     for c in range(clusters.size):
         members = np.sort(pts[own_col == c])

@@ -40,6 +40,13 @@ GREENSHIELDS = FdModel(form="greenshields", c1=0.7634, c2=11.817)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def src_env() -> dict:
+    """This environment with the checkout's src first on PYTHONPATH, for subprocesses."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def write_csv(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -64,6 +71,12 @@ class TestUsage:
     def test_missing_required_option(self, capsys):
         assert cli.main(["fit", "fd", "--form", "greenshields"]) == cli.EXIT_USAGE
         assert "--input" in capsys.readouterr().err
+
+    def test_only_serve_imports_the_http_server(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, fairway.cli; print('http.server' in sys.modules)"],
+            capture_output=True, text=True, env=src_env(), timeout=20, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_bare_group_command(self, capsys):
         assert cli.main(["fit"]) == cli.EXIT_USAGE
@@ -203,6 +216,16 @@ class TestStatsAndScalars:
                          "--column", "speed_kmh"]) == cli.EXIT_DATA
         assert "v.csv:3:speed_kmh" in capsys.readouterr().err
 
+    def test_stats_out_of_range_result_exits_with_data_error(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "v.csv", ["speed_kmh"], [(1e308,), (-1e308,)])
+        out = tmp_path / "stats.json"
+        with np.errstate(over="ignore"):  # the percentiles overflow
+            code = cli.main(["stats", "summary", "--input", path, "--column", "speed_kmh",
+                             "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        assert "not strict JSON" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_economic_speed(self, tmp_path, capsys):
         loaded = write_csv(tmp_path / "l.csv", ["speed_kmh"], [(5,), (6,), (7,)])
         empty = write_csv(tmp_path / "e.csv", ["speed_kmh"], [(9,), (10,), (11,)])
@@ -247,6 +270,14 @@ class TestStates:
         assert cli.main(["states", "classify", "--flow", "30", "--density", "3",
                          "--model", str(out)]) == cli.EXIT_OK
         assert "smooth / green" in capsys.readouterr().out
+
+    def test_train_on_speeds_near_the_float_limit(self, tmp_path, capsys):
+        speeds = np.random.default_rng(3).uniform(1e307, 1.75e308, 11)
+        path = write_csv(tmp_path / "speeds.csv", ["speed_kmh"], [(v,) for v in speeds])
+        with np.errstate(over="ignore"):  # the cluster objective overflows
+            code = cli.main(["states", "train", "--speeds", path])
+        assert code == cli.EXIT_DATA
+        assert "silhouette selected K=3" in capsys.readouterr().err
 
     def test_train_has_no_seed_option(self, tmp_path, capsys):
         speeds = self.blob_speeds_csv(tmp_path)
@@ -317,21 +348,31 @@ class TestEmitCurve:
         assert "v_f" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_step_past_the_row_limit_exits_with_data_error(self, tmp_path):
+        # A subprocess with a timeout: without the limit, a step of 1e-300 never stops writing.
+        model_path = tmp_path / "model.json"
+        save_model(ModelDocument(fd=GREENSHIELDS), model_path)
+        out = tmp_path / "curve.csv"
+        result = subprocess.run(
+            [sys.executable, "-m", "fairway.cli", "emit", "curve", "--model", str(model_path),
+             "--k-min", "0.5", "--k-max", "12", "--step", "1e-300", "--out", str(out)],
+            capture_output=True, text=True, env=src_env(), timeout=20,
+        )
+        assert result.returncode == cli.EXIT_DATA, result.stderr
+        assert "rows" in result.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("k_max, step", [("inf", "1"), ("10", "nan"), ("10", "inf")])
     def test_non_finite_range_exits_with_data_error(self, tmp_path, k_max, step):
         # A subprocess with a timeout: an unchecked infinite range never stops writing.
         model_path = tmp_path / "model.json"
         save_model(ModelDocument(fd=GREENSHIELDS), model_path)
         out = tmp_path / "curve.csv"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH")) if p
-        )
         result = subprocess.run(
             [sys.executable, "-m", "fairway.cli", "emit", "curve",
              "--model", str(model_path), "--k-min", "1", "--k-max", k_max,
              "--step", step, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=20,
+            capture_output=True, text=True, env=src_env(), timeout=20,
         )
         assert result.returncode == cli.EXIT_DATA, result.stderr
         assert "finite" in result.stderr

@@ -3,12 +3,15 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairway import io_store
 from fairway.errors import DomainError, ParseError, SchemaVersionError
 from fairway.fundamental_diagram import (
     CharacteristicParams,
@@ -21,6 +24,7 @@ from fairway.io_store import (
     document_from_dict,
     document_to_dict,
     emit_curve_samples,
+    json_text,
     load_model,
     load_surveillance,
     load_tracks,
@@ -127,14 +131,13 @@ class TestLoadVesselMeta:
     @given(st.data(), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_matches_row_at_a_time_reference(self, data, strict):
-        rows = [[data.draw(st.sampled_from(RUN_NAMES)), str(data.draw(st.integers(-1, 3))),
-                 repr(data.draw(st.floats(-10, 200))), repr(data.draw(st.floats(-5, 50))),
-                 data.draw(st.sampled_from(["loaded", "empty", "ballast"]))]
-                for _ in range(data.draw(st.integers(0, 8)))]
-        text = noisy_csv(data, META_HEADER.strip().split(","), rows)
-        assert_same_as_reference(
-            text, lambda path: load_vessel_meta(path, strict=strict),
-            lambda path: reference_load_vessel_meta(path, strict=strict))
+        check_meta_reference(data, strict)
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_in_small_blocks(self, data, strict):
+        with small_blocks(data):
+            check_meta_reference(data, strict)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
     def test_non_finite_length_rejected(self, tmp_path, cell):
@@ -243,7 +246,8 @@ class TestLoadTracks:
         assert [(r.line, r.column, r.message) for r in result.rejects] == [
             (8, "t_seconds", "missing value")]
 
-    @pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809"])
+    @pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809",
+                                      "99999999999999999999"])
     def test_integer_cell_outside_64_bits_rejected(self, tmp_path, cell):
         meta_path = write(tmp_path, "meta.csv", META_HEADER + "run_a,1,85.0,12.0,loaded\n")
         track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + f"run_a,1,{cell},0.0,0.0\n")
@@ -255,21 +259,80 @@ class TestLoadTracks:
     def test_matches_per_fix_reference(self, data, strict):
         """Shuffled rows, timestamp holes, duplicate keys and bad cells: same
         runs, accepted count and rejects (or the same error) as the per-fix loader."""
-        text = data.draw(track_file_text())
-        meta = reference_meta(
-            (run, pos, 80.0 + pos, 5.0, "loaded")
-            for run in RUN_NAMES for pos in (1, 2, 3)
-            if data.draw(st.integers(0, 15), label=f"meta {run} {pos}"))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "tracks.csv"
-            path.write_text(text, encoding="utf-8")
-            expected = _outcome(lambda: reference_load_tracks(path, meta, strict=strict))
-            got = _outcome(lambda: _columnar_as_reference(load_tracks(path, meta, strict=strict)))
-        assert got == expected
+        check_tracks_reference(data, strict)
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_fix_reference_in_small_blocks(self, data, strict):
+        with small_blocks(data):
+            check_tracks_reference(data, strict)
+
+    def test_quoted_field_holding_a_newline_across_blocks(self, tmp_path):
+        """Plain blocks, a quoted field split over two lines, then plain lines again."""
+        meta_path = write(tmp_path, "meta.csv", META_HEADER + (
+            'p,1,85.0,12.0,loaded\n"r\n1",1,85.0,12.0,loaded\n'))
+        track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + (
+            "p,1,0,0.0,0.0\n" "p,1,1,1.0,0.0\n" '"r\n1",1,0,0.0,0.0\n' "\n"
+            '"r\n1",1,1,1.0,0.0\n' "r,1\n" "p,1,2,2.0,0.0\n"))
+        mapping = meta_map(load_vessel_meta(meta_path))
+        for block_rows in (1, 2, 3, 16384):
+            with patch.object(io_store, "_BLOCK_ROWS", block_rows):
+                runs, result = load_tracks(track_path, mapping, strict=False)
+            assert [r.run_id for r in runs] == ["p", "r\n1"]
+            assert [r.tracks[0].x.tolist() for r in runs] == [[0.0, 1.0, 2.0], [0.0, 1.0]]
+            assert [(r.line, r.column) for r in result.rejects] == [(6, "t_seconds")]
 
 
 RUN_NAMES = ("r1", "r2", "9", "10", "b,x", 'q"1', " s")
-NOISE = ("", "nan", "inf", "-inf", "oops", " 3 ", "1_0", "-0", "1e308", "5e-324", "1.5", "2")
+# An integer outside 64 bits is left out: the reference loaders have no such
+# rule, so test_integer_cell_outside_64_bits_rejected covers it instead.
+NOISE = ("", "nan", "inf", "-inf", "oops", " 3 ", "1_0", "-0", "1e308", "5e-324", "1.5", "2",
+         "\x1c", "2\x1c", "\u0663", "1e999", "9223372036854775807", "-9223372036854775808",
+         "1.0", "\t2\t", " ", "\r")
+
+
+def small_blocks(data):
+    """Read CSV files in blocks of 2 or 3 rows, so a file crosses block boundaries."""
+    return patch.object(io_store, "_BLOCK_ROWS", data.draw(st.integers(2, 3), label="block rows"))
+
+
+def check_meta_reference(data, strict):
+    rows = [[data.draw(st.sampled_from(RUN_NAMES)), str(data.draw(st.integers(-1, 3))),
+             repr(data.draw(st.floats(-10, 200))), repr(data.draw(st.floats(-5, 50))),
+             data.draw(st.sampled_from(["loaded", "empty", "ballast"]))]
+            for _ in range(data.draw(st.integers(0, 8)))]
+    text = noisy_csv(data, META_HEADER.strip().split(","), rows)
+    assert_same_as_reference(
+        text, lambda path: load_vessel_meta(path, strict=strict),
+        lambda path: reference_load_vessel_meta(path, strict=strict))
+
+
+def check_tracks_reference(data, strict):
+    text = data.draw(track_file_text())
+    meta = reference_meta(
+        (run, pos, 80.0 + pos, 5.0, "loaded")
+        for run in RUN_NAMES for pos in (1, 2, 3)
+        if data.draw(st.integers(0, 15), label=f"meta {run} {pos}"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tracks.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = _outcome(lambda: reference_load_tracks(path, meta, strict=strict))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a load that warns fails the comparison
+            got = _outcome(lambda: _columnar_as_reference(load_tracks(path, meta, strict=strict)))
+    assert got == expected
+
+
+def check_surveillance_reference(data, strict):
+    rows = [[data.draw(st.sampled_from(["2021-06-01T08:00:00", "2021-06-01", "noon"])),
+             data.draw(st.sampled_from(["upstream", "downstream", "sideways"])),
+             repr(data.draw(st.floats(-5, 60))), repr(data.draw(st.floats(-1, 12))),
+             str(data.draw(st.integers(0, 9))), str(data.draw(st.integers(0, 9)))]
+            for _ in range(data.draw(st.integers(0, 8)))]
+    text = noisy_csv(data, SURV_HEADER.strip().split(","), rows)
+    assert_same_as_reference(
+        text, lambda path: load_surveillance(path, strict=strict),
+        lambda path: reference_load_surveillance(path, strict=strict))
 
 
 @st.composite
@@ -290,26 +353,30 @@ def track_file_text(draw):
     if draw(st.booleans()):  # a bad-coordinate row followed by a same-key row
         i = draw(st.integers(0, len(rows) - 1))
         rows.insert(i, rows[i][:3] + ["nan", "0.0"])
-    if draw(st.booleans()):
-        rows.insert(draw(st.integers(0, len(rows))), [])  # a blank line
+    if draw(st.booleans()):  # a blank or whitespace-only line
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], [" "]])))
     out = io.StringIO()
-    writer = csv.writer(out)
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(LINE_ENDS)))
     writer.writerow(["run_id", "fleet_position", "t_seconds", "x_m", "y_m"])
     writer.writerows(rows)
     return out.getvalue()
 
 
+LINE_ENDS = ("\r\n", "\n", "\r")
+
+
 def noisy_csv(data, header, rows) -> str:
-    """Rows with some cells replaced by noise, some cut short, and a blank line."""
+    """Rows with some cells replaced by noise, some cut short, and a blank or
+    whitespace-only line."""
     for row in rows:
         if data.draw(st.integers(0, 4)) == 0:
             row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(NOISE))
         if data.draw(st.integers(0, 15)) == 0:
             del row[data.draw(st.integers(0, len(row) - 1)):]
     if rows and data.draw(st.booleans()):
-        rows.insert(data.draw(st.integers(0, len(rows))), [])
+        rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from([[], [" "]])))
     out = io.StringIO()
-    csv.writer(out).writerows([header] + rows)
+    csv.writer(out, lineterminator=data.draw(st.sampled_from(LINE_ENDS))).writerows([header] + rows)
     return out.getvalue()
 
 
@@ -320,7 +387,9 @@ def assert_same_as_reference(text, load, reference):
         path.write_text(text, encoding="utf-8")
 
         def columnar():
-            result = load(path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a load that warns fails the comparison
+                result = load(path)
             items = [tuple(vars(i).values()) if hasattr(i, "__dict__") else i
                      for i in result.items]
             return items, [(r.line, r.column, r.message) for r in result.rejects]
@@ -374,15 +443,13 @@ class TestLoadSurveillance:
     @given(st.data(), st.booleans())
     @settings(max_examples=100, deadline=None)
     def test_matches_row_at_a_time_reference(self, data, strict):
-        rows = [[data.draw(st.sampled_from(["2021-06-01T08:00:00", "2021-06-01", "noon"])),
-                 data.draw(st.sampled_from(["upstream", "downstream", "sideways"])),
-                 repr(data.draw(st.floats(-5, 60))), repr(data.draw(st.floats(-1, 12))),
-                 str(data.draw(st.integers(0, 9))), str(data.draw(st.integers(0, 9)))]
-                for _ in range(data.draw(st.integers(0, 8)))]
-        text = noisy_csv(data, SURV_HEADER.strip().split(","), rows)
-        assert_same_as_reference(
-            text, lambda path: load_surveillance(path, strict=strict),
-            lambda path: reference_load_surveillance(path, strict=strict))
+        check_surveillance_reference(data, strict)
+
+    @given(st.data(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_in_small_blocks(self, data, strict):
+        with small_blocks(data):
+            check_surveillance_reference(data, strict)
 
     def test_first_failing_check_in_row_order_is_reported(self, tmp_path):
         path = write(tmp_path, "surv.csv", SURV_HEADER + (
@@ -538,6 +605,11 @@ class TestModelDocument:
         path = write(tmp_path, "model.json", json.dumps(raw))
         assert load_model(path).characteristics.v_f is None
 
+    def test_json_text_is_strict(self):
+        assert json_text({"b": 1.5, "a": [2]}) == '{"a": [2], "b": 1.5}'
+        with pytest.raises(DomainError, match="strict JSON"):
+            json_text({"p15": math.inf})
+
     def test_inconsistent_characteristics_rejected(self):
         with pytest.raises(DomainError, match="q_m"):
             CharacteristicParams(v_f=11.8, v_m=5.9, k_m=7.7, q_m=99.0,
@@ -595,3 +667,42 @@ class TestEmitCurveSamples:
     def test_single_point_range(self, tmp_path):
         path = tmp_path / "curve.csv"
         assert emit_curve_samples(self.MODEL, (2.0, 2.0), 0.5, path) == 1
+
+    @pytest.mark.parametrize("form", ["greenshields", "greenberg", "underwood",
+                                      "piecewise_linear", "piecewise_log", "piecewise_exp"])
+    @pytest.mark.parametrize("k_range, step", [
+        ((0.5, 12.0), 0.5), ((2.0, 2.0), 0.5), ((1.0, 10.0), 1.0), ((0.1, 1.0), 0.1),
+        ((0.3, 0.9), 0.3), ((0.1, 0.7), 0.2), ((0.7, 3.3), 0.65), ((1.0, 1.0 + 1e-12), 1e-13),
+        ((50.0, 50.0 + 1e-12), 1e-15),  # a step below the float spacing at 50
+    ])
+    def test_same_bytes_as_the_row_loop(self, tmp_path, form, k_range, step):
+        extra = {"v_f": 10.5, "k1": 4.0} if form.startswith("piecewise") else {}
+        model = FdModel(form=form, c1=13.62 if form.endswith("exp") else 0.667,
+                        c2=0.115 if form.endswith("exp") else 10.92, **extra)
+        path = tmp_path / "curve.csv"
+        rows = emit_curve_samples(model, k_range, step, path)
+        assert path.read_bytes() == reference_curve_csv(model, k_range, step).encode()
+        assert rows == path.read_bytes().count(b"\n") - 1
+
+    def test_grid_past_the_row_limit_refused_before_writing(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        with pytest.raises(DomainError, match="1000000 rows"):
+            emit_curve_samples(self.MODEL, (0.0, 1.1), 1e-6, path)
+        with pytest.raises(DomainError, match="rows"):
+            emit_curve_samples(self.MODEL, (0.5, 12.0), 5e-324, path)
+        assert not path.exists()
+
+
+def reference_curve_csv(model, k_range, step) -> str:
+    """The per-row loop that emit_curve_samples replaced."""
+    lo, hi = k_range
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["k", "v", "q"])
+    k, rows = lo, 0
+    while k <= hi + 1e-12:
+        v = speed_at_density(model, k)
+        writer.writerow([repr(k), repr(v), repr(k * v)])
+        rows += 1
+        k = lo + rows * step
+    return out.getvalue()

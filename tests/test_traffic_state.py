@@ -136,6 +136,27 @@ class TestKmeans:
         assert scaled.centers == pytest.approx([c * v for v in base.centers], rel=1e-12)
         assert scaled.objective == pytest.approx(c * c * base.objective, rel=1e-12)
 
+    @given(st.integers(0, 10_000), st.sampled_from([1e300, 1e-300]))
+    @settings(max_examples=50, deadline=None)
+    def test_partition_unchanged_by_extreme_factors(self, seed, factor):
+        """Squares overflow at 1e300 and underflow at 1e-300; the partition stays."""
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(1, 20, int(rng.integers(5, 60)))
+        with np.errstate(over="ignore", under="ignore"):  # only the objective may
+            base, scaled = kmeans(pts, 3), kmeans(factor * pts, 3)
+            selected = select_k(factor * pts, range(2, 5)).silhouette_by_k
+        assert scaled.centers == pytest.approx([factor * c for c in base.centers], rel=1e-12)
+        assert selected == pytest.approx(select_k(pts, range(2, 5)).silhouette_by_k, rel=1e-9)
+
+    def test_speeds_near_the_float_limit(self):
+        speeds = np.random.default_rng(3).uniform(1e307, 1.75e308, 11)
+        small = speeds * 2.0 ** -1000  # exact, so the same partition bit for bit
+        with np.errstate(over="ignore"):  # the objective overflows
+            for k in (2, 3, 4):
+                assert kmeans(speeds, k).centers == tuple(
+                    c * 2.0 ** 1000 for c in kmeans(small, k).centers)
+            assert select_k(speeds, range(2, 10)) == select_k(small, range(2, 10))
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_dp(self, seed):
