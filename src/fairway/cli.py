@@ -15,13 +15,16 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import fundamental_diagram as fd
 from . import io_store, regression, trajectory, traffic_state
 from .config import Config, load_config
-from .errors import FairwayError
+from .errors import FairwayError, InsufficientDataError
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 
@@ -157,28 +160,28 @@ def _cmd_tracks_derive(args, cfg: Config) -> dict:
 
 
 def _cmd_fit_speed_gap(args, cfg: Config) -> dict:
-    points = list(zip(*io_store.read_columns(args.input, "gap_m", "speed_kmh")))
+    points = np.column_stack(io_store.read_columns(args.input, "gap_m", "speed_kmh"))
     if not args.raw:
         binned = regression.bin_points(points, cfg.gap_bin_width, min_count=args.min_count)
         points = [(b.bin_center, b.mean_y) for b in binned]
     reports = regression.rank_families(points)
+    if not reports:
+        raise InsufficientDataError("every curve family was excluded from ranking")
     print(f"{'family':<12} {'a':>10} {'b':>10} {'R^2':>8} {'n':>5}  space")
     for r in reports:
         print(f"{r.family:<12} {_fmt(r.a):>10} {_fmt(r.b):>10} "
               f"{_fmt(r.r_squared):>8} {r.n_points:>5}  {r.fit_space}")
-    return {"families": [
-        {"family": r.family, "a": r.a, "b": r.b, "r_squared": r.r_squared,
-         "n_points": r.n_points, "fit_space": r.fit_space}
-        for r in reports
-    ]}
+    return {"families": [asdict(r) for r in reports]}
 
 
 def _cmd_fit_fd(args, cfg: Config) -> dict:
-    points = list(zip(*io_store.read_columns(args.input, "density_vpkm", "speed_kmh")))
+    points = np.column_stack(io_store.read_columns(args.input, "density_vpkm", "speed_kmh"))
     if not args.raw:
         binned = regression.bin_points(points, cfg.density_bin_width)
-        points = [(b.bin_center, b.mean_y) for b in binned]
-    samples = [trajectory.FlowSample.from_density_speed(k, v) for k, v in points]
+        points = np.array([(b.bin_center, b.mean_y) for b in binned]).reshape(-1, 2)
+    k, v = points.T
+    with np.errstate(over="ignore"):  # the batch rejects a flow that overflows
+        samples = trajectory.FlowSamples(density=k, mean_speed=v, flow=k * v)
     v_f = args.v_f if args.v_f is not None else cfg.v_f
     k1 = args.k1 if args.k1 is not None else (cfg.k1 if args.form in fd.PIECEWISE_FORMS else None)
     v_min = args.v_min if args.v_min is not None else cfg.v_min
@@ -203,7 +206,7 @@ def _cmd_stats_summary(args, cfg: Config) -> dict:
     stats = trajectory.summary_stats(values)
     print(f"{'p15':>8} {'median':>8} {'p85':>8} {'mean':>8}")
     print(f"{_fmt(stats.p15):>8} {_fmt(stats.median):>8} {_fmt(stats.p85):>8} {_fmt(stats.mean):>8}")
-    return {"p15": stats.p15, "median": stats.median, "p85": stats.p85, "mean": stats.mean}
+    return asdict(stats)
 
 
 def _cmd_economic_speed(args, cfg: Config) -> dict:
@@ -214,8 +217,7 @@ def _cmd_economic_speed(args, cfg: Config) -> dict:
     print(f"loaded median {_fmt(result.loaded_median)} km/h  "
           f"empty median {_fmt(result.empty_median)} km/h  "
           f"combined v_f {_fmt(result.combined_v_f)} km/h")
-    return {"loaded_median": result.loaded_median, "empty_median": result.empty_median,
-            "combined_v_f": result.combined_v_f}
+    return asdict(result)
 
 
 def _cmd_minimums(args, cfg: Config) -> dict:
@@ -226,7 +228,7 @@ def _cmd_minimums(args, cfg: Config) -> dict:
         tail_fraction=tail,
     )
     print(f"v_min {_fmt(result.v_min)} km/h  g_min {_fmt(result.g_min)} m  (tail {tail})")
-    return {"v_min": result.v_min, "g_min": result.g_min, "tail_fraction": tail}
+    return {**asdict(result), "tail_fraction": tail}
 
 
 def _cmd_states_train(args, cfg: Config) -> dict:

@@ -23,7 +23,7 @@ class Config:
     v_min: float = 2.65  # km/h
     tail_fraction: float = 0.001
     k1: float = 4.0  # vessels/km
-    v_f: Optional[float] = None  # km/h override; None = derive from data
+    v_f: Optional[float] = None  # km/h; piecewise fits need it here or as --v-f
     gap_bin_width: float = 5.0  # m
     density_bin_width: float = 0.2  # vessels/km
     k_range_min: int = 2

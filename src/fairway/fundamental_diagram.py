@@ -22,7 +22,7 @@ when feasible, else the best boundary candidate).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -33,8 +33,8 @@ from .errors import (
     InsufficientDataError,
     NoFeasibleDensityError,
 )
-from .regression import FitReport, fit_curve, predict, r_squared
-from .trajectory import FlowSample
+from .regression import FitReport, _columns, fit_curve, predict, r_squared
+from .trajectory import FiniteFields, FlowSample, FlowSamples
 
 CLASSICAL_FORMS = ("greenshields", "greenberg", "underwood")
 PIECEWISE_FORMS = ("piecewise_linear", "piecewise_log", "piecewise_exp")
@@ -120,7 +120,7 @@ class FdModel:
 
 
 @dataclass(frozen=True)
-class CharacteristicParams:
+class CharacteristicParams(FiniteFields):
     v_f: Optional[float]  # km/h; None for the logarithmic classical form
     v_m: float  # km/h
     k_m: float  # vessels/km
@@ -129,22 +129,20 @@ class CharacteristicParams:
     v_min: float  # km/h, the input constraint echoed
 
     def __post_init__(self):
-        values = (self.v_f, self.v_m, self.k_m, self.q_m, self.k_max, self.v_min)
-        if not all(v is None or math.isfinite(v) for v in values):
-            raise DomainError(f"characteristic parameters must be finite, got {values}")
+        super().__post_init__()
         if abs(self.q_m - self.k_m * self.v_m) > 1e-9 * max(1.0, abs(self.q_m)):
             raise DomainError("q_m must equal k_m * v_m")
 
 
 @dataclass(frozen=True)
-class EconomicSpeed:
+class EconomicSpeed(FiniteFields):
     loaded_median: float
     empty_median: float
     combined_v_f: float
 
 
 @dataclass(frozen=True)
-class RecommendedMinimums:
+class RecommendedMinimums(FiniteFields):
     v_min: float  # km/h
     g_min: float  # m
 
@@ -170,20 +168,6 @@ def speed_at_density(model: FdModel, k: float):
 def flow_at_density(model: FdModel, k: float):
     """q(k) = k * v(k) in vessels/h."""
     return k * speed_at_density(model, k)
-
-
-def scale_speed_units(model: FdModel, factor: float) -> FdModel:
-    """Rescale all speed outputs by a positive factor (e.g. 1/3.6 for m/s).
-
-    Densities are untouched: linear/log shapes scale both coefficients,
-    the exponential shape scales only the amplitude.
-    """
-    if factor <= 0:
-        raise DomainError("speed scale factor must be positive")
-    v_f = None if model.v_f is None else model.v_f * factor
-    if model.branch_shape == "exp":
-        return replace(model, c1=model.c1 * factor, v_f=v_f)
-    return replace(model, c1=model.c1 * factor, c2=model.c2 * factor, v_f=v_f)
 
 
 def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams:
@@ -233,10 +217,11 @@ def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams
     )
 
 
-def _density_speed(samples: Sequence[FlowSample]) -> tuple[np.ndarray, np.ndarray]:
-    ks = np.asarray([s.density for s in samples], dtype=float)
-    vs = np.asarray([s.mean_speed for s in samples], dtype=float)
-    return ks, vs
+def _density_speed(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Density and mean-speed columns of a FlowSamples batch or a sequence of FlowSample."""
+    if not isinstance(samples, FlowSamples):
+        return _columns([(s.density, s.mean_speed) for s in samples])
+    return np.asarray(samples.density, dtype=float), np.asarray(samples.mean_speed, dtype=float)
 
 
 def _fit_branch(form: str, ks: np.ndarray, vs: np.ndarray, k1=None, v_f=None):
@@ -248,7 +233,7 @@ def _fit_branch(form: str, ks: np.ndarray, vs: np.ndarray, k1=None, v_f=None):
     """
     shape = _SHAPES[_FORM_SHAPE[form]]
     beyond = slice(None) if k1 is None else ks > k1
-    branch_points = list(zip(ks[beyond].tolist(), vs[beyond].tolist()))
+    branch_points = np.column_stack((ks, vs))[beyond]
     if len(branch_points) < 2:
         raise InsufficientDataError(
             f"only {len(branch_points)} samples beyond k1={k1}; need at least 2"
@@ -264,7 +249,7 @@ def _fit_branch(form: str, ks: np.ndarray, vs: np.ndarray, k1=None, v_f=None):
 
 def fit_fd(
     form: str,
-    samples: Sequence[FlowSample],
+    samples: FlowSamples | Sequence[FlowSample],
     v_f: Optional[float] = None,
     k1: Optional[float] = None,
     k1_candidates: Optional[Sequence[float]] = None,
@@ -303,7 +288,7 @@ def fit_fd(
 
 
 def estimate_breakpoint(
-    samples: Sequence[FlowSample],
+    samples: FlowSamples | Sequence[FlowSample],
     v_f: float,
     candidates: Sequence[float],
     form: str = "piecewise_exp",
@@ -338,6 +323,7 @@ def estimate_breakpoint(
     return best[1]
 
 
+@np.errstate(all="ignore")  # EconomicSpeed rejects a result that overflows
 def economic_speed(speeds_by_load: dict[str, Sequence[float]]) -> EconomicSpeed:
     """Median speed per load class; combined free-flow speed = mean of medians."""
     for key in ("loaded", "empty"):
@@ -352,6 +338,7 @@ def economic_speed(speeds_by_load: dict[str, Sequence[float]]) -> EconomicSpeed:
     )
 
 
+@np.errstate(all="ignore")  # RecommendedMinimums rejects a result that overflows
 def recommend_minimums(
     speeds: Sequence[float],
     gaps: Sequence[float],

@@ -400,7 +400,8 @@ def emit_curve_samples(model: FdModel, k_range: tuple[float, float], step: float
     """Write a k,v,q CSV over an inclusive density grid; returns the row count.
 
     The grid is lo + i*step up to hi plus 1e-12.  A grid that could exceed
-    MAX_CURVE_ROWS rows is refused before the file is opened.
+    MAX_CURVE_ROWS rows, or on which v or q overflows, is refused before the
+    file is opened.
     """
     lo, hi = k_range
     if not all(math.isfinite(x) for x in (lo, hi, step)):
@@ -413,11 +414,15 @@ def emit_curve_samples(model: FdModel, k_range: tuple[float, float], step: float
     n = (hi + 1e-12 - lo + 2 * math.ulp(max(abs(lo), abs(hi)))) / step + 2
     if n > MAX_CURVE_ROWS:
         raise DomainError(f"a step of {step!r} could give more than {MAX_CURVE_ROWS} rows")
-    k = lo + np.arange(n) * step
-    k = k[k <= hi + 1e-12]
-    v = speed_at_density(model, k)
+    with np.errstate(over="ignore"):  # a grid past the float range is refused below
+        k = lo + np.arange(n) * step
+        k = k[k <= hi + 1e-12]
+        v = speed_at_density(model, k)
+        q = k * v
+    if not np.isfinite(q).all():  # v past the float range takes q with it
+        raise DomainError(f"v or q overflows on the grid up to k={k[-1]!r}")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["k", "v", "q"])
-        writer.writerows(zip(*(map(repr, c.tolist()) for c in (k, v, k * v))))
+        writer.writerows(zip(*(map(repr, c.tolist()) for c in (k, v, q))))
     return len(k)

@@ -12,6 +12,8 @@ transformed before the straight-line fit, and the curve in (a, b).
 report R^2 in the transformed space by default (``fit_space=
 "transformed"``), switchable to the original space; the others always
 report it in the original space.
+
+Points are (x, y) pairs: a sequence of pairs or an (n, 2) array.
 """
 
 from __future__ import annotations
@@ -67,9 +69,6 @@ class FitReport:
         if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.r_squared)):
             raise DegenerateFitError("non-finite fit result")
 
-    def predict(self, x):
-        return predict(self.family, self.a, self.b, x)
-
 
 @dataclass(frozen=True)
 class BinnedPoint:
@@ -84,6 +83,12 @@ def predict(family: str, a: float, b: float, x):
     return out if out.ndim else float(out)
 
 
+def _columns(points) -> tuple[np.ndarray, np.ndarray]:
+    """x and y float columns of a sequence of pairs or an (n, 2) array."""
+    return tuple(np.asarray(points, dtype=float).reshape(len(points), 2).T.copy())
+
+
+@np.errstate(over="ignore")  # a bin index that overflows raises below
 def bin_points(
     points: Sequence[tuple[float, float]],
     width: float,
@@ -96,52 +101,53 @@ def bin_points(
     """
     if not 0 < width < math.inf:
         raise DomainError("bin width must be a finite positive number")
-    if not all(math.isfinite(x) and math.isfinite(y) for x, y in points):
-        raise DomainError("bin_points needs finite points")
-    buckets: dict[int, list[float]] = {}
-    for x, y in points:
-        buckets.setdefault(math.floor(x / width), []).append(y)
-    # Summing in sorted order makes the mean independent of input ordering.
-    out = [
-        BinnedPoint(bin_center=(idx + 0.5) * width, mean_y=float(np.mean(sorted(ys))),
-                    count=len(ys))
-        for idx, ys in buckets.items()
-        if len(ys) >= min_count
+    x, y = _columns(points)
+    idx = np.floor(x / width)
+    if not (np.isfinite(idx).all() and np.isfinite(y).all()):
+        raise DomainError(f"bin_points needs finite points and bin indices x / {width}")
+    # Summing each bin in sorted order makes the mean independent of input ordering.
+    order = np.lexsort((y, idx))
+    idx, y = idx[order], y[order]
+    bins, starts, counts = np.unique(idx, return_index=True, return_counts=True)
+    return [
+        BinnedPoint(bin_center=(b + 0.5) * width, mean_y=float(np.mean(y[s:s + n])), count=n)
+        for b, s, n in zip(bins.tolist(), starts.tolist(), counts.tolist())
+        if n >= min_count
     ]
-    out.sort(key=lambda p: p.bin_center)
-    return out
 
 
+@np.errstate(all="ignore")  # a total that overflows raises below
 def r_squared(observed: Sequence[float], estimated: Sequence[float]) -> float:
-    """Explained sum of squares over total sum of squares about the observed mean."""
+    """Explained over total sum of squares about the observed mean; needs a finite total > 0."""
     obs = np.asarray(observed, dtype=float)
     est = np.asarray(estimated, dtype=float)
     if obs.shape != est.shape or obs.size < 2:
         raise DomainError("observed and estimated must be equal-length, size >= 2")
     mean = obs.mean()
     sst = float(np.sum((obs - mean) ** 2))
-    if sst == 0:
-        raise DomainError("R^2 undefined: observed series has zero variance")
+    if not 0 < sst < math.inf:
+        raise DomainError(f"R^2 undefined: observed series has variance sum {sst}")
     return float(np.sum((est - mean) ** 2)) / sst
 
 
-def _r2_tolerant(observed, estimated) -> float:
+def _r2_tolerant(obs: np.ndarray, est: np.ndarray) -> float:
     """Explained-variance R^2, but defined for constant observed data (1 iff exact fit)."""
-    obs = np.asarray(observed, dtype=float)
-    est = np.asarray(estimated, dtype=float)
     if float(np.sum((obs - obs.mean()) ** 2)) == 0.0:
         return 1.0 if np.allclose(est, obs, rtol=0, atol=1e-12) else 0.0
     return r_squared(obs, est)
 
 
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Slope/intercept of y on x; errors on zero x-variance."""
-    if float(np.var(x)) == 0.0:
-        raise DegenerateFitError("zero x-variance: cannot fit a slope")
-    slope, intercept = np.polyfit(x, y, 1)
+    """Slope/intercept of y on x; errors when x is too flat or too spread for a slope."""
+    if not 0 < float(np.var(x)) < math.inf:
+        raise DegenerateFitError("x-variance is zero or overflows: cannot fit a slope")
+    (slope, intercept), _, rank, _, _ = np.polyfit(x, y, 1, full=True)
+    if rank < 2:
+        raise DegenerateFitError("x values too close together: cannot fit a slope")
     return float(slope), float(intercept)
 
 
+@np.errstate(all="ignore")  # FitReport rejects a result that is not finite
 def fit_curve(
     family: str,
     points: Sequence[tuple[float, float]],
@@ -149,14 +155,13 @@ def fit_curve(
 ) -> FitReport:
     """Least-squares fit of one family; log-linearized for exponential/power."""
     spec = _family(family)
-    if len(points) < 2:
+    x, y = _columns(points)
+    if len(x) < 2:
         raise DegenerateFitError("a fit needs at least 2 points")
-    x = np.asarray([p[0] for p in points], dtype=float)
-    y = np.asarray([p[1] for p in points], dtype=float)
 
-    for logged, axis, col in ((spec.log_x, "x", 0), (spec.log_y, "y", 1)):
-        bad = [tuple(p) for p in points if p[col] <= 0] if logged else []
-        if bad:
+    for logged, axis, col in ((spec.log_x, "x", x), (spec.log_y, "y", y)):
+        if logged and np.any(col <= 0):
+            bad = list(map(tuple, np.column_stack((x, y))[col <= 0].tolist()))
             raise DomainError(f"{family} fit requires {axis} > 0; offending points: {bad}")
     fx = np.log(x) if spec.log_x else x
     fy = np.log(y) if spec.log_y else y
@@ -173,7 +178,7 @@ def fit_curve(
         fit_space = "original"
         r2 = _r2_tolerant(y, spec.curve(a, b, x))
 
-    return FitReport(family=family, a=a, b=b, r_squared=r2, n_points=len(points), fit_space=fit_space)
+    return FitReport(family=family, a=a, b=b, r_squared=r2, n_points=len(x), fit_space=fit_space)
 
 
 def rank_families(
@@ -190,6 +195,5 @@ def rank_families(
             reports.append(fit_curve(family, points, original_space_r2=original_space_r2))
         except (DomainError, DegenerateFitError) as exc:
             log.warning("family %s excluded from ranking: %s", family, exc)
-    order = {family: i for i, family in enumerate(FAMILIES)}
-    reports.sort(key=lambda r: (-r.r_squared, order[r.family]))
+    reports.sort(key=lambda r: -r.r_squared)  # stable: ties keep the FAMILIES order
     return reports

@@ -55,7 +55,7 @@ _STATE_COLORS = {
 class ClusterModel:
     k: int
     centers: tuple[float, ...]  # sorted ascending
-    objective: float  # within-cluster sum of squares
+    objective: float  # within-cluster sum of squares; inf when beyond the float range
 
     def __post_init__(self):
         if self.k < 1 or len(self.centers) != self.k:
@@ -153,14 +153,13 @@ def _model(values: np.ndarray, counts: np.ndarray, table, k: int) -> ClusterMode
         starts.append(split[starts[-1]])
     starts = [0] + starts[:0:-1]
     e = _exponent(values)  # exact scaling: the sums cannot overflow
-    centers = np.ldexp(np.add.reduceat(counts * np.ldexp(values, -e), starts)
-                       / np.add.reduceat(counts, starts), e)
+    scaled = np.ldexp(values, -e)
+    means = np.add.reduceat(counts * scaled, starts) / np.add.reduceat(counts, starts)
     labels = np.repeat(np.arange(k), np.diff(starts + [values.size]))
-    return ClusterModel(
-        k=k,
-        centers=tuple(centers.tolist()),
-        objective=float(np.sum(counts * (values - centers[labels]) ** 2)),
-    )
+    with np.errstate(over="ignore"):
+        objective = np.ldexp(np.sum(counts * (scaled - means[labels]) ** 2), 2 * e)
+    return ClusterModel(k=k, centers=tuple(np.ldexp(means, e).tolist()),
+                        objective=float(objective))
 
 
 def kmeans(points: Sequence[float], k: int, seed: int = 0) -> ClusterModel:

@@ -12,7 +12,7 @@ boundary (exact factors 3.6 and 1000).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial, reduce
 from operator import add
 from typing import NamedTuple, Optional, Sequence
@@ -121,22 +121,22 @@ class FlowSample:
 
 @dataclass(frozen=True, eq=False)
 class FlowSamples:
-    """A run's flow samples as columns, checked as one batch.
+    """Flow samples as columns, such as one run's, checked as one batch.
 
     ``stationary`` counts the timestamps left out because a vessel stood still.
     """
 
-    t: np.ndarray
     density: np.ndarray  # vessels/km
     mean_speed: np.ndarray  # km/h
     flow: np.ndarray  # vessels/h
+    t: Optional[np.ndarray] = None  # s; None for samples without timestamps, as in fit fd
     stationary: int = 0
 
     def __post_init__(self):
         _check_flow(self.density, self.mean_speed, self.flow)
 
     def __len__(self) -> int:
-        return len(self.t)
+        return len(self.density)
 
 
 class GapSample(NamedTuple):
@@ -161,8 +161,16 @@ class GapSamples:
                                                               self.overlap_flagged))))
 
 
+class FiniteFields:
+    """Dataclass base: every field must be None or a finite number, else DomainError."""
+
+    def __post_init__(self):
+        if not all(v is None or math.isfinite(v) for v in astuple(self)):
+            raise DomainError(f"every field must be finite, got {self}")
+
+
 @dataclass(frozen=True)
-class SummaryStats:
+class SummaryStats(FiniteFields):
     p15: float
     median: float
     p85: float
@@ -265,6 +273,7 @@ def density_from_flow_speed(flow: float, speed: float) -> float:
     return flow / speed
 
 
+@np.errstate(all="ignore")  # SummaryStats rejects a result that overflows
 def summary_stats(values: Sequence[float]) -> SummaryStats:
     """15th/50th/85th percentiles (linear interpolation) plus arithmetic mean."""
     if not len(values):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from fairway import cli
 from fairway.errors import FairwayError
-from fairway.fundamental_diagram import FdModel, speed_at_density
+from fairway.fundamental_diagram import ALL_FORMS, FdModel, speed_at_density
 from fairway.io_store import (
     ModelDocument,
     document_to_dict,
@@ -160,6 +160,13 @@ class TestFitFd:
         assert name in capsys.readouterr().err
 
 
+    def test_density_past_the_bin_range_exits_with_data_error(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "kv.csv", ["density_vpkm", "speed_kmh"],
+                         [(1, 10), (2, 9), (1e308, 8), (3, 7)])
+        code = cli.main(["fit", "fd", "--form", "greenshields", "--input", path])
+        assert code == cli.EXIT_DATA
+        assert "finite points and bin indices x / 0.2" in capsys.readouterr().err
+
     def test_log_shape_overflow_exits_with_data_error(self, tmp_path, capsys):
         # A near-flat greenberg fit: k_max = exp((c2 - v_min) / c1) overflows.
         path = write_csv(tmp_path / "kv.csv", ["density_vpkm", "speed_kmh"],
@@ -187,6 +194,26 @@ class TestFitSpeedGap:
         payload = json.loads(out.read_text())
         assert payload["families"][0]["n_points"] == 36
 
+
+    def test_gap_near_the_float_limit_excludes_the_x_linear_families(self, tmp_path, caplog):
+        rows = [(20, 5), (40, 6), (1.7e308, 7), (60, 7.5)]
+        path = write_csv(tmp_path / "gv.csv", ["gap_m", "speed_kmh"], rows)
+        out = tmp_path / "fits.json"
+        assert cli.main(["fit", "speed-gap", "--input", path, "--raw",
+                         "--out", str(out)]) == cli.EXIT_OK
+        families = [f["family"] for f in json.loads(out.read_text())["families"]]
+        assert sorted(families) == ["logarithmic", "power"]
+        assert "family linear excluded" in caplog.text
+        assert "family exponential excluded" in caplog.text
+
+    def test_every_family_excluded_exits_with_data_error(self, tmp_path, capsys):
+        rows = [(20, 1e308), (40, -1e308), (60, 1e308)]
+        path = write_csv(tmp_path / "gv.csv", ["gap_m", "speed_kmh"], rows)
+        out = tmp_path / "fits.json"
+        assert cli.main(["fit", "speed-gap", "--input", path, "--raw",
+                         "--out", str(out)]) == cli.EXIT_DATA
+        assert "every curve family was excluded" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("raw", [[], ["--raw"]])
     def test_non_finite_gap_exits_with_data_error(self, tmp_path, capsys, raw):
@@ -219,11 +246,11 @@ class TestStatsAndScalars:
     def test_stats_out_of_range_result_exits_with_data_error(self, tmp_path, capsys):
         path = write_csv(tmp_path / "v.csv", ["speed_kmh"], [(1e308,), (-1e308,)])
         out = tmp_path / "stats.json"
-        with np.errstate(over="ignore"):  # the percentiles overflow
-            code = cli.main(["stats", "summary", "--input", path, "--column", "speed_kmh",
-                             "--out", str(out)])
+        code = cli.main(["stats", "summary", "--input", path, "--column", "speed_kmh",
+                         "--out", str(out)])
         assert code == cli.EXIT_DATA
-        assert "not strict JSON" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "must be finite, got SummaryStats" in captured.err and not captured.out
         assert not out.exists()
 
     def test_economic_speed(self, tmp_path, capsys):
@@ -234,6 +261,23 @@ class TestStatsAndScalars:
         out = capsys.readouterr().out
         assert "loaded median 6.000" in out
         assert "combined v_f 8.000" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "summary", "--input", "{big}", "--column", "speed_kmh"],
+        ["economic-speed", "--loaded", "{big}", "--empty", "{big}"],
+        ["minimums", "--speeds", "{signed}", "--gaps", "{small}"],
+    ])
+    def test_result_past_the_float_range_exits_with_data_error(self, tmp_path, capsys, argv):
+        files = {"big": [1e308, 1.5e308, 1.7e308], "signed": [1e308, -1e308, 1.5e308],
+                 "small": [10.0, 20.0]}
+        paths = {name: write_csv(tmp_path / f"{name}.csv", ["speed_kmh", "gap_m"],
+                                 [(v, v) for v in values]) for name, values in files.items()}
+        out = tmp_path / "result.json"
+        code = cli.main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err and not captured.out
+        assert not out.exists()
 
     def test_minimums(self, tmp_path, capsys):
         speeds = write_csv(tmp_path / "v.csv", ["speed_kmh"],
@@ -274,8 +318,7 @@ class TestStates:
     def test_train_on_speeds_near_the_float_limit(self, tmp_path, capsys):
         speeds = np.random.default_rng(3).uniform(1e307, 1.75e308, 11)
         path = write_csv(tmp_path / "speeds.csv", ["speed_kmh"], [(v,) for v in speeds])
-        with np.errstate(over="ignore"):  # the cluster objective overflows
-            code = cli.main(["states", "train", "--speeds", path])
+        code = cli.main(["states", "train", "--speeds", path])
         assert code == cli.EXIT_DATA
         assert "silhouette selected K=3" in capsys.readouterr().err
 
@@ -360,6 +403,16 @@ class TestEmitCurve:
         )
         assert result.returncode == cli.EXIT_DATA, result.stderr
         assert "rows" in result.stderr
+        assert not out.exists()
+
+    def test_grid_past_the_float_range_exits_with_data_error(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        save_model(ModelDocument(fd=GREENSHIELDS), model_path)
+        out = tmp_path / "curve.csv"
+        code = cli.main(["emit", "curve", "--model", str(model_path), "--k-min", "0.5",
+                         "--k-max", "1e308", "--step", "1e308", "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("k_max, step", [("inf", "1"), ("10", "nan"), ("10", "inf")])
@@ -518,6 +571,117 @@ NUMERIC_TEXT = st.one_of(
     st.floats().map(repr),
     st.integers(-2 ** 70, 2 ** 70).map(str),
 )
+
+
+SPEED_BLOBS = [4.4, 4.5, 4.6, 6.4, 6.5, 6.6, 8.2, 8.3, 8.4, 10.4, 10.5, 10.6]
+
+# Per command: argv, CSV inputs {name: (header, rows)}, numeric options
+# {flag: (type, default when required, else None)} and on/off flags.
+FUZZ_COMMANDS = {
+    "fit speed-gap": (
+        ["fit", "speed-gap", "--input", "{a}"],
+        {"a": (["gap_m", "speed_kmh"],
+               [(g, 1.3 * math.log(g) + 0.5) for g in (20, 40, 60, 80, 100, 120)])},
+        {"--min-count": (int, None)}, ["--raw"]),
+    "fit fd": (
+        ["fit", "fd", "--input", "{a}"],
+        {"a": (["density_vpkm", "speed_kmh"],
+               [(k, 11.8 - 0.76 * k) for k in (0.5, 1, 2, 3, 5, 6, 8, 10)])},
+        {"--v-f": (float, None), "--k1": (float, None), "--v-min": (float, None)}, ["--raw"]),
+    "stats summary": (
+        ["stats", "summary", "--input", "{a}", "--column", "speed_kmh"],
+        {"a": (["speed_kmh"], [(v,) for v in SPEED_BLOBS[:5]])}, {}, []),
+    "economic-speed": (
+        ["economic-speed", "--loaded", "{a}", "--empty", "{b}"],
+        {"a": (["speed_kmh"], [(5,), (6,), (7,)]), "b": (["speed_kmh"], [(9,), (10,)])}, {}, []),
+    "minimums": (
+        ["minimums", "--speeds", "{a}", "--gaps", "{b}"],
+        {"a": (["speed_kmh"], [(v,) for v in SPEED_BLOBS[:6]]),
+         "b": (["gap_m"], [(g,) for g in (10, 20, 40, 80)])},
+        {"--tail": (float, None)}, []),
+    "states train": (
+        ["states", "train", "--speeds", "{a}"],
+        {"a": (["speed_kmh"], [(v,) for v in SPEED_BLOBS])}, {}, []),
+    "states classify": (
+        ["states", "classify", "--model", "{bands}"], {},
+        {"--flow": (float, "30"), "--density": (float, "3")}, []),
+    "emit curve": (
+        ["emit", "curve", "--model", "{fd}"], {},
+        {"--k-min": (float, "0.5"), "--k-max": (float, "12"), "--step": (float, "0.5")}, []),
+}
+
+
+def _parses(kind, text) -> bool:
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestNumericTextFuzz:
+    """Numeric text in every cell and numeric option: exit 0 or 2, never a
+    traceback or a warning, strict JSON in every --out, and every number
+    printed or written finite."""
+
+    @pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exits_0_or_2_with_finite_output(self, command, data):
+        argv, inputs, options, flags = FUZZ_COMMANDS[command]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            paths = {"bands": tmp / "bands.json", "fd": tmp / "fd.json"}
+            save_model(ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES)),
+                       paths["bands"])
+            save_model(ModelDocument(fd=data.draw(st.sampled_from([
+                GREENSHIELDS, FdModel("greenberg", 2.502, 11.227),
+                FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)]))), paths["fd"])
+            for name, (header, rows) in inputs.items():
+                cells = [[data.draw(NUMERIC_TEXT) if data.draw(st.integers(0, 5)) == 0
+                          else repr(float(c)) for c in row] for row in rows]
+                paths[name] = write_csv(tmp / f"{name}.csv", header, cells)
+            args = [arg.format(**paths) for arg in argv]
+            if command == "fit fd":
+                args.append(f"--form={data.draw(st.sampled_from(ALL_FORMS))}")
+            parses = True
+            for flag, (kind, default) in options.items():
+                text = data.draw(st.one_of(FINITE_TEXT, NUMERIC_TEXT)) \
+                    if data.draw(st.booleans()) else default
+                if text is not None:
+                    args.append(f"{flag}={text}")  # "=" keeps "-inf" a value
+                    parses = parses and _parses(kind, text)
+            args += [flag for flag in flags if data.draw(st.booleans())]
+            out = tmp / ("curve.csv" if command == "emit curve" else "out.json")
+            args += ["--out", str(out)]
+
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), \
+                 contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(args)
+
+            if not parses:
+                assert code == cli.EXIT_USAGE
+                return
+            assert code in (cli.EXIT_OK, cli.EXIT_DATA)
+            printed = [float(t) for t in stdout.getvalue().replace(str(tmp), "").split()
+                       if _parses(float, t)]
+            assert all(math.isfinite(x) for x in printed), stdout.getvalue()
+            if code == cli.EXIT_OK and command == "emit curve":
+                with open(out, newline="") as handle:
+                    assert all(math.isfinite(float(c))
+                               for row in list(csv.reader(handle))[1:] for c in row)
+            elif code == cli.EXIT_OK:
+                _strict_json(out.read_text())
+            else:
+                assert not out.exists()
 
 
 def convoy_files(tmp_path, rows, meta_rows=(("r1", 1, 85.0, 12.0, "loaded"),

@@ -21,11 +21,10 @@ from fairway.fundamental_diagram import (
     fit_fd,
     flow_at_density,
     recommend_minimums,
-    scale_speed_units,
     speed_at_density,
 )
 from fairway.regression import fit_curve
-from fairway.trajectory import FlowSample
+from fairway.trajectory import FlowSample, FlowSamples
 
 from reference_data import (
     CLASSICAL_CHARACTERISTICS,
@@ -252,24 +251,6 @@ class TestDeriveCharacteristics:
         _, q_best = grid_optimum(model, chars.k_max)
         assert q_best <= chars.q_m + 1e-3
 
-    def test_unit_conversion_round_trip(self):
-        kmh_per_ms = 3.6
-        for form, c1, c2, *_ in CLASSICAL_CHARACTERISTICS + [
-            (f, c1, c2) for f, c1, c2, *_ in PIECEWISE_CHARACTERISTICS
-        ]:
-            model = make_model(form, c1, c2)
-            chars = derive_characteristics(model, V_MIN)
-            ms = scale_speed_units(model, 1 / kmh_per_ms)
-            chars_ms = derive_characteristics(ms, V_MIN / kmh_per_ms)
-            assert chars_ms.k_m == pytest.approx(chars.k_m, rel=1e-9)
-            assert chars_ms.k_max == pytest.approx(chars.k_max, rel=1e-9)
-            assert chars_ms.v_m == pytest.approx(chars.v_m / kmh_per_ms, rel=1e-9)
-            back = derive_characteristics(scale_speed_units(ms, kmh_per_ms), V_MIN)
-            for field in ("v_m", "k_m", "q_m", "k_max", "v_min"):
-                assert getattr(back, field) == pytest.approx(
-                    getattr(chars, field), rel=1e-9
-                )
-
     @pytest.mark.parametrize("v_min", [math.nan, math.inf, 0.0])
     def test_non_finite_v_min_rejected(self, v_min):
         with pytest.raises(DomainError):
@@ -415,6 +396,46 @@ class TestEstimateBreakpoint:
             assert estimate_breakpoint(samples, v_f, candidates, form=form) == expected
 
 
+class TestFlowSamplesBatch:
+    @given(seed=st.integers(0, 2**32 - 1), form=st.sampled_from(ALL_FORMS))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_and_list_give_equal_fits(self, seed, form):
+        """One FlowSamples batch and the equivalent FlowSample list: the same models."""
+        rng = np.random.default_rng(seed)
+        c1, c2 = random_branch(rng, form)
+        v_f, k1 = (rng.uniform(8.0, 15.0), rng.uniform(1.0, 5.0)) \
+            if form in PIECEWISE else (None, None)
+        ks = np.sort(rng.uniform(0.2, 12.0, rng.integers(3, 60)))
+        vs = np.clip(reference_speed(form, c1, c2, v_f, k1, ks)
+                     + rng.normal(0.0, rng.uniform(0.05, 1.0), ks.size), 0.05, None)
+        batch = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)
+        listed = [FlowSample.from_density_speed(k, v) for k, v in zip(ks.tolist(), vs.tolist())]
+        candidates = sorted(rng.uniform(0.5, 8.0, 6).tolist())
+
+        def outcome(samples):
+            kwargs = {"v_f": v_f, "k1_candidates": candidates} if form in PIECEWISE else {}
+            try:
+                fit = fit_fd(form, samples, **kwargs)
+            except (DomainError, DegenerateFitError, InsufficientDataError) as exc:
+                fit = repr(exc)
+            if form not in PIECEWISE:
+                return fit
+            try:
+                return fit, estimate_breakpoint(samples, v_f, candidates, form=form)
+            except InsufficientDataError as exc:
+                return fit, repr(exc)
+
+        assert outcome(batch) == outcome(listed)
+
+    def test_batch_needs_no_timestamps(self):
+        truth = FdModel("greenshields", 0.7634, 11.817)
+        ks = np.array(K_GRID)
+        vs = speed_at_density(truth, ks)
+        batch = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)
+        assert batch.t is None and len(batch) == len(K_GRID)
+        assert fit_fd("greenshields", batch) == fit_fd("greenshields", samples_from(truth, K_GRID))
+
+
 class TestEconomicSpeed:
     def test_combined_from_class_medians(self):
         result = economic_speed({"loaded": [9.0], "empty": [12.0]})
@@ -433,6 +454,10 @@ class TestEconomicSpeed:
     def test_empty_class_errors(self):
         with pytest.raises(DomainError):
             economic_speed({"loaded": [], "empty": [12.0]})
+
+    def test_overflowing_mean_of_medians_errors(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            economic_speed({"loaded": [1.5e308], "empty": [1.7e308]})
 
 
 class TestRecommendMinimums:
@@ -454,6 +479,10 @@ class TestRecommendMinimums:
     def test_tail_fraction_bounds(self):
         with pytest.raises(DomainError):
             recommend_minimums([1.0], [1.0], tail_fraction=0.7)
+
+    def test_overflowing_quantile_errors(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            recommend_minimums([1e308, -1e308, 1.5e308], [10.0, 20.0])
 
 
 class TestModelValidation:

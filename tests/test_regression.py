@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from fairway.errors import DegenerateFitError, DomainError
 from fairway.regression import (
     FAMILIES,
+    BinnedPoint,
     bin_points,
     fit_curve,
     predict,
@@ -22,6 +24,21 @@ GAP_GRID = [float(g) for g in range(20, 301, 20)]
 
 def noiseless(family, a, b, xs):
     return [(x, predict(family, a, b, x)) for x in xs]
+
+
+def reference_bin_points(points, width, min_count=1):
+    """The dict-of-lists loop that bin_points replaced."""
+    buckets = {}
+    for x, y in points:
+        buckets.setdefault(math.floor(x / width), []).append(y)
+    out = [
+        BinnedPoint(bin_center=(idx + 0.5) * width, mean_y=float(np.mean(sorted(ys))),
+                    count=len(ys))
+        for idx, ys in buckets.items()
+        if len(ys) >= min_count
+    ]
+    out.sort(key=lambda p: p.bin_center)
+    return out
 
 
 def reference_predict(family, a, b, x):
@@ -96,6 +113,27 @@ class TestBinPoints:
         with pytest.raises(DomainError):
             bin_points([(1.0, 2.0), point], width=5)
 
+    def test_bin_index_overflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="bin indices"):
+            bin_points([(1.0, 2.0), (1e308, 3.0)], width=0.2)
+
+    def test_array_input(self):
+        pts = [(51.0, 6.0), (53.0, 8.0), (57.0, 1.0)]
+        assert bin_points(np.array(pts), width=5) == bin_points(pts, width=5)
+
+    @given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, -1e-320, 4.999999, 5.0, -5.0]),
+                                        st.floats(-1e6, 1e6)),
+                              st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))),
+                    max_size=60),
+           st.sampled_from([0.2, 1.0, 5, 7.5]), st.integers(0, 4))
+    @settings(max_examples=200)
+    def test_matches_dict_of_lists_reference(self, pts, width, min_count):
+        """Duplicate x, signed zeros and min_count: the same bins, bit for bit."""
+        got, want = bin_points(pts, width, min_count), reference_bin_points(pts, width, min_count)
+        assert got == want
+        assert [math.copysign(1.0, b.mean_y) for b in got] == \
+            [math.copysign(1.0, b.mean_y) for b in want]
+
     @given(st.lists(st.tuples(st.floats(0, 100), st.floats(-10, 10)),
                     min_size=1, max_size=50),
            st.randoms())
@@ -119,6 +157,10 @@ class TestRSquared:
     def test_zero_variance_errors(self):
         with pytest.raises(DomainError):
             r_squared([5, 5, 5], [4, 5, 6])
+
+    def test_overflowing_variance_errors(self):
+        with pytest.raises(DomainError):
+            r_squared([1e308, -1e308, 1e308], [0.0, 0.0, 0.0])
 
     @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
                     min_size=3, max_size=50))
@@ -202,6 +244,28 @@ class TestFitCurve:
     def test_zero_x_variance(self):
         with pytest.raises(DegenerateFitError):
             fit_curve("linear", [(2.0, 1.0), (2.0, 3.0)])
+
+    def test_overflowing_x_variance_is_degenerate(self):
+        pts = [(20.0, 5.0), (40.0, 6.0), (1.7e308, 7.0), (60.0, 7.5)]
+        for family in ("linear", "exponential"):
+            with pytest.raises(DegenerateFitError, match="overflows"):
+                fit_curve(family, pts)
+        assert sorted(r.family for r in rank_families(pts)) == ["logarithmic", "power"]
+
+    def test_rank_deficient_x_is_degenerate(self):
+        # Distinct x, but too close together for a least-squares slope.
+        pts = [(1e150, 5.0), (1.0000000000000002e150, 6.0), (1.0000000000000004e150, 7.0)]
+        with pytest.raises(DegenerateFitError, match="too close"):
+            fit_curve("linear", pts)
+
+    def test_every_family_excluded_gives_no_ranking(self):
+        assert rank_families([(20.0, 1e308), (40.0, -1e308), (60.0, 1e308)]) == []
+
+    def test_array_input_and_float_offenders(self):
+        pts = [(1.0, 2.0), (3.0, 4.0), (5.0, 7.0)]
+        assert fit_curve("power", np.array(pts)) == fit_curve("power", pts)
+        with pytest.raises(DomainError, match=re.escape("offending points: [(-1.0, 2.0)]")):
+            fit_curve("logarithmic", [(-1, 2), (3, 4)])
 
     def test_fit_space_flag(self):
         pts = noiseless("exponential", 5.0, 0.01, GAP_GRID)

@@ -142,20 +142,19 @@ class TestKmeans:
         """Squares overflow at 1e300 and underflow at 1e-300; the partition stays."""
         rng = np.random.default_rng(seed)
         pts = rng.uniform(1, 20, int(rng.integers(5, 60)))
-        with np.errstate(over="ignore", under="ignore"):  # only the objective may
-            base, scaled = kmeans(pts, 3), kmeans(factor * pts, 3)
-            selected = select_k(factor * pts, range(2, 5)).silhouette_by_k
+        base, scaled = kmeans(pts, 3), kmeans(factor * pts, 3)
+        selected = select_k(factor * pts, range(2, 5)).silhouette_by_k
         assert scaled.centers == pytest.approx([factor * c for c in base.centers], rel=1e-12)
         assert selected == pytest.approx(select_k(pts, range(2, 5)).silhouette_by_k, rel=1e-9)
 
     def test_speeds_near_the_float_limit(self):
         speeds = np.random.default_rng(3).uniform(1e307, 1.75e308, 11)
         small = speeds * 2.0 ** -1000  # exact, so the same partition bit for bit
-        with np.errstate(over="ignore"):  # the objective overflows
-            for k in (2, 3, 4):
-                assert kmeans(speeds, k).centers == tuple(
-                    c * 2.0 ** 1000 for c in kmeans(small, k).centers)
-            assert select_k(speeds, range(2, 10)) == select_k(small, range(2, 10))
+        for k in (2, 3, 4):
+            assert kmeans(speeds, k).centers == tuple(
+                c * 2.0 ** 1000 for c in kmeans(small, k).centers)
+            assert kmeans(speeds, k).objective == np.inf
+        assert select_k(speeds, range(2, 10)) == select_k(small, range(2, 10))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)

@@ -386,6 +386,10 @@ class TestSummaryStats:
         with pytest.raises(DomainError):
             summary_stats([])
 
+    def test_overflowing_percentiles_error(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            summary_stats([1e308, -1e308])
+
 
 class TestInvariantEnforcement:
     def test_flow_sample_consistency_checked(self):
