@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from fairway.cli import K_RANGE
 from fairway.io_store import ModelDocument, save_model
 from fairway.traffic_state import (
     bands_from_clusters,
@@ -41,7 +42,7 @@ def main():
     )
     print(f"{speeds.size} synthetic speed observations, modes at {MODES} km/h\n")
 
-    selection = select_k(speeds, range(2, 10))
+    selection = select_k(speeds, K_RANGE)
     print("K   mean silhouette")
     for k in sorted(selection.silhouette_by_k):
         marker = "  <- selected" if k == selection.best_k else ""

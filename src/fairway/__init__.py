@@ -1,6 +1,5 @@
 """Inland-waterway vessel traffic flow analysis toolkit."""
 
-from .config import Config, load_config
 from .errors import (
     DegenerateClusteringError,
     DegenerateFitError,
@@ -14,8 +13,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Config",
-    "load_config",
     "FairwayError",
     "DomainError",
     "MalformedTrackError",

@@ -6,6 +6,10 @@ parameters, distribution summaries, economic speed, minimum
 recommendations, state-band training/classification, curve export, and
 the classification HTTP service.
 
+Analysis parameters come from the flags ``--v-f``, ``--k1``, ``--v-min`` and
+``--tail`` (published defaults) and from the bin widths and K range below;
+there is no config file.
+
 Exit codes: 0 success, 1 usage error, 2 data or domain error.
 """
 
@@ -23,10 +27,12 @@ import numpy as np
 
 from . import fundamental_diagram as fd
 from . import io_store, regression, trajectory, traffic_state
-from .config import Config, load_config
 from .errors import FairwayError, InsufficientDataError
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
+GAP_BIN_M = 5.0  # speed-gap bin width
+DENSITY_BIN_VPKM = 0.2  # speed-density bin width
+K_RANGE = range(2, 10)  # cluster counts the silhouette sweep tries
 
 
 class _UsageError(Exception):
@@ -44,7 +50,6 @@ def _fmt(x) -> str:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fairway", description=__doc__)
-    parser.add_argument("--config", help="JSON config file (else FAIRWAY_CONFIG, else defaults)")
     sub = parser.add_subparsers(dest="command")
 
     tracks = sub.add_parser("tracks", help="trajectory-derived series").add_subparsers(dest="sub")
@@ -63,9 +68,9 @@ def build_parser() -> _Parser:
     p = fit.add_parser("fd", help="fit a fundamental-diagram form")
     p.add_argument("--form", required=True, choices=fd.ALL_FORMS)
     p.add_argument("--input", required=True, help="CSV with density_vpkm,speed_kmh")
-    p.add_argument("--v-f", type=float)
-    p.add_argument("--k1", type=float)
-    p.add_argument("--v-min", type=float)
+    p.add_argument("--v-f", type=float, help="free-flow speed, km/h (default: %(default)s)")
+    p.add_argument("--k1", type=float, default=4.0, help="breakpoint, vessels/km (default: %(default)s)")
+    p.add_argument("--v-min", type=float, default=2.65, help="minimum speed, km/h (default: %(default)s)")
     p.add_argument("--raw", action="store_true", help="fit raw points, skip binning")
     p.add_argument("--out", help="write a model document JSON")
 
@@ -83,7 +88,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("minimums", help="tail-quantile minimum speed and gap")
     p.add_argument("--speeds", required=True, help="CSV with speed_kmh")
     p.add_argument("--gaps", required=True, help="CSV with gap_m")
-    p.add_argument("--tail", type=float)
+    p.add_argument("--tail", type=float, default=0.001, help="tail quantile (default: %(default)s)")
     p.add_argument("--out")
 
     states = sub.add_parser("states", help="traffic-state training/classification").add_subparsers(dest="sub")
@@ -124,7 +129,7 @@ def _write_rows(handle, key: list, *columns) -> int:
     return len(columns[0])
 
 
-def _cmd_tracks_derive(args, cfg: Config) -> dict:
+def _cmd_tracks_derive(args) -> dict:
     meta = io_store.meta_map(io_store.load_vessel_meta(args.meta))
     runs, _ = io_store.load_tracks(args.tracks, meta, delta_t=args.delta_t)
     out_dir = Path(args.out_dir)
@@ -159,10 +164,10 @@ def _cmd_tracks_derive(args, cfg: Config) -> dict:
     return counts
 
 
-def _cmd_fit_speed_gap(args, cfg: Config) -> dict:
+def _cmd_fit_speed_gap(args) -> dict:
     points = np.column_stack(io_store.read_columns(args.input, "gap_m", "speed_kmh"))
     if not args.raw:
-        binned = regression.bin_points(points, cfg.gap_bin_width, min_count=args.min_count)
+        binned = regression.bin_points(points, GAP_BIN_M, min_count=args.min_count)
         points = [(b.bin_center, b.mean_y) for b in binned]
     reports = regression.rank_families(points)
     if not reports:
@@ -174,19 +179,16 @@ def _cmd_fit_speed_gap(args, cfg: Config) -> dict:
     return {"families": [asdict(r) for r in reports]}
 
 
-def _cmd_fit_fd(args, cfg: Config) -> dict:
+def _cmd_fit_fd(args) -> dict:
     points = np.column_stack(io_store.read_columns(args.input, "density_vpkm", "speed_kmh"))
     if not args.raw:
-        binned = regression.bin_points(points, cfg.density_bin_width)
+        binned = regression.bin_points(points, DENSITY_BIN_VPKM)
         points = np.array([(b.bin_center, b.mean_y) for b in binned]).reshape(-1, 2)
     k, v = points.T
     with np.errstate(over="ignore"):  # the batch rejects a flow that overflows
         samples = trajectory.FlowSamples(density=k, mean_speed=v, flow=k * v)
-    v_f = args.v_f if args.v_f is not None else cfg.v_f
-    k1 = args.k1 if args.k1 is not None else (cfg.k1 if args.form in fd.PIECEWISE_FORMS else None)
-    v_min = args.v_min if args.v_min is not None else cfg.v_min
-    model, report = fd.fit_fd(args.form, samples, v_f=v_f, k1=k1)
-    chars = fd.derive_characteristics(model, v_min)
+    model, report = fd.fit_fd(args.form, samples, v_f=args.v_f, k1=args.k1)
+    chars = fd.derive_characteristics(model, args.v_min)
 
     print(f"form {model.form}  c1 {_fmt(model.c1)}  c2 {_fmt(model.c2)}"
           + (f"  v_f {_fmt(model.v_f)}  k1 {_fmt(model.k1)}" if model.is_piecewise else ""))
@@ -195,13 +197,13 @@ def _cmd_fit_fd(args, cfg: Config) -> dict:
           f"q_m {_fmt(chars.q_m)}  k_max {_fmt(chars.k_max)}  v_min {_fmt(chars.v_min)}")
 
     doc = io_store.ModelDocument(
-        fd=model, v_min=v_min, characteristics=chars, fit=report,
+        fd=model, v_min=args.v_min, characteristics=chars, fit=report,
         created_utc=datetime.now(timezone.utc).isoformat(),
     )
     return io_store.document_to_dict(doc)
 
 
-def _cmd_stats_summary(args, cfg: Config) -> dict:
+def _cmd_stats_summary(args) -> dict:
     (values,) = io_store.read_columns(args.input, args.column)
     stats = trajectory.summary_stats(values)
     print(f"{'p15':>8} {'median':>8} {'p85':>8} {'mean':>8}")
@@ -209,7 +211,7 @@ def _cmd_stats_summary(args, cfg: Config) -> dict:
     return asdict(stats)
 
 
-def _cmd_economic_speed(args, cfg: Config) -> dict:
+def _cmd_economic_speed(args) -> dict:
     result = fd.economic_speed({
         "loaded": io_store.read_columns(args.loaded, "speed_kmh")[0],
         "empty": io_store.read_columns(args.empty, "speed_kmh")[0],
@@ -220,20 +222,19 @@ def _cmd_economic_speed(args, cfg: Config) -> dict:
     return asdict(result)
 
 
-def _cmd_minimums(args, cfg: Config) -> dict:
-    tail = args.tail if args.tail is not None else cfg.tail_fraction
+def _cmd_minimums(args) -> dict:
     result = fd.recommend_minimums(
         io_store.read_columns(args.speeds, "speed_kmh")[0],
         io_store.read_columns(args.gaps, "gap_m")[0],
-        tail_fraction=tail,
+        tail_fraction=args.tail,
     )
-    print(f"v_min {_fmt(result.v_min)} km/h  g_min {_fmt(result.g_min)} m  (tail {tail})")
-    return {**asdict(result), "tail_fraction": tail}
+    print(f"v_min {_fmt(result.v_min)} km/h  g_min {_fmt(result.g_min)} m  (tail {args.tail})")
+    return {**asdict(result), "tail_fraction": args.tail}
 
 
-def _cmd_states_train(args, cfg: Config) -> dict:
+def _cmd_states_train(args) -> dict:
     (speeds,) = io_store.read_columns(args.speeds, "speed_kmh")
-    selection = traffic_state.select_k(speeds, cfg.k_range)
+    selection = traffic_state.select_k(speeds, K_RANGE)
     print("K  silhouette")
     for k in sorted(selection.silhouette_by_k):
         marker = " *" if k == selection.best_k else ""
@@ -252,7 +253,7 @@ def _cmd_states_train(args, cfg: Config) -> dict:
     return io_store.document_to_dict(doc)
 
 
-def _cmd_states_classify(args, cfg: Config) -> dict:
+def _cmd_states_classify(args) -> dict:
     doc = io_store.load_model(args.model)
     if doc.bands is None:
         raise FairwayError(f"{args.model}: document carries no state bands")
@@ -261,7 +262,7 @@ def _cmd_states_classify(args, cfg: Config) -> dict:
     return {"speed_kmh": speed, "state": state.value, "color": state.color}
 
 
-def _cmd_emit_curve(args, cfg: Config) -> dict:
+def _cmd_emit_curve(args) -> dict:
     doc = io_store.load_model(args.model)
     if doc.fd is None:
         raise FairwayError(f"{args.model}: document carries no diagram model")
@@ -270,12 +271,13 @@ def _cmd_emit_curve(args, cfg: Config) -> dict:
     return {"rows": rows, "path": args.csv_out}
 
 
-def _cmd_serve(args, cfg: Config) -> dict:
+def _cmd_serve(args) -> dict:
     from . import service  # http.server is imported only by the command that serves
 
-    doc = io_store.load_model(args.model)
-    print(f"serving on {args.host}:{args.port}")
-    service.serve(doc, args.port, host=args.host)
+    server = service.make_server(io_store.load_model(args.model), args.port, host=args.host)
+    with server:  # bound before "serving on": a bad port or host exits 2 with nothing printed
+        print(f"serving on {args.host}:{args.port}")
+        server.serve_forever()
     return {}
 
 
@@ -300,23 +302,16 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    if args.command is None:
-        print(parser.format_usage(), file=sys.stderr)
-        return EXIT_USAGE
     handler = _DISPATCH.get((args.command, getattr(args, "sub", None)))
     if handler is None:
         print(parser.format_usage(), file=sys.stderr)
         return EXIT_USAGE
     try:
-        cfg = load_config(args.config)
-        payload = handler(args, cfg)
+        payload = handler(args)
         out = getattr(args, "out", None)
         if out:
             Path(out).write_text(io_store.json_text(payload, indent=2) + "\n", encoding="utf-8")
-    except FairwayError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (FairwayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -298,7 +298,8 @@ def estimate_breakpoint(
     For each candidate: flat v_f for k <= candidate plus the best-fit branch
     beyond it, scored over all samples at once.  Ties go to the smaller
     candidate.  Candidates leaving fewer than 2 samples in the non-free
-    branch, or whose branch fit is degenerate or out of domain, are skipped.
+    branch, whose branch fit is degenerate or out of domain, or whose squared
+    error is not finite, are skipped.
     """
     if not candidates or not all(_finite_positive(c) for c in candidates):
         raise DomainError("candidates must be non-empty, finite and positive")
@@ -313,12 +314,14 @@ def estimate_breakpoint(
             model, _ = _fit_branch(form, ks, vs, cand, v_f)
         except (InsufficientDataError, DomainError, DegenerateFitError):
             continue
-        sse = float(np.sum((vs - speed_at_density(model, ks)) ** 2))
-        if best is None or sse < best[0]:
+        with np.errstate(over="ignore"):  # an error sum that overflows is skipped below
+            sse = float(np.sum((vs - speed_at_density(model, ks)) ** 2))
+        if math.isfinite(sse) and (best is None or sse < best[0]):
             best = (sse, cand)
     if best is None:
         raise InsufficientDataError(
-            "no candidate leaves at least 2 samples in the non-free branch"
+            "no candidate leaves at least 2 samples in the non-free branch "
+            "with a fit whose squared error is finite"
         )
     return best[1]
 

@@ -10,7 +10,8 @@ yields the same values with no reject; any other block goes through
 csv.reader and a per-cell cast that names each reject, and so does the rest
 of the file after the first block holding a quote or another character.
 Model documents are strict JSON with full-precision numbers, so save/load
-round-trips are bit-identical.
+round-trips are bit-identical; on load, an integer must fit in 64 bits and
+no value may be true or false.
 """
 
 from __future__ import annotations
@@ -346,8 +347,29 @@ def document_to_dict(doc: ModelDocument) -> dict:
     return out
 
 
+def _has_boolean(value) -> bool:
+    """Whether a parsed JSON value holds true or false at any depth."""
+    inner = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
+    return isinstance(value, bool) or any(map(_has_boolean, inner))
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer, held to the 64 bits a CSV integer cell must fit in."""
+    if not -2 ** 63 <= (value := int(text)) < 2 ** 63:
+        raise ValueError(f"integer outside 64 bits: {text}")
+    return value
+
+
 def document_from_dict(raw: dict) -> ModelDocument:
-    """The document's sections; a section holding an unknown key is malformed."""
+    """The document's sections.
+
+    TypeError on a section holding an unknown key, on true or false anywhere
+    (no field is boolean) and on a created_utc that is not a string.
+    """
+    if _has_boolean(raw):
+        raise TypeError("no field of a model document takes true or false")
+    if not isinstance(raw.get("created_utc", ""), str):
+        raise TypeError(f"created_utc must be a string, got {raw['created_utc']!r}")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaVersionError(
@@ -383,15 +405,13 @@ def save_model(doc: ModelDocument, path) -> None:
 
 def load_model(path) -> ModelDocument:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=_json_int)
+    except ValueError as exc:  # also text that is not UTF-8, and an integer past 64 bits
         raise ParseError(f"{path}: malformed model document: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: model document must be a JSON object")
     try:
         return document_from_dict(raw)
-    except SchemaVersionError:
-        raise
     except (KeyError, TypeError) as exc:
         raise ParseError(f"{path}: malformed model document: {exc}") from exc
 

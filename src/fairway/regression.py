@@ -130,13 +130,6 @@ def r_squared(observed: Sequence[float], estimated: Sequence[float]) -> float:
     return float(np.sum((est - mean) ** 2)) / sst
 
 
-def _r2_tolerant(obs: np.ndarray, est: np.ndarray) -> float:
-    """Explained-variance R^2, but defined for constant observed data (1 iff exact fit)."""
-    if float(np.sum((obs - obs.mean()) ** 2)) == 0.0:
-        return 1.0 if np.allclose(est, obs, rtol=0, atol=1e-12) else 0.0
-    return r_squared(obs, est)
-
-
 def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Slope/intercept of y on x; errors when x is too flat or too spread for a slope."""
     if not 0 < float(np.var(x)) < math.inf:
@@ -172,11 +165,14 @@ def fit_curve(
     except OverflowError:
         raise DegenerateFitError(f"{family} fit amplitude e^{intercept:.6g} overflows") from None
     if spec.log_y and not original_space_r2:
-        fit_space = "transformed"
-        r2 = _r2_tolerant(fy, intercept + slope * fx)
+        fit_space, obs, est = "transformed", fy, intercept + slope * fx
     else:
-        fit_space = "original"
-        r2 = _r2_tolerant(y, spec.curve(a, b, x))
+        fit_space, obs, est = "original", y, spec.curve(a, b, x)
+    # Constant observed data has no variance to explain: R^2 is 1 for an exact fit, else 0.
+    if float(np.sum((obs - obs.mean()) ** 2)) == 0.0:
+        r2 = float(np.allclose(est, obs, rtol=0, atol=1e-12))
+    else:
+        r2 = r_squared(obs, est)
 
     return FitReport(family=family, a=a, b=b, r_squared=r2, n_points=len(x), fit_space=fit_space)
 

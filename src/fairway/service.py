@@ -18,9 +18,11 @@ from .traffic_state import classify_flow_density
 
 
 def make_server(doc: ModelDocument, port: int, host: str = "127.0.0.1") -> ThreadingHTTPServer:
-    """Build (but do not start) the service; requires state bands in the document."""
+    """Build and bind (but do not start) the service; requires state bands in the document."""
     if doc.bands is None:
         raise DomainError("the served model document must contain state bands")
+    if not 0 <= port <= 65535:
+        raise DomainError(f"port must lie in 0..65535, got {port}")
     bands = doc.bands
     model_body = json_text(document_to_dict(doc), separators=(",", ":")).encode()
 
@@ -77,12 +79,3 @@ def make_server(doc: ModelDocument, port: int, host: str = "127.0.0.1") -> Threa
             )
 
     return ThreadingHTTPServer((host, port), Handler)
-
-
-def serve(doc: ModelDocument, port: int, host: str = "0.0.0.0") -> None:
-    """Run the service until interrupted."""
-    server = make_server(doc, port, host=host)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()

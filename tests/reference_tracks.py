@@ -41,6 +41,8 @@ def _field(row, lineno, column, cast):
         raise _RowError(lineno, column, f"cannot parse {raw!r}") from None
     if cast is float and not math.isfinite(value):
         raise _RowError(lineno, column, f"not a finite number: {raw!r}")
+    if cast is int and not -2 ** 63 <= value < 2 ** 63:
+        raise _RowError(lineno, column, f"outside the 64-bit integer range: {raw!r}")
     return value
 
 

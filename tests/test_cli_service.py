@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -81,6 +82,57 @@ class TestUsage:
     def test_bare_group_command(self, capsys):
         assert cli.main(["fit"]) == cli.EXIT_USAGE
 
+    def test_config_option_is_gone(self, tmp_path, capsys):
+        path = density_speed_csv(tmp_path, GREENSHIELDS, [1, 2, 3, 4])
+        assert cli.main(["--config", "x.json", "fit", "fd", "--form", "greenshields",
+                         "--input", path, "--raw"]) == cli.EXIT_USAGE
+        assert "usage: fairway" in capsys.readouterr().err
+
+    def test_fairway_config_variable_is_not_read(self, tmp_path, monkeypatch):
+        """A FAIRWAY_CONFIG naming a missing, malformed or overriding file changes nothing."""
+        kv = density_speed_csv(tmp_path, GREENSHIELDS, [1, 2, 3, 4, 5, 6])
+        speeds = write_csv(tmp_path / "v.csv", ["speed_kmh"], [(v,) for v in range(1, 11)])
+        gaps = write_csv(tmp_path / "g.csv", ["gap_m"], [(g,) for g in range(10, 110, 10)])
+        commands = [["fit", "fd", "--form", "greenshields", "--input", kv],
+                    ["fit", "fd", "--form", "piecewise_exp", "--input", kv],
+                    ["fit", "speed-gap", "--input", write_csv(
+                        tmp_path / "gv.csv", ["gap_m", "speed_kmh"],
+                        [(g, 0.01 * g + 5) for g in range(20, 200, 3)])],
+                    ["minimums", "--speeds", speeds, "--gaps", gaps],
+                    ["states", "train", "--speeds", speeds]]
+
+        def outcomes():
+            results = []
+            for argv in commands:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    results.append((cli.main(argv), out.getvalue(), err.getvalue()))
+            return results
+
+        monkeypatch.delenv("FAIRWAY_CONFIG", raising=False)
+        expected = outcomes()
+        assert [code for code, _, _ in expected] == [0, 2, 0, 0, 2]
+        (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "override.json").write_text(
+            '{"v_min": 3.0, "k1": 5.0, "v_f": 10.5, "tail_fraction": 0.2,'
+            ' "gap_bin_width": 50.0, "density_bin_width": 2.0, "k_range_min": 4}')
+        for name in ("absent.json", "bad.json", "override.json"):
+            monkeypatch.setenv("FAIRWAY_CONFIG", str(tmp_path / name))
+            assert outcomes() == expected
+
+    @pytest.mark.parametrize("argv, published", [
+        (["fit", "fd"], {"--v-f": None, "--k1": 4.0, "--v-min": V_MIN}),
+        (["minimums"], {"--tail": 0.001}),
+    ])
+    def test_help_shows_published_defaults(self, capsys, argv, published):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*argv, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for flag, default in published.items():
+            assert re.search(rf"{flag} [A-Z0-9_]+ [^()]*\(default: {re.escape(str(default))}\)",
+                             text), (flag, text)
+
 
 class TestFitFd:
     def test_reproduces_published_characteristics(self, tmp_path, capsys):
@@ -115,29 +167,6 @@ class TestFitFd:
                          "--input", str(tmp_path / "absent.csv")])
         assert code == cli.EXIT_DATA
         assert "error" in capsys.readouterr().err
-
-    def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"no_such_knob": 1}')
-        path = density_speed_csv(tmp_path, GREENSHIELDS, [1, 2, 3, 4])
-        code = cli.main(["--config", str(cfg), "fit", "fd",
-                         "--form", "greenshields", "--input", path, "--raw"])
-        assert code == cli.EXIT_DATA
-        assert "no_such_knob" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key, value", [
-        ("k1", "NaN"), ("v_min", '"2"'), ("v_f", "Infinity"), ("k_range_max", "9.5"),
-        ("kmeans_seed", "0"), ("kmeans_max_iter", "300"), ("kmeans_tol", "1e-6"),
-    ])
-    def test_invalid_config_exits_with_data_error(self, tmp_path, capsys, key, value):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(f'{{"{key}": {value}}}')
-        path = density_speed_csv(tmp_path, GREENSHIELDS, [1, 2, 3, 4])
-        code = cli.main(["--config", str(cfg), "fit", "fd",
-                         "--form", "greenshields", "--input", path, "--raw"])
-        assert code == cli.EXIT_DATA
-        assert key in capsys.readouterr().err
-
 
     def test_out_is_the_canonical_document(self, tmp_path, capsys):
         path = density_speed_csv(tmp_path, GREENSHIELDS, [1, 2, 3, 4])
@@ -363,6 +392,34 @@ class TestStates:
         assert "boundaries" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("change", [
+        lambda raw: raw["bands"]["boundaries"].__setitem__(0, True),
+        lambda raw: raw.__setitem__("schema_version", True),
+        lambda raw: raw.__setitem__("created_utc", 20210601),
+    ], ids=["boolean_boundary", "boolean_schema_version", "numeric_created_utc"])
+    def test_classify_rejects_document_with_mistyped_fields(self, tmp_path, capsys, change):
+        raw = document_to_dict(ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES)))
+        change(raw)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["states", "classify", "--flow", "30", "--density", "3",
+                         "--model", str(path)]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and "malformed model document" in captured.err
+
+
+class TestServe:
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_port_out_of_range_exits_with_data_error(self, tmp_path, capsys, port):
+        path = tmp_path / "bands.json"
+        save_model(ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES)), path)
+        code = cli.main(["serve", "--model", str(path), f"--port={port}", "--host", "127.0.0.1"])
+        assert code == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"port must lie in 0..65535, got {port}" in captured.err
+
+
 class TestEmitCurve:
     def test_round_trip_from_saved_model(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -389,6 +446,21 @@ class TestEmitCurve:
                          "--out", str(out)])
         assert code == cli.EXIT_DATA
         assert "v_f" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("c1", True), ("v_f", False)])
+    def test_boolean_model_field_exits_with_data_error(self, tmp_path, capsys, field, value):
+        model = FdModel(form="piecewise_exp", c1=13.62, c2=0.115, v_f=10.5, k1=4.0)
+        raw = document_to_dict(ModelDocument(fd=model))
+        raw["model"][field] = value
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(raw))
+        out = tmp_path / "curve.csv"
+        code = cli.main(["emit", "curve", "--model", str(model_path),
+                         "--k-min", "1", "--k-max", "10", "--step", "1",
+                         "--out", str(out)])
+        assert code == cli.EXIT_DATA
+        assert "true or false" in capsys.readouterr().err
         assert not out.exists()
 
     def test_step_past_the_row_limit_exits_with_data_error(self, tmp_path):

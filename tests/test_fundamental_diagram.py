@@ -344,6 +344,17 @@ class TestEstimateBreakpoint:
         with pytest.raises(InsufficientDataError):
             estimate_breakpoint(samples, 10.5, [5.0])
 
+    @pytest.mark.parametrize("form", PIECEWISE)
+    def test_overflowing_error_sum_skips_the_candidate(self, form):
+        """With v_f = 1e308 each plateau residual squares past the float range."""
+        samples = samples_from(FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0), K_GRID)
+        with pytest.raises(InsufficientDataError, match="squared error is finite"):
+            estimate_breakpoint(samples, 1e308, [2.0, 3.0, 4.0], form=form)
+        with pytest.raises(InsufficientDataError, match="squared error is finite"):
+            fit_fd(form, samples, v_f=1e308, k1_candidates=[2.0, 3.0, 4.0])
+        # A candidate below every density leaves no plateau sample, so its error is finite.
+        assert estimate_breakpoint(samples, 1e308, [0.1, 2.0, 3.0], form=form) == 0.1
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_non_finite_candidate_rejected(self, bad):
         truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)

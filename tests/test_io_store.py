@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairway import io_store
-from fairway.errors import DomainError, ParseError, SchemaVersionError
+from fairway.errors import DomainError, FairwayError, ParseError, SchemaVersionError
 from fairway.fundamental_diagram import (
     CharacteristicParams,
     FdModel,
@@ -284,10 +284,9 @@ class TestLoadTracks:
 
 
 RUN_NAMES = ("r1", "r2", "9", "10", "b,x", 'q"1', " s")
-# An integer outside 64 bits is left out: the reference loaders have no such
-# rule, so test_integer_cell_outside_64_bits_rejected covers it instead.
 NOISE = ("", "nan", "inf", "-inf", "oops", " 3 ", "1_0", "-0", "1e308", "5e-324", "1.5", "2",
          "\x1c", "2\x1c", "\u0663", "1e999", "9223372036854775807", "-9223372036854775808",
+         "99999999999999999999", "9223372036854775808", "-9223372036854775809",
          "1.0", "\t2\t", " ", "\r")
 
 
@@ -503,6 +502,20 @@ class TestReadColumns:
             read_columns(path, "gap_m", "speed_kmh")
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([0, 1, 2.65, 2 ** 63 - 1, 2 ** 63, -2 ** 63 - 1, 10 ** 400, 1e308]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=8)
+
+
+def has_boolean(value) -> bool:
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, bool) or isinstance(value, list) and any(map(has_boolean, value))
+
+
 def make_document():
     model = FdModel(form="greenshields", c1=0.7634, c2=11.817)
     characteristics = derive_characteristics(model, V_MIN)
@@ -604,6 +617,72 @@ class TestModelDocument:
         del raw["characteristics"]["v_f"]
         path = write(tmp_path, "model.json", json.dumps(raw))
         assert load_model(path).characteristics.v_f is None
+
+    @pytest.mark.parametrize("section, key", [
+        ("model", "c1"), (None, "v_min"), ("characteristics", "k_m"), ("fit", "n_points"),
+        (None, "schema_version"), (None, "created_utc"), (None, "note"),
+    ])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_anywhere_is_malformed(self, tmp_path, section, key, value):
+        raw = document_to_dict(make_document())
+        (raw if section is None else raw[section])[key] = value
+        path = write(tmp_path, "model.json", json.dumps(raw))
+        with pytest.raises(ParseError, match="true or false"):
+            load_model(path)
+
+    def test_boolean_boundary_is_malformed(self, tmp_path):
+        raw = document_to_dict(make_document())
+        raw["bands"]["boundaries"][0] = True
+        path = write(tmp_path, "model.json", json.dumps(raw))
+        with pytest.raises(ParseError, match="true or false"):
+            load_model(path)
+
+    @pytest.mark.parametrize("created", [5, 1.5, None, ["2021-06-01"], {}])
+    def test_created_utc_must_be_a_string(self, tmp_path, created):
+        raw = document_to_dict(make_document())
+        raw["created_utc"] = created
+        path = write(tmp_path, "model.json", json.dumps(raw))
+        with pytest.raises(ParseError, match="created_utc"):
+            load_model(path)
+
+    @pytest.mark.parametrize("number", ["9223372036854775808", "-9223372036854775809",
+                                        "1" + "0" * 400, "1" * 5000])
+    def test_integer_past_64_bits_is_malformed(self, tmp_path, number):
+        text = json.dumps(document_to_dict(make_document())).replace(
+            '"n_points": 40', f'"n_points": {number}', 1)
+        path = write(tmp_path, "model.json", text)
+        with pytest.raises(ParseError, match="malformed"):
+            load_model(path)
+
+    def test_text_that_is_not_utf8_is_malformed(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{"schema_version": 1, "created_utc": "\xff"}')
+        with pytest.raises(ParseError, match="malformed"):
+            load_model(path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_field_value_loads_or_raises_a_fairway_error(self, data):
+        """Any JSON value in any field: a document or a FairwayError, never another exception."""
+        raw = document_to_dict(make_document())
+        place = data.draw(st.sampled_from([None, "model", "characteristics", "bands", "fit",
+                                           "boundaries"]), label="section")
+        target = {None: raw, "boundaries": raw["bands"]["boundaries"]}.get(place, raw.get(place))
+        key = data.draw(st.sampled_from(range(3) if place == "boundaries"
+                                        else sorted(target) + ["colour"]), label="key")
+        value = data.draw(JSON_VALUES, label="value")
+        target[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp), "model.json", json.dumps(raw))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    doc = load_model(path)
+                except FairwayError:
+                    doc = None
+        assert doc is None or isinstance(doc, ModelDocument)
+        if has_boolean(value):
+            assert doc is None
 
     def test_json_text_is_strict(self):
         assert json_text({"b": 1.5, "a": [2]}) == '{"a": [2], "b": 1.5}'
