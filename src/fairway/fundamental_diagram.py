@@ -33,7 +33,7 @@ from .errors import (
     InsufficientDataError,
     NoFeasibleDensityError,
 )
-from .regression import FitReport, _columns, fit_curve, predict, r_squared
+from .regression import FitReport, _columns, _family, _line, fit_curve, predict, r_squared
 from .trajectory import FiniteFields, FlowSample, FlowSamples
 
 CLASSICAL_FORMS = ("greenshields", "greenberg", "underwood")
@@ -274,7 +274,8 @@ def fit_fd(
     if k1 is None:
         if not k1_candidates:
             raise DomainError("piecewise fitting requires k1 or k1_candidates")
-        k1 = estimate_breakpoint(samples, v_f, k1_candidates, form=form)
+        batch = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)  # converted once
+        k1 = estimate_breakpoint(batch, v_f, k1_candidates, form=form)
     model, _ = _fit_branch(form, ks, vs, k1, v_f)
     report = FitReport(
         family=form,
@@ -287,6 +288,7 @@ def fit_fd(
     return model, report
 
 
+@np.errstate(all="ignore")  # a candidate whose fit or error sum is not finite is skipped
 def estimate_breakpoint(
     samples: FlowSamples | Sequence[FlowSample],
     v_f: float,
@@ -299,7 +301,9 @@ def estimate_breakpoint(
     beyond it, scored over all samples at once.  Ties go to the smaller
     candidate.  Candidates leaving fewer than 2 samples in the non-free
     branch, whose branch fit is degenerate or out of domain, or whose squared
-    error is not finite, are skipped.
+    error is not finite, are skipped.  The columns are transformed once and
+    each candidate costs one closed-form line fit, the one ``fit_curve``
+    makes, and one error sum: O(n) array work per candidate.
     """
     if not candidates or not all(_finite_positive(c) for c in candidates):
         raise DomainError("candidates must be non-empty, finite and positive")
@@ -308,14 +312,22 @@ def estimate_breakpoint(
     if form not in PIECEWISE_FORMS:
         raise DomainError(f"estimate_breakpoint needs a piecewise form, got {form!r}")
     ks, vs = _density_speed(samples)
+    shape = _SHAPES[_FORM_SHAPE[form]]
+    spec = _family(shape.family)
+    fx = np.log(ks) if spec.log_x else ks
+    fy = np.log(vs) if spec.log_y else vs  # ln 0 = -inf: _line rejects such a branch
     best = None
     for cand in sorted(candidates):
-        try:
-            model, _ = _fit_branch(form, ks, vs, cand, v_f)
-        except (InsufficientDataError, DomainError, DegenerateFitError):
+        beyond = ks > cand
+        if np.count_nonzero(beyond) < 2:
             continue
-        with np.errstate(over="ignore"):  # an error sum that overflows is skipped below
-            sse = float(np.sum((vs - speed_at_density(model, ks)) ** 2))
+        try:
+            a, b, _, _ = _line(shape.family, fx[beyond], fy[beyond])
+        except DegenerateFitError:
+            continue
+        if not (_finite_positive(shape.signs[0] * a) and _finite_positive(shape.signs[1] * b)):
+            continue
+        sse = float(np.sum((vs - np.where(beyond, spec.curve(a, b, ks), v_f)) ** 2))
         if math.isfinite(sse) and (best is None or sse < best[0]):
             best = (sse, cand)
     if best is None:

@@ -156,30 +156,34 @@ def _read_columns(path, required: Sequence[str], casts: Sequence) -> list[tuple]
     reads its last occurrence.  Only the csv path names rejects, so numpy
     reads a block only where that gives the same values and no rejects.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle), None)
-        if header is None:
-            raise ParseError(f"{path}: empty file, header row required")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ParseError(f"{path}: missing required column(s) {missing}")
-        picks = [max(i for i, name in enumerate(header) if name == c) for c in required]
-        width = max(picks, default=-1) + 1
-        # An empty first block gives each column its type, even in a file without rows.
-        parts = [[_typed_column([], c, cast, 0)] for c, cast in zip(required, casts)]
-        n = 0
-        for lines, rows in _blocks(handle):
-            typed = _fast_columns(lines, picks, casts) if lines else None
-            if typed:
-                rows = lines  # one row per line
-            else:
-                rows = [row if len(row) >= width else row + [""] * (width - len(row))
-                        for row in rows if row]
-                typed = [_typed_column([row[i] for row in rows], column, cast, n)
-                         for i, column, cast in zip(picks, required, casts)]
-            for part, column in zip(parts, typed):
-                part.append(column)
-            n += len(rows)
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            header = next(csv.reader(handle), None)
+            if header is None:
+                raise ParseError(f"{path}: empty file, header row required")
+            missing = [c for c in required if c not in header]
+            if missing:
+                raise ParseError(f"{path}: missing required column(s) {missing}")
+            picks = [max(i for i, name in enumerate(header) if name == c) for c in required]
+            width = max(picks, default=-1) + 1
+            # An empty first block gives each column its type, even in a file without rows.
+            parts = [[_typed_column([], c, cast, 0)] for c, cast in zip(required, casts)]
+            n = 0
+            for lines, rows in _blocks(handle):
+                typed = _fast_columns(lines, picks, casts) if lines else None
+                if typed:
+                    rows = lines  # one row per line
+                else:
+                    rows = [row if len(row) >= width else row + [""] * (width - len(row))
+                            for row in rows if row]
+                    typed = [_typed_column([row[i] for row in rows], column, cast, n)
+                             for i, column, cast in zip(picks, required, casts)]
+                for part, column in zip(parts, typed):
+                    part.append(column)
+                n += len(rows)
+    except UnicodeDecodeError as exc:  # raised as the file is read, block by block
+        raise ParseError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                         f"({exc.reason})") from None
     return [(np.concatenate([v for v, _ in part]) if isinstance(part[0][0], np.ndarray)
              else list(chain.from_iterable(v for v, _ in part)),
              {row: reject for _, errors in part for row, reject in errors.items()})

@@ -64,8 +64,14 @@ class FitReport:
     fit_space: str  # "original" | "transformed"
 
     def __post_init__(self):
-        if self.n_points < 2:
-            raise DegenerateFitError("a fit needs at least 2 points")
+        from .fundamental_diagram import ALL_FORMS  # a diagram fit reports its form
+
+        if not (isinstance(self.n_points, int) and self.n_points >= 2):
+            raise DegenerateFitError(f"a fit needs integer n_points >= 2, got {self.n_points!r}")
+        if self.family not in FAMILIES + ALL_FORMS:
+            raise DomainError(f"unknown fit family {self.family!r}")
+        if self.fit_space not in ("original", "transformed"):
+            raise DomainError(f"fit_space must be original or transformed, got {self.fit_space!r}")
         if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.r_squared)):
             raise DegenerateFitError("non-finite fit result")
 
@@ -130,14 +136,33 @@ def r_squared(observed: Sequence[float], estimated: Sequence[float]) -> float:
     return float(np.sum((est - mean) ** 2)) / sst
 
 
-def _ols(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Slope/intercept of y on x; errors when x is too flat or too spread for a slope."""
-    if not 0 < float(np.var(x)) < math.inf:
+def _line(family: str, fx: np.ndarray, fy: np.ndarray) -> tuple[float, float, float, float]:
+    """(a, b) of the family curve, and the (slope, intercept) of fy on fx behind them.
+
+    Closed-form least squares, x centred and y measured from its first value,
+    so constant y has a slope of exactly 0.  DegenerateFitError on columns
+    that are not finite, on x too flat, too spread or too clustered for a
+    slope, and on y too spread for R^2.
+    """
+    n, mx = len(fx), fx.mean()
+    dx, dy = fx - mx, fy - fy[0]
+    sxx = float(dx @ dx)
+    if not 0 < sxx < math.inf:
         raise DegenerateFitError("x-variance is zero or overflows: cannot fit a slope")
-    (slope, intercept), _, rank, _, _ = np.polyfit(x, y, 1, full=True)
-    if rank < 2:
+    # The smallest over the largest singular value of [x, 1] with unit-norm
+    # columns is sd/(rms + |mean|); polyfit's rank test bounds it by n*eps.
+    sd = math.sqrt(sxx / n)
+    if sd <= n * np.finfo(float).eps * (math.hypot(mx, sd) + abs(mx)):
         raise DegenerateFitError("x values too close together: cannot fit a slope")
-    return float(slope), float(intercept)
+    if not float(dy @ dy) < math.inf:
+        raise DegenerateFitError("y values spread past the float range: R^2 undefined")
+    slope = float(dx @ dy) / sxx
+    intercept = float(fy.mean()) - slope * float(mx)
+    try:
+        a, b = (math.exp(intercept), slope) if _family(family).log_y else (slope, intercept)
+    except OverflowError:
+        raise DegenerateFitError(f"{family} fit amplitude e^{intercept:.6g} overflows") from None
+    return a, b, slope, intercept
 
 
 @np.errstate(all="ignore")  # FitReport rejects a result that is not finite
@@ -159,11 +184,7 @@ def fit_curve(
     fx = np.log(x) if spec.log_x else x
     fy = np.log(y) if spec.log_y else y
 
-    slope, intercept = _ols(fx, fy)
-    try:
-        a, b = (math.exp(intercept), slope) if spec.log_y else (slope, intercept)
-    except OverflowError:
-        raise DegenerateFitError(f"{family} fit amplitude e^{intercept:.6g} overflows") from None
+    a, b, slope, intercept = _line(family, fx, fy)
     if spec.log_y and not original_space_r2:
         fit_space, obs, est = "transformed", fy, intercept + slope * fx
     else:

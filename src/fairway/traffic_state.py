@@ -95,11 +95,11 @@ def _optimal_splits(pts: np.ndarray, k_max: int):
 
     Optimal clusters are contiguous runs of the sorted distinct values
     (Wang & Song 2011, Ckmeans.1d.dp), so equal values are never split.
-    Returns the distinct values, their counts and one row per K >= 2 giving,
-    for each prefix of j distinct values, where the last of its K optimal
-    clusters starts.  Those starts are monotone in j, so a leftmost-argmin
-    divide and conquer fills each row in O(n log n) (Gronlund et al. 2017,
-    arXiv:1701.07204).
+    Returns the distinct values, their counts and each K's cluster starts,
+    read back from one row per K >= 2 giving, for each prefix of j distinct
+    values, where the last of its K optimal clusters starts.  Those starts
+    are monotone in j, so a leftmost-argmin divide and conquer fills each
+    row in O(n log n) (Gronlund et al. 2017, arXiv:1701.07204).
     """
     if not np.isfinite(pts).all():
         raise DomainError("points must be finite")
@@ -143,23 +143,51 @@ def _optimal_splits(pts: np.ndarray, k_max: int):
                 (lo[left], mid[right] + 1), (mid[left] - 1, hi[right]),
                 (first[left], arg[right]), (arg[left], last[right])))
         table.append(split)
-    return values, counts, table
+    starts = {}
+    for k in range(1, k_max + 1):
+        back = [m]  # from the end: the start of the last cluster, then the one before
+        for split in reversed(table[:k - 1]):
+            back.append(split[back[-1]])
+        starts[k] = np.array([0] + back[:0:-1])
+    return values, counts, starts
 
 
-def _model(values: np.ndarray, counts: np.ndarray, table, k: int) -> ClusterModel:
-    """The K-cluster optimum read back from the split table."""
-    starts = [values.size]
-    for split in reversed(table[:k - 1]):
-        starts.append(split[starts[-1]])
-    starts = [0] + starts[:0:-1]
+def _model(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> ClusterModel:
+    """The clustering whose clusters start at these indices of the sorted distinct values."""
     e = _exponent(values)  # exact scaling: the sums cannot overflow
     scaled = np.ldexp(values, -e)
     means = np.add.reduceat(counts * scaled, starts) / np.add.reduceat(counts, starts)
-    labels = np.repeat(np.arange(k), np.diff(starts + [values.size]))
+    labels = np.repeat(np.arange(starts.size), np.diff(np.append(starts, values.size)))
     with np.errstate(over="ignore"):
         objective = np.ldexp(np.sum(counts * (scaled - means[labels]) ** 2), 2 * e)
-    return ClusterModel(k=k, centers=tuple(np.ldexp(means, e).tolist()),
+    return ClusterModel(k=starts.size, centers=tuple(np.ldexp(means, e).tolist()),
                         objective=float(objective))
+
+
+@np.errstate(invalid="ignore", divide="ignore")  # singleton clusters score 0 below
+def _run_silhouette(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> float:
+    """Mean silhouette of clusters that are runs of the sorted distinct values, in O(m).
+
+    A point's nearest other cluster is an adjacent run, and its mean distance
+    to a run wholly on one side is the gap to the run's nearer end plus the
+    mean's offset from that end: two non-negative terms, so no cancellation.
+    Distances within a run come from prefix sums of values centred on its mean.
+    """
+    ends = np.append(starts[1:], values.size)
+    label, j = np.repeat(np.arange(starts.size), ends - starts), np.arange(values.size)
+    y = np.ldexp(values, -_exponent(values))  # exact, and the score is a ratio
+    first, last, sizes = y[starts], y[ends - 1], np.add.reduceat(counts, starts)
+    above_first = np.add.reduceat(counts * (y - first[label]), starts) / sizes
+    below_last = np.add.reduceat(counts * (last[label] - y), starts) / sizes
+    z = (y - first[label]) - above_first[label]
+    w, s = (np.concatenate(([0], np.cumsum(a))) for a in (counts, counts * z))
+    lo, hi = starts[label], ends[label]
+    a = (z * (2 * w[j] + counts - w[lo] - w[hi]) + s[lo] + s[hi] - s[j] - s[j + 1]) / (
+        sizes[label] - 1)
+    b = np.minimum(y - np.append(-np.inf, last[:-1])[label] + np.append(0, below_last[:-1])[label],
+                   np.append(first[1:], np.inf)[label] - y + np.append(above_first[1:], 0)[label])
+    scores = np.where(sizes[label] == 1, 0.0, (b - a) / np.maximum(a, b))
+    return float(counts @ scores) / float(counts.sum())
 
 
 def kmeans(points: Sequence[float], k: int, seed: int = 0) -> ClusterModel:
@@ -173,14 +201,16 @@ def kmeans(points: Sequence[float], k: int, seed: int = 0) -> ClusterModel:
         raise DomainError("k must be >= 1")
     if pts.size < k:
         raise DomainError(f"need at least {k} points, got {pts.size}")
-    return _model(*_optimal_splits(pts, k), k)
+    values, counts, starts = _optimal_splits(pts, k)
+    return _model(values, counts, starts[k])
 
 
 def silhouette(points: Sequence[float], assignments: Sequence[int]) -> float:
-    """Mean silhouette coefficient; singleton-cluster points score 0.
+    """Mean silhouette coefficient of any labelling; singleton-cluster points score 0.
 
     Summed distances to each cluster come from its sorted prefix sums, in
-    O(n C log n) time and O(n C) memory for C clusters.
+    O(n C log n) time and O(n C) memory for C clusters.  ``select_k`` does
+    not call it: its clusters are contiguous runs, scored in O(m) per K.
     """
     pts = np.asarray(points, dtype=float)
     labels = np.asarray(assignments, dtype=int)
@@ -230,17 +260,16 @@ def select_k(points: Sequence[float], k_range: Sequence[int], seed: int = 0) -> 
     """Silhouette sweep over candidate cluster counts; ties go to smaller K.
 
     One dynamic-programming pass up to the largest K gives the optimal
-    clustering for every K.  ``seed`` is accepted for compatibility and
-    ignored.
+    clustering for every K, as runs of the m sorted distinct values; each
+    K's silhouette is read from its runs in O(m), with no per-point labels
+    and no per-cluster sort.  ``seed`` is accepted for compatibility and ignored.
     """
     pts = np.asarray(points, dtype=float)
     ks = sorted(set(int(k) for k in k_range))
     if not ks or ks[0] < 2 or ks[-1] > pts.size - 1:
         raise DomainError(f"k_range must lie within [2, {pts.size - 1}]")
-    splits = _optimal_splits(pts, ks[-1])
-    table = {
-        k: silhouette(pts, assign_points(pts, _model(*splits, k).centers)) for k in ks
-    }
+    values, counts, starts = _optimal_splits(pts, ks[-1])
+    table = {k: _run_silhouette(values, counts, starts[k]) for k in ks}
     best_k = max(ks, key=lambda k: (table[k], -k))
     return KSelection(best_k=best_k, silhouette_by_k=table)
 

@@ -31,6 +31,7 @@ from fairway.io_store import (
     save_model,
     serialize_document,
 )
+from fairway.regression import FitReport
 from fairway.service import make_server
 from fairway.traffic_state import StateBands
 
@@ -320,6 +321,43 @@ class TestStatsAndScalars:
         assert "g_min 15.000" in out
 
 
+class TestCsvNotUtf8:
+    """Every command that reads a CSV exits 2 naming the file that holds a non-UTF-8 byte."""
+
+    COMMANDS = {
+        "tracks_derive_tracks": ["tracks", "derive", "--tracks", "{bad}", "--meta", "{meta}",
+                                 "--out-dir", "{out}"],
+        "tracks_derive_meta": ["tracks", "derive", "--tracks", "{speeds}", "--meta", "{bad}",
+                               "--out-dir", "{out}"],
+        "fit_speed_gap": ["fit", "speed-gap", "--input", "{bad}"],
+        "fit_fd": ["fit", "fd", "--form", "greenshields", "--input", "{bad}"],
+        "stats_summary": ["stats", "summary", "--input", "{bad}", "--column", "speed_kmh"],
+        "economic_speed": ["economic-speed", "--loaded", "{speeds}", "--empty", "{bad}"],
+        "minimums": ["minimums", "--speeds", "{speeds}", "--gaps", "{bad}"],
+        "states_train": ["states", "train", "--speeds", "{bad}"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, name):
+        meta_columns = ["run_id", "fleet_position", "length_m", "locator_offset_m", "load_state"]
+        header = meta_columns + ["t_seconds", "x_m", "y_m", "gap_m", "speed_kmh", "density_vpkm"]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes((",".join(header) + "\n"
+                         + "r1,1,85.0,12.0,loaded,0,200.0,0.0,60.0,9.0,3.0\n"
+                         + "r1,2,90.0,10.0,loaded,0,50.0,0.0,60.0,9.0,3.0\n").encode()
+                        + b"r1,3,85.0,12.0,\xff,1,202.5,0.0,61.0,9.5,3.1\n")
+        files = {"bad": str(bad), "out": str(tmp_path / "out"),
+                 "speeds": write_csv(tmp_path / "speeds.csv", ["speed_kmh"], [(9.0,), (10.0,)]),
+                 "meta": write_csv(tmp_path / "meta.csv", meta_columns,
+                                   [("r1", 1, 85.0, 12.0, "loaded"),
+                                    ("r1", 2, 90.0, 10.0, "loaded")])}
+        argv = [arg.format(**files) for arg in self.COMMANDS[name]]
+        assert cli.main(argv) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: not UTF-8 text: byte 0xff (invalid start byte)\n"
+
+
 class TestStates:
     def blob_speeds_csv(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -406,6 +444,31 @@ class TestStates:
                          "--model", str(path)]) == cli.EXIT_DATA
         captured = capsys.readouterr()
         assert captured.out == "" and "malformed model document" in captured.err
+
+
+class TestBadFitSection:
+    """A model document whose fit section is not a fit exits 2 in every command reading it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["states", "classify", "--flow", "30", "--density", "3"],
+        ["emit", "curve", "--k-min", "1", "--k-max", "10", "--step", "1", "--out", "curve.csv"],
+    ], ids=["states_classify", "emit_curve"])
+    @pytest.mark.parametrize("field, value", [
+        ("n_points", math.nan), ("n_points", 40.0), ("family", "quadratic"),
+        ("fit_space", ["original"]),
+    ])
+    def test_exits_with_data_error(self, tmp_path, capsys, monkeypatch, argv, field, value):
+        fit = FitReport(family="greenshields", a=0.7634, b=11.817, r_squared=0.9, n_points=40,
+                        fit_space="original")
+        raw = document_to_dict(ModelDocument(fd=GREENSHIELDS, fit=fit,
+                                             bands=StateBands(boundaries=STATE_BOUNDARIES)))
+        raw["fit"][field] = value
+        (tmp_path / "model.json").write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv + ["--model", "model.json"]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and field in captured.err
+        assert not (tmp_path / "curve.csv").exists()
 
 
 class TestServe:

@@ -355,6 +355,14 @@ class TestEstimateBreakpoint:
         # A candidate below every density leaves no plateau sample, so its error is finite.
         assert estimate_breakpoint(samples, 1e308, [0.1, 2.0, 3.0], form=form) == 0.1
 
+    @pytest.mark.parametrize("form", PIECEWISE)
+    def test_constant_branch_is_degenerate(self, form):
+        """Speeds clipped to one value beyond k1 fit a slope of exactly 0: no positive c1."""
+        samples = [FlowSample.from_density_speed(k, 10.5 if k <= 4.0 else 0.05) for k in K_GRID]
+        with pytest.raises(InsufficientDataError):
+            estimate_breakpoint(samples, 10.5, [5.0], form=form)
+        assert estimate_breakpoint(samples, 10.5, [3.0, 5.0], form=form) == 3.0
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_non_finite_candidate_rejected(self, bad):
         truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)
@@ -367,20 +375,31 @@ class TestEstimateBreakpoint:
         with pytest.raises(DomainError):
             estimate_breakpoint(samples_from(truth, K_GRID), v_f, [3.0, 4.0])
 
-    def test_one_prediction_call_per_candidate(self, monkeypatch):
-        calls = []
-        real = fundamental_diagram.speed_at_density
-
-        def counting(model, k):
-            calls.append(np.ndim(k))
-            return real(model, k)
-
-        monkeypatch.setattr(fundamental_diagram, "speed_at_density", counting)
+    def test_never_evaluates_one_sample_at_a_time(self, monkeypatch):
+        """Candidates are scored on whole columns, with no model fit or prediction call."""
         truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)
-        samples = samples_from(truth, [0.01 * i for i in range(1, 1201)])
+        ks = [0.01 * i for i in range(1, 1201)]
+        samples = samples_from(truth, ks)
+        sizes, calls = [], []
+        real_family = fundamental_diagram._family
+
+        def counting_family(name):
+            spec = real_family(name)
+
+            def curve(a, b, k):
+                sizes.append(np.size(k))
+                return spec.curve(a, b, k)
+
+            return spec._replace(curve=curve)
+
+        monkeypatch.setattr(fundamental_diagram, "_family", counting_family)
+        for name in ("speed_at_density", "predict", "fit_curve", "_fit_branch"):
+            monkeypatch.setattr(fundamental_diagram, name,
+                                lambda *args, name=name: calls.append(name))
         candidates = [float(c) for c in range(1, 11)]
         assert estimate_breakpoint(samples, 10.5, candidates) == 4.0
-        assert calls == [1] * len(candidates)
+        assert calls == []
+        assert sizes == [len(ks)] * len(candidates)
 
     @given(seed=st.integers(0, 2**32 - 1), form=st.sampled_from(PIECEWISE),
            n_candidates=st.integers(1, 40))

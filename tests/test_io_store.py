@@ -14,12 +14,16 @@ from hypothesis import strategies as st
 from fairway import io_store
 from fairway.errors import DomainError, FairwayError, ParseError, SchemaVersionError
 from fairway.fundamental_diagram import (
+    ALL_FORMS,
     CharacteristicParams,
     FdModel,
     derive_characteristics,
     speed_at_density,
 )
 from fairway.io_store import (
+    META_COLUMNS,
+    SURVEILLANCE_COLUMNS,
+    TRACK_COLUMNS,
     ModelDocument,
     document_from_dict,
     document_to_dict,
@@ -34,7 +38,7 @@ from fairway.io_store import (
     save_model,
     serialize_document,
 )
-from fairway.regression import FitReport
+from fairway.regression import FAMILIES, FitReport
 from fairway.traffic_state import StateBands
 from fairway.trajectory import fleet_flow_samples
 
@@ -501,6 +505,20 @@ class TestReadColumns:
         with pytest.raises(ParseError, match=rf"kv\.csv:3:speed_kmh: {message}"):
             read_columns(path, "gap_m", "speed_kmh")
 
+    @pytest.mark.parametrize("load", [
+        lambda path: read_columns(path, "speed_kmh"), load_vessel_meta,
+        lambda path: load_tracks(path, {}), load_surveillance,
+    ], ids=["read_columns", "load_vessel_meta", "load_tracks", "load_surveillance"])
+    @pytest.mark.parametrize("rows_before", [0, 20_000])  # in the first block, or past it
+    def test_non_utf8_byte_names_the_file(self, tmp_path, load, rows_before):
+        columns = sorted({"speed_kmh", *TRACK_COLUMNS, *META_COLUMNS, *SURVEILLANCE_COLUMNS})
+        path = tmp_path / "bad.csv"
+        path.write_bytes(",".join(columns).encode() + b"\n"
+                         + (",".join("1" * len(columns)).encode() + b"\n") * rows_before
+                         + b"\xff\n")
+        with pytest.raises(ParseError, match=r"bad\.csv: not UTF-8 text: byte 0xff"):
+            load(path)
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -508,6 +526,14 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
                                                                 max_size=4),
     max_leaves=8)
+
+FIT_NAMES = FAMILIES + ALL_FORMS + ("original", "transformed")
+# What a model document's fit section accepts in its fields that are not measurements.
+FIT_RULES = {
+    "n_points": lambda v: type(v) is int and 2 <= v < 2 ** 63,
+    "family": lambda v: v in FAMILIES + ALL_FORMS,
+    "fit_space": lambda v: v in ("original", "transformed"),
+}
 
 
 def has_boolean(value) -> bool:
@@ -670,7 +696,7 @@ class TestModelDocument:
         target = {None: raw, "boundaries": raw["bands"]["boundaries"]}.get(place, raw.get(place))
         key = data.draw(st.sampled_from(range(3) if place == "boundaries"
                                         else sorted(target) + ["colour"]), label="key")
-        value = data.draw(JSON_VALUES, label="value")
+        value = data.draw(JSON_VALUES | st.sampled_from(FIT_NAMES), label="value")
         target[key] = value
         with tempfile.TemporaryDirectory() as tmp:
             path = write(Path(tmp), "model.json", json.dumps(raw))
@@ -683,6 +709,8 @@ class TestModelDocument:
         assert doc is None or isinstance(doc, ModelDocument)
         if has_boolean(value):
             assert doc is None
+        if place == "fit" and key in FIT_RULES:
+            assert (doc is not None) == FIT_RULES[key](value)
 
     def test_json_text_is_strict(self):
         assert json_text({"b": 1.5, "a": [2]}) == '{"a": [2], "b": 1.5}'

@@ -55,13 +55,20 @@ def reference_predict(family, a, b, x):
     return out if out.ndim else float(out)
 
 
+def reference_line(fx, fy):
+    """Least-squares (slope, intercept) by the closed form, x centred, y from its first value."""
+    dx, dy = fx - fx.mean(), fy - fy[0]
+    slope = float(dx @ dy) / float(dx @ dx)
+    return slope, float(fy.mean()) - slope * float(fx.mean())
+
+
 def reference_fit(family, x, y, original_space_r2):
     """(a, b, R^2, fit_space) from each family's own straight-line fit."""
     fx = np.log(x) if family in ("logarithmic", "power") else x
     if family in ("linear", "logarithmic"):
-        a, b = (float(c) for c in np.polyfit(fx, y, 1))
+        a, b = reference_line(fx, y)
         return a, b, r_squared(y, reference_predict(family, a, b, x)), "original"
-    slope, intercept = (float(c) for c in np.polyfit(fx, np.log(y), 1))
+    slope, intercept = reference_line(fx, np.log(y))
     a, b = math.exp(intercept), slope
     if original_space_r2:
         return a, b, r_squared(y, reference_predict(family, a, b, x)), "original"
@@ -196,6 +203,13 @@ class TestFitCurve:
         assert report.a == pytest.approx(0.0, abs=1e-12)
         assert report.b == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_constant_y_has_slope_exactly_zero(self, family):
+        """Not a rounding residue whose sign decides a positivity check downstream."""
+        pts = [(x, 0.05) for x in np.linspace(4.1, 11.9, 19)]
+        report = fit_curve(family, pts)
+        assert (report.b if family in ("exponential", "power") else report.a) == 0.0
+
     @pytest.mark.parametrize(
         "family,a,b",
         [row for rows in SPEED_GAP_FITS.values() for row in rows],
@@ -223,6 +237,18 @@ class TestFitCurve:
                            original_space_r2=original_space_r2)
         assert (report.a, report.b, report.r_squared, report.fit_space) == \
             reference_fit(family, x, y, original_space_r2)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           spread=st.sampled_from([1e-6, 1.0, 1e6]))
+    @settings(max_examples=200)
+    def test_closed_form_line_agrees_with_polyfit(self, seed, n, spread):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.5, 300.0, n) * spread
+        y = rng.uniform(-20.0, 20.0, n)
+        report = fit_curve("linear", np.column_stack((x, y)))
+        slope, intercept = np.polyfit(x, y, 1)
+        assert report.a == pytest.approx(slope, rel=1e-9, abs=1e-12 * 40 / spread)
+        assert report.b == pytest.approx(intercept, rel=1e-9, abs=1e-9)
 
     @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES))
     @settings(max_examples=200)

@@ -260,6 +260,28 @@ class TestSelectK:
         pts = np.random.default_rng(2).uniform(0, 10, 30)
         assert select_k(pts, [3], seed=0).best_k == 3
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, -996, 1020]))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_k_reference(self, seed, top_exponent):
+        """Each K's silhouette is that of the K-means labels; duplicates, singletons, extremes."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 150))
+        modes = rng.uniform(1, 20, int(rng.integers(1, 8)))
+        pts = rng.choice(modes, n) + rng.normal(0, rng.uniform(0.01, 3), n)
+        repeat = rng.random(n) < rng.uniform(0, 0.7)  # forced duplicate values
+        pts[repeat] = rng.choice(pts, int(repeat.sum()))
+        far = rng.random(n) < 0.05  # far-off values, often singleton clusters
+        pts[far] += rng.uniform(50, 500, int(far.sum()))
+        # Exact power-of-two scaling: the largest magnitude lands near 1, 1e-300 or 1e307.
+        pts = np.ldexp(pts, top_exponent - int(np.frexp(np.abs(pts).max())[1]))
+        ks = range(2, min(9, np.unique(pts).size, n - 1) + 1)
+        reference = {k: silhouette(pts, assign_points(pts, kmeans(pts, k).centers)) for k in ks}
+        if not reference:
+            return
+        selection = select_k(pts, ks)
+        assert selection.silhouette_by_k == pytest.approx(reference, rel=0, abs=1e-12)
+        assert selection.best_k == max(ks, key=lambda k: (reference[k], -k))
+
     def test_twenty_thousand_speeds(self):
         rng = np.random.default_rng(3)
         pts = np.concatenate([rng.normal(c, 0.3, 5000) for c in (4.5, 6.5, 8.3, 10.5)])
