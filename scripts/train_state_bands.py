@@ -18,12 +18,7 @@ import numpy as np
 
 from fairway.cli import K_RANGE
 from fairway.io_store import ModelDocument, save_model
-from fairway.traffic_state import (
-    bands_from_clusters,
-    classify_flow_density,
-    kmeans,
-    select_k,
-)
+from fairway.traffic_state import bands_from_clusters, classify_flow_density, select_k
 
 MODES = (4.5, 6.5, 8.3, 10.5)  # km/h, one per congestion level
 DEMO_QUERIES = [(30.0, 3.0), (42.0, 7.0), (20.0, 4.0), (33.0, 4.0)]
@@ -50,9 +45,8 @@ def main():
     if selection.best_k != 4:
         raise SystemExit(f"expected K=4 for four-level bands, got {selection.best_k}")
 
-    model = kmeans(speeds, 4)
-    bands = bands_from_clusters(model)
-    print(f"\ncluster centers: {', '.join(f'{c:.3f}' for c in model.centers)} km/h")
+    bands = bands_from_clusters(selection.model)
+    print(f"\ncluster centers: {', '.join(f'{c:.3f}' for c in selection.model.centers)} km/h")
     print(f"band boundaries: {', '.join(f'{b:.3f}' for b in bands.boundaries)} km/h\n")
 
     print(f"{'flow':>6} {'density':>8} {'speed':>7}  state / color")

@@ -50,21 +50,23 @@ def _fmt(x) -> str:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fairway", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers()
 
-    tracks = sub.add_parser("tracks", help="trajectory-derived series").add_subparsers(dest="sub")
+    tracks = sub.add_parser("tracks", help="trajectory-derived series").add_subparsers()
     p = tracks.add_parser("derive", help="tracks -> speed/gap/flow-sample CSVs")
     p.add_argument("--tracks", required=True)
     p.add_argument("--meta", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--delta-t", type=float, default=1.0)
+    p.set_defaults(run=_cmd_tracks_derive)
 
-    fit = sub.add_parser("fit", help="curve and diagram fitting").add_subparsers(dest="sub")
+    fit = sub.add_parser("fit", help="curve and diagram fitting").add_subparsers()
     p = fit.add_parser("speed-gap", help="rank the four speed-gap curve families")
     p.add_argument("--input", required=True, help="CSV with gap_m,speed_kmh")
     p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--raw", action="store_true", help="fit raw points, skip binning")
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_fit_speed_gap)
     p = fit.add_parser("fd", help="fit a fundamental-diagram form")
     p.add_argument("--form", required=True, choices=fd.ALL_FORMS)
     p.add_argument("--input", required=True, help="CSV with density_vpkm,speed_kmh")
@@ -73,46 +75,54 @@ def build_parser() -> _Parser:
     p.add_argument("--v-min", type=float, default=2.65, help="minimum speed, km/h (default: %(default)s)")
     p.add_argument("--raw", action="store_true", help="fit raw points, skip binning")
     p.add_argument("--out", help="write a model document JSON")
+    p.set_defaults(run=_cmd_fit_fd)
 
-    stats = sub.add_parser("stats", help="distribution summaries").add_subparsers(dest="sub")
+    stats = sub.add_parser("stats", help="distribution summaries").add_subparsers()
     p = stats.add_parser("summary", help="p15/median/p85/mean of one column")
     p.add_argument("--input", required=True)
     p.add_argument("--column", required=True)
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_stats_summary)
 
     p = sub.add_parser("economic-speed", help="median speed per load class")
     p.add_argument("--loaded", required=True, help="CSV with speed_kmh")
     p.add_argument("--empty", required=True, help="CSV with speed_kmh")
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_economic_speed)
 
     p = sub.add_parser("minimums", help="tail-quantile minimum speed and gap")
     p.add_argument("--speeds", required=True, help="CSV with speed_kmh")
     p.add_argument("--gaps", required=True, help="CSV with gap_m")
     p.add_argument("--tail", type=float, default=0.001, help="tail quantile (default: %(default)s)")
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_minimums)
 
-    states = sub.add_parser("states", help="traffic-state training/classification").add_subparsers(dest="sub")
+    states = sub.add_parser("states", help="traffic-state training/classification").add_subparsers()
     p = states.add_parser("train", help="select K by silhouette and build bands")
     p.add_argument("--speeds", required=True, help="CSV with speed_kmh")
     p.add_argument("--out", help="write a model document with state bands")
+    p.set_defaults(run=_cmd_states_train)
     p = states.add_parser("classify", help="classify one (flow, density) observation")
     p.add_argument("--flow", type=float, required=True)
     p.add_argument("--density", type=float, required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_states_classify)
 
-    emit = sub.add_parser("emit", help="plot-ready exports").add_subparsers(dest="sub")
+    emit = sub.add_parser("emit", help="plot-ready exports").add_subparsers()
     p = emit.add_parser("curve", help="sample k,v,q over a density grid")
     p.add_argument("--model", required=True)
     p.add_argument("--k-min", type=float, required=True)
     p.add_argument("--k-max", type=float, required=True)
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--out", required=True, dest="csv_out", help="k,v,q CSV to write")
+    p.set_defaults(run=_cmd_emit_curve)
 
     p = sub.add_parser("serve", help="run the classification HTTP service")
     p.add_argument("--model", required=True)
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--host", default="0.0.0.0")
+    p.set_defaults(run=_cmd_serve)
 
     return parser
 
@@ -244,8 +254,7 @@ def _cmd_states_train(args) -> dict:
             f"silhouette selected K={selection.best_k}; state bands need K=4 "
             "(four-level classification)"
         )
-    model = traffic_state.kmeans(speeds, 4)
-    bands = traffic_state.bands_from_clusters(model)
+    bands = traffic_state.bands_from_clusters(selection.model)
     print("boundaries " + "  ".join(_fmt(b) for b in bands.boundaries))
     doc = io_store.ModelDocument(
         bands=bands, created_utc=datetime.now(timezone.utc).isoformat(),
@@ -281,20 +290,6 @@ def _cmd_serve(args) -> dict:
     return {}
 
 
-_DISPATCH = {
-    ("tracks", "derive"): _cmd_tracks_derive,
-    ("fit", "speed-gap"): _cmd_fit_speed_gap,
-    ("fit", "fd"): _cmd_fit_fd,
-    ("stats", "summary"): _cmd_stats_summary,
-    ("economic-speed", None): _cmd_economic_speed,
-    ("minimums", None): _cmd_minimums,
-    ("states", "train"): _cmd_states_train,
-    ("states", "classify"): _cmd_states_classify,
-    ("emit", "curve"): _cmd_emit_curve,
-    ("serve", None): _cmd_serve,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -302,12 +297,12 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    handler = _DISPATCH.get((args.command, getattr(args, "sub", None)))
-    if handler is None:
+    run = getattr(args, "run", None)  # unset without a command or a group's subcommand
+    if run is None:
         print(parser.format_usage(), file=sys.stderr)
         return EXIT_USAGE
     try:
-        payload = handler(args)
+        payload = run(args)
         out = getattr(args, "out", None)
         if out:
             Path(out).write_text(io_store.json_text(payload, indent=2) + "\n", encoding="utf-8")

@@ -384,7 +384,7 @@ def document_from_dict(raw: dict) -> ModelDocument:
         v_min=raw.get("v_min"),
         characteristics=(CharacteristicParams(**{"v_f": None, **raw["characteristics"]})
                          if "characteristics" in raw else None),
-        bands=StateBands(boundaries=tuple(raw["bands"]["boundaries"])) if "bands" in raw else None,
+        bands=StateBands(**raw["bands"]) if "bands" in raw else None,
         fit=FitReport(**raw["fit"]) if "fit" in raw else None,
         created_utc=raw.get("created_utc"),
     )

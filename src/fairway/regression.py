@@ -9,9 +9,8 @@ transformed before the straight-line fit, and the curve in (a, b).
     power        v = a*x^b         fitted as ln(y) on ln(x), a = e^intercept
 
 ``predict`` and ``fit_curve`` read the table.  Log-linearised families
-report R^2 in the transformed space by default (``fit_space=
-"transformed"``), switchable to the original space; the others always
-report it in the original space.
+report R^2 in the transformed space (``fit_space="transformed"``), the
+others in the original space.
 
 Points are (x, y) pairs: a sequence of pairs or an (n, 2) array.
 """
@@ -166,11 +165,7 @@ def _line(family: str, fx: np.ndarray, fy: np.ndarray) -> tuple[float, float, fl
 
 
 @np.errstate(all="ignore")  # FitReport rejects a result that is not finite
-def fit_curve(
-    family: str,
-    points: Sequence[tuple[float, float]],
-    original_space_r2: bool = False,
-) -> FitReport:
+def fit_curve(family: str, points: Sequence[tuple[float, float]]) -> FitReport:
     """Least-squares fit of one family; log-linearized for exponential/power."""
     spec = _family(family)
     x, y = _columns(points)
@@ -185,7 +180,7 @@ def fit_curve(
     fy = np.log(y) if spec.log_y else y
 
     a, b, slope, intercept = _line(family, fx, fy)
-    if spec.log_y and not original_space_r2:
+    if spec.log_y:
         fit_space, obs, est = "transformed", fy, intercept + slope * fx
     else:
         fit_space, obs, est = "original", y, spec.curve(a, b, x)
@@ -198,10 +193,7 @@ def fit_curve(
     return FitReport(family=family, a=a, b=b, r_squared=r2, n_points=len(x), fit_space=fit_space)
 
 
-def rank_families(
-    points: Sequence[tuple[float, float]],
-    original_space_r2: bool = False,
-) -> list[FitReport]:
+def rank_families(points: Sequence[tuple[float, float]]) -> list[FitReport]:
     """Fit all four families and sort by descending R^2 (stable family order on ties).
 
     Families whose domain preconditions fail are excluded and logged.
@@ -209,7 +201,7 @@ def rank_families(
     reports = []
     for family in FAMILIES:
         try:
-            reports.append(fit_curve(family, points, original_space_r2=original_space_r2))
+            reports.append(fit_curve(family, points))
         except (DomainError, DegenerateFitError) as exc:
             log.warning("family %s excluded from ranking: %s", family, exc)
     reports.sort(key=lambda r: -r.r_squared)  # stable: ties keep the FAMILIES order

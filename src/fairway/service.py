@@ -35,15 +35,25 @@ def make_server(doc: ModelDocument, port: int, host: str = "127.0.0.1") -> Threa
         def log_message(self, fmt, *args):  # quiet by default
             pass
 
-        def _send(self, status: int, body: bytes) -> None:
+        def _send(self, status: int, body: bytes, close: bool = False) -> None:
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if close:
+                self.send_header("Connection", "close")
             self.end_headers()
-            self.wfile.write(body)
+            if self.command != "HEAD":  # HEAD is unsupported: only its error reply lands here
+                self.wfile.write(body)
 
-        def _send_json(self, status: int, obj) -> None:
-            self._send(status, json.dumps(obj, separators=(",", ":"), allow_nan=False).encode())
+        def _send_json(self, status: int, obj, close: bool = False) -> None:
+            self._send(status, json.dumps(obj, separators=(",", ":"), allow_nan=False).encode(),
+                       close)
+
+        def send_error(self, code, message=None, explain=None):
+            """http.server's own rejections (bad request line, unsupported method) as JSON."""
+            if self.request_version == "HTTP/0.9":  # no readable version: not a headerless reply
+                self.request_version = self.protocol_version
+            self._send_json(code, {"error": message or self.responses[code][0]}, close=True)
 
         def do_GET(self):
             url = urlparse(self.path)

@@ -29,19 +29,14 @@ class TrafficState(enum.Enum):
     @property
     def severity(self) -> int:
         """3 = severely congested ... 0 = smooth."""
-        return 3 - _STATE_ORDER.index(self)
+        return 3 - _STATES.index(self)
 
     @property
     def color(self) -> str:
         return _STATE_COLORS[self]
 
 
-_STATE_ORDER = [
-    TrafficState.SEVERELY_CONGESTED,
-    TrafficState.CONGESTED,
-    TrafficState.SLOW,
-    TrafficState.SMOOTH,
-]
+_STATES = tuple(TrafficState)  # worst to best, in definition order
 
 _STATE_COLORS = {
     TrafficState.SEVERELY_CONGESTED: "dark_red",
@@ -70,10 +65,10 @@ class ClusterModel:
 class StateBands:
     """Three ascending speed thresholds in (0, inf) partitioning it into four states."""
 
-    boundaries: tuple[float, float, float]  # km/h
+    boundaries: tuple[float, float, float]  # km/h; any sequence is stored as a tuple
 
     def __post_init__(self):
-        b = self.boundaries
+        object.__setattr__(self, "boundaries", b := tuple(self.boundaries))
         if len(b) != 3 or not (0 < b[0] < b[1] < b[2] < math.inf):
             raise DomainError(f"boundaries must be 3 ascending values in (0, inf), got {b}")
 
@@ -254,6 +249,7 @@ def silhouette(points: Sequence[float], assignments: Sequence[int]) -> float:
 class KSelection:
     best_k: int
     silhouette_by_k: dict[int, float]
+    model: ClusterModel  # kmeans(points, best_k): a K's DP row does not depend on larger K
 
 
 def select_k(points: Sequence[float], k_range: Sequence[int], seed: int = 0) -> KSelection:
@@ -261,8 +257,8 @@ def select_k(points: Sequence[float], k_range: Sequence[int], seed: int = 0) -> 
 
     One dynamic-programming pass up to the largest K gives the optimal
     clustering for every K, as runs of the m sorted distinct values; each
-    K's silhouette is read from its runs in O(m), with no per-point labels
-    and no per-cluster sort.  ``seed`` is accepted for compatibility and ignored.
+    K's silhouette is read from its runs in O(m), and the selected K's model
+    from the same pass.  ``seed`` is accepted for compatibility and ignored.
     """
     pts = np.asarray(points, dtype=float)
     ks = sorted(set(int(k) for k in k_range))
@@ -271,7 +267,7 @@ def select_k(points: Sequence[float], k_range: Sequence[int], seed: int = 0) -> 
     values, counts, starts = _optimal_splits(pts, ks[-1])
     table = {k: _run_silhouette(values, counts, starts[k]) for k in ks}
     best_k = max(ks, key=lambda k: (table[k], -k))
-    return KSelection(best_k=best_k, silhouette_by_k=table)
+    return KSelection(best_k, table, _model(values, counts, starts[best_k]))
 
 
 def bands_from_clusters(model: ClusterModel) -> StateBands:
@@ -286,7 +282,7 @@ def classify_speed(bands: StateBands, v: float) -> TrafficState:
     """Map a positive speed to its band; upper bounds inclusive except smooth."""
     if not 0 < v < math.inf:
         raise DomainError(f"speed must be positive and finite, got {v}")
-    return _STATE_ORDER[bisect_left(bands.boundaries, v)]
+    return _STATES[bisect_left(bands.boundaries, v)]
 
 
 def classify_flow_density(

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import socket
 import subprocess
 import sys
 import tempfile
@@ -81,7 +82,9 @@ class TestUsage:
         assert result.stdout.strip() == "False"
 
     def test_bare_group_command(self, capsys):
-        assert cli.main(["fit"]) == cli.EXIT_USAGE
+        for group in ("tracks", "fit", "stats", "states", "emit"):
+            assert cli.main([group]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.count("usage: fairway") == 5
 
     def test_config_option_is_gone(self, tmp_path, capsys):
         path = density_speed_csv(tmp_path, GREENSHIELDS, [1, 2, 3, 4])
@@ -944,6 +947,33 @@ class TestService:
     def test_unknown_path(self, server_url):
         url, _ = server_url
         assert requests.get(f"{url}/nothing", timeout=5).status_code == 404
+
+    @pytest.mark.parametrize("request_head, status", [
+        (b"POST /state?flow=42&density=7 HTTP/1.1\r\nContent-Length: 0", 501),
+        (b"PUT /health HTTP/1.1", 501),
+        (b'GET /health HTTP/"1', 400),
+        (b"GET /health HTTP/2.0", 505),
+        (b"BREW", 400),
+        (b"HEAD /health HTTP/1.1", 501),
+    ])
+    def test_rejected_requests_get_json_and_a_close(self, server_url, request_head, status):
+        """http.server's own rejections answer JSON, never its HTML page, then close."""
+        parts = urlsplit(server_url[0])
+        with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+            sock.sendall(request_head + b"\r\nHost: x\r\n\r\n")
+            reply = b"".join(iter(lambda: sock.recv(65536), b""))  # EOF: the server closed
+        head, _, body = reply.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        assert status_line.startswith(f"HTTP/1.1 {status} ")
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+        if request_head.startswith(b"HEAD"):
+            assert body == b""
+        else:
+            assert int(headers["Content-Length"]) == len(body)
+            error = json.loads(body, parse_constant=lambda name: pytest.fail(name))["error"]
+            assert isinstance(error, str) and error
 
     def test_requires_bands(self):
         from fairway.errors import DomainError

@@ -630,7 +630,7 @@ class TestModelDocument:
         with pytest.raises(DomainError, match="finite"):
             load_model(path)
 
-    @pytest.mark.parametrize("section", ["model", "characteristics", "fit"])
+    @pytest.mark.parametrize("section", ["model", "characteristics", "fit", "bands"])
     def test_unknown_key_in_a_section_is_malformed(self, tmp_path, section):
         raw = document_to_dict(make_document())
         raw[section]["colour"] = "red"

@@ -62,17 +62,14 @@ def reference_line(fx, fy):
     return slope, float(fy.mean()) - slope * float(fx.mean())
 
 
-def reference_fit(family, x, y, original_space_r2):
+def reference_fit(family, x, y):
     """(a, b, R^2, fit_space) from each family's own straight-line fit."""
     fx = np.log(x) if family in ("logarithmic", "power") else x
     if family in ("linear", "logarithmic"):
         a, b = reference_line(fx, y)
         return a, b, r_squared(y, reference_predict(family, a, b, x)), "original"
     slope, intercept = reference_line(fx, np.log(y))
-    a, b = math.exp(intercept), slope
-    if original_space_r2:
-        return a, b, r_squared(y, reference_predict(family, a, b, x)), "original"
-    return a, b, r_squared(np.log(y), intercept + slope * fx), "transformed"
+    return math.exp(intercept), slope, r_squared(np.log(y), intercept + slope * fx), "transformed"
 
 
 class TestBinPoints:
@@ -226,17 +223,15 @@ class TestFitCurve:
         with pytest.raises(DomainError):
             fit_curve("exponential", [(1.0, -2.0), (3.0, 4.0)])
 
-    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES),
-           original_space_r2=st.booleans())
+    @given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(FAMILIES))
     @settings(max_examples=200)
-    def test_matches_per_family_reference(self, seed, family, original_space_r2):
+    def test_matches_per_family_reference(self, seed, family):
         rng = np.random.default_rng(seed)
         x = rng.uniform(0.5, 300.0, rng.integers(2, 40))
         y = rng.uniform(0.5, 20.0, x.size)
-        report = fit_curve(family, list(zip(x.tolist(), y.tolist())),
-                           original_space_r2=original_space_r2)
+        report = fit_curve(family, list(zip(x.tolist(), y.tolist())))
         assert (report.a, report.b, report.r_squared, report.fit_space) == \
-            reference_fit(family, x, y, original_space_r2)
+            reference_fit(family, x, y)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
            spread=st.sampled_from([1e-6, 1.0, 1e6]))
@@ -296,7 +291,6 @@ class TestFitCurve:
     def test_fit_space_flag(self):
         pts = noiseless("exponential", 5.0, 0.01, GAP_GRID)
         assert fit_curve("exponential", pts).fit_space == "transformed"
-        assert fit_curve("exponential", pts, original_space_r2=True).fit_space == "original"
 
     @given(st.floats(0.1, 10), st.integers(0, 1000))
     @settings(max_examples=50)

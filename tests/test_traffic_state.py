@@ -154,7 +154,9 @@ class TestKmeans:
             assert kmeans(speeds, k).centers == tuple(
                 c * 2.0 ** 1000 for c in kmeans(small, k).centers)
             assert kmeans(speeds, k).objective == np.inf
-        assert select_k(speeds, range(2, 10)) == select_k(small, range(2, 10))
+        big, scaled = select_k(speeds, range(2, 10)), select_k(small, range(2, 10))
+        assert (big.best_k, big.silhouette_by_k) == (scaled.best_k, scaled.silhouette_by_k)
+        assert big.model.centers == tuple(c * 2.0 ** 1000 for c in scaled.model.centers)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
@@ -281,6 +283,23 @@ class TestSelectK:
         selection = select_k(pts, ks)
         assert selection.silhouette_by_k == pytest.approx(reference, rel=0, abs=1e-12)
         assert selection.best_k == max(ks, key=lambda k: (reference[k], -k))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_model_is_kmeans_at_best_k(self, seed):
+        """The selected K's model comes from the sweep's own DP; duplicate-heavy inputs."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 150))
+        pts = rng.choice(rng.uniform(1, 20, int(rng.integers(1, 8))), n)
+        pts += rng.normal(0, rng.uniform(0.01, 3), n) * (rng.random(n) < rng.uniform(0, 0.5))
+        repeat = rng.random(n) < rng.uniform(0.3, 0.9)  # forced duplicate values
+        pts[repeat] = rng.choice(pts, int(repeat.sum()))
+        top = min(9, np.unique(pts).size, n - 1)
+        if top < 2:
+            return
+        ks = range(2, int(rng.integers(2, top + 1)) + 1)
+        selection = select_k(pts, ks)
+        assert selection.model == kmeans(pts, selection.best_k)
 
     def test_twenty_thousand_speeds(self):
         rng = np.random.default_rng(3)
