@@ -182,10 +182,10 @@ def _cmd_fit_speed_gap(args) -> dict:
     reports = regression.rank_families(points)
     if not reports:
         raise InsufficientDataError("every curve family was excluded from ranking")
-    print(f"{'family':<12} {'a':>10} {'b':>10} {'R^2':>8} {'n':>5}  space")
+    print(f"{'family':<12} {'a':>10} {'b':>10} {'R^2':>8} {'n':>5}")
     for r in reports:
         print(f"{r.family:<12} {_fmt(r.a):>10} {_fmt(r.b):>10} "
-              f"{_fmt(r.r_squared):>8} {r.n_points:>5}  {r.fit_space}")
+              f"{_fmt(r.r_squared):>8} {r.n_points:>5}")
     return {"families": [asdict(r) for r in reports]}
 
 
@@ -202,7 +202,7 @@ def _cmd_fit_fd(args) -> dict:
 
     print(f"form {model.form}  c1 {_fmt(model.c1)}  c2 {_fmt(model.c2)}"
           + (f"  v_f {_fmt(model.v_f)}  k1 {_fmt(model.k1)}" if model.is_piecewise else ""))
-    print(f"R^2 {_fmt(report.r_squared)} ({report.fit_space} space, n={report.n_points})")
+    print(f"R^2 {_fmt(report.r_squared)} (n={report.n_points})")
     print(f"v_f {_fmt(chars.v_f)}  v_m {_fmt(chars.v_m)}  k_m {_fmt(chars.k_m)}  "
           f"q_m {_fmt(chars.q_m)}  k_max {_fmt(chars.k_max)}  v_min {_fmt(chars.v_min)}")
 

@@ -33,7 +33,7 @@ from .errors import (
     InsufficientDataError,
     NoFeasibleDensityError,
 )
-from .regression import FitReport, _columns, _family, _line, fit_curve, predict, r_squared
+from .regression import FitReport, _columns, _family, _fit_r_squared, _line, fit_curve, predict
 from .trajectory import FiniteFields, FlowSample, FlowSamples
 
 CLASSICAL_FORMS = ("greenshields", "greenberg", "underwood")
@@ -224,12 +224,11 @@ def _density_speed(samples) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(samples.density, dtype=float), np.asarray(samples.mean_speed, dtype=float)
 
 
-def _fit_branch(form: str, ks: np.ndarray, vs: np.ndarray, k1=None, v_f=None):
-    """Fit the branch to the samples beyond k1 (all of them when k1 is None).
+def _fit_branch(form: str, ks: np.ndarray, vs: np.ndarray, k1, v_f) -> FdModel:
+    """The model with its branch fitted to the samples beyond k1 (all when k1 is None).
 
-    Returns the model, with the fit mapped onto signed coefficients, and the
-    regression report.  Raises InsufficientDataError below 2 branch samples
-    and DegenerateFitError when a coefficient comes out non-positive.
+    Raises InsufficientDataError below 2 branch samples and DegenerateFitError
+    when a coefficient comes out non-positive.
     """
     shape = _SHAPES[_FORM_SHAPE[form]]
     beyond = slice(None) if k1 is None else ks > k1
@@ -244,7 +243,7 @@ def _fit_branch(form: str, ks: np.ndarray, vs: np.ndarray, k1=None, v_f=None):
         raise DegenerateFitError(
             f"fitted {form} coefficients violate positivity: ({c1:.6g}, {c2:.6g})"
         )
-    return FdModel(form=form, c1=c1, c2=c2, v_f=v_f, k1=k1), report
+    return FdModel(form=form, c1=c1, c2=c2, v_f=v_f, k1=k1)
 
 
 def fit_fd(
@@ -257,9 +256,9 @@ def fit_fd(
     """Fit one model form to (density, mean_speed) samples.
 
     Classical forms reduce to a regression-module fit on (k, v).  Piecewise
-    forms fix the free branch at v_f, fit the non-free branch to samples with
-    k > k1 only, and report R^2 over all samples against the full piecewise
-    prediction.  k1 may be given directly or estimated from candidates.
+    forms fix the free branch at v_f and fit the branch to the samples beyond
+    k1, given or estimated from candidates.  Every form reports family=form,
+    a=c1, b=c2 and R^2 = 1 - SSE/SST of the speeds in km/h over all samples.
     """
     if form not in ALL_FORMS:
         raise DomainError(f"unknown model form {form!r}")
@@ -267,25 +266,17 @@ def fit_fd(
         raise InsufficientDataError("fitting needs at least 3 samples")
     ks, vs = _density_speed(samples)
     if form in CLASSICAL_FORMS:
-        return _fit_branch(form, ks, vs)
-
-    if not _finite_positive(v_f):
+        v_f = k1 = None
+    elif not _finite_positive(v_f):
         raise DomainError(f"piecewise fitting requires a finite v_f > 0, got {v_f}")
-    if k1 is None:
+    elif k1 is None:
         if not k1_candidates:
             raise DomainError("piecewise fitting requires k1 or k1_candidates")
         batch = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)  # converted once
         k1 = estimate_breakpoint(batch, v_f, k1_candidates, form=form)
-    model, _ = _fit_branch(form, ks, vs, k1, v_f)
-    report = FitReport(
-        family=form,
-        a=model.c1,
-        b=model.c2,
-        r_squared=r_squared(vs, speed_at_density(model, ks)),
-        n_points=len(ks),
-        fit_space="original",
-    )
-    return model, report
+    model = _fit_branch(form, ks, vs, k1, v_f)
+    r2 = _fit_r_squared(vs, speed_at_density(model, ks))
+    return model, FitReport(family=form, a=model.c1, b=model.c2, r_squared=r2, n_points=len(ks))
 
 
 @np.errstate(all="ignore")  # a candidate whose fit or error sum is not finite is skipped
@@ -322,7 +313,7 @@ def estimate_breakpoint(
         if np.count_nonzero(beyond) < 2:
             continue
         try:
-            a, b, _, _ = _line(shape.family, fx[beyond], fy[beyond])
+            a, b = _line(shape.family, fx[beyond], fy[beyond])
         except DegenerateFitError:
             continue
         if not (_finite_positive(shape.signs[0] * a) and _finite_positive(shape.signs[1] * b)):

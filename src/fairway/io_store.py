@@ -205,14 +205,14 @@ def _rejects(path, strict: bool, *column_errors: dict) -> tuple[RejectedRow, ...
     return found
 
 
-def read_columns(path, *columns: str) -> tuple[list[float], ...]:
-    """Finite float columns of a CSV, one list per named column, read in one pass.
+def read_columns(path, *columns: str) -> tuple[np.ndarray, ...]:
+    """Finite float64 columns of a CSV, one array per named column, read in one pass.
 
     Strict: the first bad cell raises ParseError naming path:line:column.
     """
     typed = _read_columns(path, columns, [float] * len(columns))
     _rejects(path, True, *(errors for _, errors in typed))
-    return tuple(values.tolist() for values, _ in typed)
+    return tuple(values for values, _ in typed)
 
 
 def load_vessel_meta(path, strict: bool = True) -> LoadResult:
@@ -368,7 +368,8 @@ def document_from_dict(raw: dict) -> ModelDocument:
     """The document's sections.
 
     TypeError on a section holding an unknown key, on true or false anywhere
-    (no field is boolean) and on a created_utc that is not a string.
+    (no field is boolean) and on a created_utc that is not a string.  A
+    legacy ``fit_space`` key in the fit section is dropped.
     """
     if _has_boolean(raw):
         raise TypeError("no field of a model document takes true or false")
@@ -379,13 +380,15 @@ def document_from_dict(raw: dict) -> ModelDocument:
         raise SchemaVersionError(
             f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}"
         )
+    fit = {**raw.get("fit", {})}  # TypeError when the section is not an object
+    fit.pop("fit_space", None)
     return ModelDocument(
         fd=FdModel(**raw["model"]) if "model" in raw else None,
         v_min=raw.get("v_min"),
         characteristics=(CharacteristicParams(**{"v_f": None, **raw["characteristics"]})
                          if "characteristics" in raw else None),
         bands=StateBands(**raw["bands"]) if "bands" in raw else None,
-        fit=FitReport(**raw["fit"]) if "fit" in raw else None,
+        fit=FitReport(**fit) if "fit" in raw else None,
         created_utc=raw.get("created_utc"),
     )
 

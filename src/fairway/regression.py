@@ -1,4 +1,4 @@
-"""Binning and four-family curve fitting with explained-variance R^2.
+"""Binning and four-family curve fitting.
 
 Each family is one row of ``_FAMILIES``: whether x and y are log-
 transformed before the straight-line fit, and the curve in (a, b).
@@ -8,9 +8,9 @@ transformed before the straight-line fit, and the curve in (a, b).
     exponential  v = a*e^(b*x)     fitted as ln(y) on x, a = e^intercept
     power        v = a*x^b         fitted as ln(y) on ln(x), a = e^intercept
 
-``predict`` and ``fit_curve`` read the table.  Log-linearised families
-report R^2 in the transformed space (``fit_space="transformed"``), the
-others in the original space.
+``predict`` and ``fit_curve`` read the table.  Every fit here and in
+``fundamental_diagram`` reports ``_fit_r_squared``, 1 - SSE/SST of y in its
+own units, so R^2 compares across families and forms and never exceeds 1.
 
 Points are (x, y) pairs: a sequence of pairs or an (n, 2) array.
 """
@@ -60,7 +60,6 @@ class FitReport:
     b: float
     r_squared: float
     n_points: int
-    fit_space: str  # "original" | "transformed"
 
     def __post_init__(self):
         from .fundamental_diagram import ALL_FORMS  # a diagram fit reports its form
@@ -69,8 +68,6 @@ class FitReport:
             raise DegenerateFitError(f"a fit needs integer n_points >= 2, got {self.n_points!r}")
         if self.family not in FAMILIES + ALL_FORMS:
             raise DomainError(f"unknown fit family {self.family!r}")
-        if self.fit_space not in ("original", "transformed"):
-            raise DomainError(f"fit_space must be original or transformed, got {self.fit_space!r}")
         if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.r_squared)):
             raise DegenerateFitError("non-finite fit result")
 
@@ -123,7 +120,10 @@ def bin_points(
 
 @np.errstate(all="ignore")  # a total that overflows raises below
 def r_squared(observed: Sequence[float], estimated: Sequence[float]) -> float:
-    """Explained over total sum of squares about the observed mean; needs a finite total > 0."""
+    """Explained over total sum of squares about the observed mean; needs a finite total > 0.
+
+    Acceptance criterion 9 pins this ratio; fits report ``_fit_r_squared`` instead.
+    """
     obs = np.asarray(observed, dtype=float)
     est = np.asarray(estimated, dtype=float)
     if obs.shape != est.shape or obs.size < 2:
@@ -135,8 +135,19 @@ def r_squared(observed: Sequence[float], estimated: Sequence[float]) -> float:
     return float(np.sum((est - mean) ** 2)) / sst
 
 
-def _line(family: str, fx: np.ndarray, fy: np.ndarray) -> tuple[float, float, float, float]:
-    """(a, b) of the family curve, and the (slope, intercept) of fy on fx behind them.
+@np.errstate(all="ignore")  # a residual sum that overflows makes R^2 -inf, which FitReport rejects
+def _fit_r_squared(y: np.ndarray, est: np.ndarray) -> float:
+    """1 - SSE/SST of y in its own units; constant y scores 1 for an exact fit, else 0."""
+    sst = float(np.sum((y - y.mean()) ** 2))  # of equal values, may be a rounding residue
+    if y.min() == y.max():  # a fitted constant such as e^(mean ln y) is exact only to rounding
+        return float(np.allclose(est, y, rtol=1e-12, atol=0))
+    if not 0 < sst < math.inf:
+        raise DomainError(f"R^2 undefined: observed series has variance sum {sst}")
+    return 1.0 - float(np.sum((y - est) ** 2)) / sst
+
+
+def _line(family: str, fx: np.ndarray, fy: np.ndarray) -> tuple[float, float]:
+    """(a, b) of the family curve from the least-squares line of fy on fx.
 
     Closed-form least squares, x centred and y measured from its first value,
     so constant y has a slope of exactly 0.  DegenerateFitError on columns
@@ -161,7 +172,7 @@ def _line(family: str, fx: np.ndarray, fy: np.ndarray) -> tuple[float, float, fl
         a, b = (math.exp(intercept), slope) if _family(family).log_y else (slope, intercept)
     except OverflowError:
         raise DegenerateFitError(f"{family} fit amplitude e^{intercept:.6g} overflows") from None
-    return a, b, slope, intercept
+    return a, b
 
 
 @np.errstate(all="ignore")  # FitReport rejects a result that is not finite
@@ -179,18 +190,9 @@ def fit_curve(family: str, points: Sequence[tuple[float, float]]) -> FitReport:
     fx = np.log(x) if spec.log_x else x
     fy = np.log(y) if spec.log_y else y
 
-    a, b, slope, intercept = _line(family, fx, fy)
-    if spec.log_y:
-        fit_space, obs, est = "transformed", fy, intercept + slope * fx
-    else:
-        fit_space, obs, est = "original", y, spec.curve(a, b, x)
-    # Constant observed data has no variance to explain: R^2 is 1 for an exact fit, else 0.
-    if float(np.sum((obs - obs.mean()) ** 2)) == 0.0:
-        r2 = float(np.allclose(est, obs, rtol=0, atol=1e-12))
-    else:
-        r2 = r_squared(obs, est)
-
-    return FitReport(family=family, a=a, b=b, r_squared=r2, n_points=len(x), fit_space=fit_space)
+    a, b = _line(family, fx, fy)
+    r2 = _fit_r_squared(y, spec.curve(a, b, x))
+    return FitReport(family=family, a=a, b=b, r_squared=r2, n_points=len(x))
 
 
 def rank_families(points: Sequence[tuple[float, float]]) -> list[FitReport]:

@@ -159,7 +159,7 @@ def _model(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> Cluste
                         objective=float(objective))
 
 
-@np.errstate(invalid="ignore", divide="ignore")  # singleton clusters score 0 below
+@np.errstate(invalid="ignore", divide="ignore")  # singletons and a == b (0/0 too) score 0 below
 def _run_silhouette(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> float:
     """Mean silhouette of clusters that are runs of the sorted distinct values, in O(m).
 
@@ -181,7 +181,7 @@ def _run_silhouette(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) 
         sizes[label] - 1)
     b = np.minimum(y - np.append(-np.inf, last[:-1])[label] + np.append(0, below_last[:-1])[label],
                    np.append(first[1:], np.inf)[label] - y + np.append(above_first[1:], 0)[label])
-    scores = np.where(sizes[label] == 1, 0.0, (b - a) / np.maximum(a, b))
+    scores = np.where((sizes[label] == 1) | (a == b), 0.0, (b - a) / np.maximum(a, b))
     return float(counts @ scores) / float(counts.sum())
 
 

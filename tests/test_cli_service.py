@@ -449,6 +449,17 @@ class TestStates:
         assert captured.out == "" and "malformed model document" in captured.err
 
 
+def test_fit_section_that_is_not_an_object_exits_with_data_error(tmp_path, capsys):
+    raw = document_to_dict(ModelDocument(fd=GREENSHIELDS))
+    raw["fit"] = "logarithmic"
+    (tmp_path / "model.json").write_text(json.dumps(raw))
+    argv = ["emit", "curve", "--model", str(tmp_path / "model.json"), "--k-min", "1",
+            "--k-max", "10", "--step", "1", "--out", str(tmp_path / "curve.csv")]
+    assert cli.main(argv) == cli.EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed model document" in captured.err
+
+
 class TestBadFitSection:
     """A model document whose fit section is not a fit exits 2 in every command reading it."""
 
@@ -458,11 +469,9 @@ class TestBadFitSection:
     ], ids=["states_classify", "emit_curve"])
     @pytest.mark.parametrize("field, value", [
         ("n_points", math.nan), ("n_points", 40.0), ("family", "quadratic"),
-        ("fit_space", ["original"]),
     ])
     def test_exits_with_data_error(self, tmp_path, capsys, monkeypatch, argv, field, value):
-        fit = FitReport(family="greenshields", a=0.7634, b=11.817, r_squared=0.9, n_points=40,
-                        fit_space="original")
+        fit = FitReport(family="greenshields", a=0.7634, b=11.817, r_squared=0.9, n_points=40)
         raw = document_to_dict(ModelDocument(fd=GREENSHIELDS, fit=fit,
                                              bands=StateBands(boundaries=STATE_BOUNDARIES)))
         raw["fit"][field] = value

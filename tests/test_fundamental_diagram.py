@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairway import fundamental_diagram
@@ -23,7 +23,7 @@ from fairway.fundamental_diagram import (
     recommend_minimums,
     speed_at_density,
 )
-from fairway.regression import fit_curve
+from fairway.regression import FAMILIES, fit_curve, predict, r_squared
 from fairway.trajectory import FlowSample, FlowSamples
 
 from reference_data import (
@@ -281,7 +281,6 @@ class TestFitFd:
         assert model.c1 == pytest.approx(13.62, rel=1e-4)
         assert model.c2 == pytest.approx(0.115, rel=1e-4)
         assert report.r_squared == pytest.approx(1.0, abs=1e-9)
-        assert report.fit_space == "original"
 
     def test_all_samples_below_breakpoint(self):
         truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)
@@ -560,3 +559,72 @@ class TestClosedFormReference:
         for k in ks[:5].tolist():
             assert speed_at_density(model, k) == reference_speed(form, c1, c2, v_f, k1, k)
             assert flow_at_density(model, k) == k * reference_speed(form, c1, c2, v_f, k1, k)
+
+
+def reference_r_squared(y, est):
+    """1 - SSE/SST of y in its own units."""
+    return 1.0 - float(np.sum((y - est) ** 2)) / float(np.sum((y - y.mean()) ** 2))
+
+
+def noisy_fit(rng, name, v_f=None, noise=(0.05, 3.0)):
+    """(observed y, fitted y, report) of a family or form fitted to noisy samples of a curve.
+
+    Families get gap-speed points around v = 2 ln(g) - 1.5; forms get
+    samples of a random branch of their own shape with a plateau, fitted at
+    the given v_f with k1 estimated from six candidates.
+    """
+    sd = rng.uniform(*noise)
+    if name in FAMILIES:
+        x = rng.uniform(0.5, 300.0, rng.integers(3, 60))
+        y = np.clip(2.0 * np.log(x) - 1.5 + rng.normal(0.0, sd, x.size), 0.05, None)
+        report = fit_curve(name, np.column_stack((x, y)))
+        return y, predict(name, report.a, report.b, x), report
+    c1, c2 = random_branch(rng, name)
+    k1 = rng.uniform(1.0, 5.0)
+    truth_v_f = max(reference_speed(name, c1, c2, 0.0, 0.0, k1), 1.0) * rng.uniform(1.0, 1.3)
+    ks = rng.uniform(0.2, 14.0, rng.integers(3, 80))
+    vs = np.clip(reference_speed(name, c1, c2, truth_v_f, k1, ks)
+                 + rng.normal(0.0, sd, ks.size), 0.05, None)
+    kwargs = {"v_f": v_f, "k1_candidates": sorted(rng.uniform(0.5, 8.0, 6).tolist())} \
+        if name in PIECEWISE else {}
+    model, report = fit_fd(name, FlowSamples(density=ks, mean_speed=vs, flow=ks * vs), **kwargs)
+    return vs, reference_speed(name, model.c1, model.c2, model.v_f, model.k1, ks), report
+
+
+class TestOneRSquared:
+    """Every family and form reports R^2 = 1 - SSE/SST of y in its own units."""
+
+    @given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(FAMILIES + ALL_FORMS),
+           v_f=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @settings(max_examples=400, deadline=None)
+    def test_never_above_one(self, seed, name, v_f):
+        try:
+            y, est, report = noisy_fit(np.random.default_rng(seed), name, v_f)
+        except (DomainError, DegenerateFitError, InsufficientDataError):
+            return
+        assert report.r_squared <= 1.0
+        assert report.r_squared == pytest.approx(reference_r_squared(y, est),
+                                                 rel=1e-12, abs=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1),
+           name=st.sampled_from(("linear", "logarithmic", "greenshields", "greenberg")))
+    @settings(max_examples=200, deadline=None)
+    def test_least_squares_fits_equal_explained_over_total(self, seed, name):
+        """For a least-squares line with an intercept the two definitions agree."""
+        try:
+            y, est, report = noisy_fit(np.random.default_rng(seed), name, noise=(0.05, 1.0))
+        except DegenerateFitError:  # a non-positive diagram coefficient
+            assume(False)
+        assert abs(report.r_squared - r_squared(y, est)) <= 1e-12
+
+    def test_piecewise_fit_at_an_unsuited_v_f(self):
+        """3,000 noisy Greenshields points as piecewise_exp at v_f 12: explained/total reads 1.54."""
+        rng = np.random.default_rng(0)
+        ks = rng.uniform(0.2, 14.0, 3000)
+        vs = np.clip(11.8 - 0.76 * ks + rng.normal(0.0, 0.5, ks.size), 0.05, None)
+        model, report = fit_fd("piecewise_exp", FlowSamples(density=ks, mean_speed=vs,
+                                                             flow=ks * vs), v_f=12.0, k1=4.0)
+        est = speed_at_density(model, ks)
+        assert r_squared(vs, est) > 1.5
+        assert report.r_squared == pytest.approx(reference_r_squared(vs, est), rel=1e-12)
+        assert 0.8 < report.r_squared < 0.85

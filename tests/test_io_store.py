@@ -7,6 +7,7 @@ import warnings
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -480,16 +481,18 @@ class TestLoadSurveillance:
 class TestReadColumns:
     def test_columns_in_requested_order(self, tmp_path):
         path = write(tmp_path, "kv.csv", "speed_kmh,note,density_vpkm\n9.5,a,1\n8.0,b,2.5\n")
-        assert read_columns(path, "density_vpkm", "speed_kmh") == ([1.0, 2.5], [9.5, 8.0])
-        assert read_columns(path, "speed_kmh") == ([9.5, 8.0],)
+        columns = read_columns(path, "density_vpkm", "speed_kmh")
+        assert [c.dtype for c in columns] == [np.float64, np.float64]
+        assert [c.tolist() for c in columns] == [[1.0, 2.5], [9.5, 8.0]]
+        assert [c.tolist() for c in read_columns(path, "speed_kmh")] == [[9.5, 8.0]]
 
     def test_repeated_column_reads_its_last_occurrence(self, tmp_path):
         path = write(tmp_path, "kv.csv", "gap_m,speed_kmh,gap_m\n1,2,3\n")
-        assert read_columns(path, "gap_m") == ([3.0],)
+        assert [c.tolist() for c in read_columns(path, "gap_m")] == [[3.0]]
 
     def test_header_only(self, tmp_path):
         path = write(tmp_path, "kv.csv", "gap_m,speed_kmh\n")
-        assert read_columns(path, "gap_m", "speed_kmh") == ([], [])
+        assert [c.tolist() for c in read_columns(path, "gap_m", "speed_kmh")] == [[], []]
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "kv.csv", "gap_m\n1\n")
@@ -527,12 +530,11 @@ JSON_VALUES = st.recursive(
                                                                 max_size=4),
     max_leaves=8)
 
-FIT_NAMES = FAMILIES + ALL_FORMS + ("original", "transformed")
+FIT_NAMES = FAMILIES + ALL_FORMS
 # What a model document's fit section accepts in its fields that are not measurements.
 FIT_RULES = {
     "n_points": lambda v: type(v) is int and 2 <= v < 2 ** 63,
     "family": lambda v: v in FAMILIES + ALL_FORMS,
-    "fit_space": lambda v: v in ("original", "transformed"),
 }
 
 
@@ -546,7 +548,7 @@ def make_document():
     model = FdModel(form="greenshields", c1=0.7634, c2=11.817)
     characteristics = derive_characteristics(model, V_MIN)
     fit = FitReport(family="linear", a=-0.7634, b=11.817,
-                    r_squared=0.92, n_points=40, fit_space="original")
+                    r_squared=0.92, n_points=40)
     return ModelDocument(
         fd=model,
         v_min=V_MIN,
@@ -567,6 +569,23 @@ class TestModelDocument:
     def test_dict_round_trip_identity(self):
         doc = make_document()
         assert document_from_dict(document_to_dict(doc)) == doc
+
+    @pytest.mark.parametrize("fit_space", ["original", "transformed"])
+    def test_legacy_fit_space_key_is_dropped(self, tmp_path, fit_space):
+        """A version-1 document written when fits carried fit_space still loads, unchanged."""
+        raw = document_to_dict(make_document())
+        legacy = json.loads(json.dumps(raw))
+        legacy["fit"]["fit_space"] = fit_space
+        assert legacy["schema_version"] == 1
+        assert load_model(write(tmp_path, "legacy.json", json.dumps(legacy))) == \
+            load_model(write(tmp_path, "current.json", json.dumps(raw))) == make_document()
+
+    @pytest.mark.parametrize("fit", ["logarithmic", 3, None, [["family", "linear"]]])
+    def test_fit_section_that_is_not_an_object_is_malformed(self, tmp_path, fit):
+        raw = document_to_dict(make_document())
+        raw["fit"] = fit
+        with pytest.raises(ParseError, match="malformed model document"):
+            load_model(write(tmp_path, "model.json", json.dumps(raw)))
 
     def test_save_load_round_trip(self, tmp_path):
         doc = make_document()

@@ -62,14 +62,20 @@ def reference_line(fx, fy):
     return slope, float(fy.mean()) - slope * float(fx.mean())
 
 
+def reference_r_squared(y, est):
+    """1 - SSE/SST of y in its own units."""
+    return 1.0 - float(np.sum((y - est) ** 2)) / float(np.sum((y - y.mean()) ** 2))
+
+
 def reference_fit(family, x, y):
-    """(a, b, R^2, fit_space) from each family's own straight-line fit."""
+    """(a, b, R^2) from each family's own straight-line fit, R^2 measured on y."""
     fx = np.log(x) if family in ("logarithmic", "power") else x
     if family in ("linear", "logarithmic"):
         a, b = reference_line(fx, y)
-        return a, b, r_squared(y, reference_predict(family, a, b, x)), "original"
-    slope, intercept = reference_line(fx, np.log(y))
-    return math.exp(intercept), slope, r_squared(np.log(y), intercept + slope * fx), "transformed"
+    else:
+        slope, intercept = reference_line(fx, np.log(y))
+        a, b = math.exp(intercept), slope
+    return a, b, reference_r_squared(y, reference_predict(family, a, b, x))
 
 
 class TestBinPoints:
@@ -201,6 +207,14 @@ class TestFitCurve:
         assert report.b == pytest.approx(5.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
+    def test_constant_y_is_an_exact_fit(self, family):
+        """R^2 1 at any scale and count, though the mean of equal values rounds."""
+        for c in (0.05, 0.1, 7.3, 123456.789, 1e6, 1e-9, 3e200):
+            for n in (2, 3, 7, 19, 1000):
+                pts = [(x, c) for x in np.linspace(4.1, 11.9, n).tolist()]
+                assert fit_curve(family, pts).r_squared == 1.0, (c, n)
+
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_constant_y_has_slope_exactly_zero(self, family):
         """Not a rounding residue whose sign decides a positivity check downstream."""
         pts = [(x, 0.05) for x in np.linspace(4.1, 11.9, 19)]
@@ -230,8 +244,7 @@ class TestFitCurve:
         x = rng.uniform(0.5, 300.0, rng.integers(2, 40))
         y = rng.uniform(0.5, 20.0, x.size)
         report = fit_curve(family, list(zip(x.tolist(), y.tolist())))
-        assert (report.a, report.b, report.r_squared, report.fit_space) == \
-            reference_fit(family, x, y)
+        assert (report.a, report.b, report.r_squared) == reference_fit(family, x, y)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
            spread=st.sampled_from([1e-6, 1.0, 1e6]))
@@ -287,10 +300,6 @@ class TestFitCurve:
         assert fit_curve("power", np.array(pts)) == fit_curve("power", pts)
         with pytest.raises(DomainError, match=re.escape("offending points: [(-1.0, 2.0)]")):
             fit_curve("logarithmic", [(-1, 2), (3, 4)])
-
-    def test_fit_space_flag(self):
-        pts = noiseless("exponential", 5.0, 0.01, GAP_GRID)
-        assert fit_curve("exponential", pts).fit_space == "transformed"
 
     @given(st.floats(0.1, 10), st.integers(0, 1000))
     @settings(max_examples=50)

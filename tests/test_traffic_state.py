@@ -262,6 +262,12 @@ class TestSelectK:
         pts = np.random.default_rng(2).uniform(0, 10, 30)
         assert select_k(pts, [3], seed=0).best_k == 3
 
+    def test_values_merged_by_scaling_score_finite(self):
+        """Subnormal and zero speeds next to 1e308 scale to one value: a = b = 0, not NaN."""
+        pts = [4.4, 4.5, 1e308, 6.4, 6.5, 2.2250738585072014e-308, 0.0, 8.3,
+               2.2250738585072014e-308, 10.4, 10.5, 10.6]
+        assert np.isfinite(list(select_k(pts, range(2, 10)).silhouette_by_k.values())).all()
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0, -996, 1020]))
     @settings(max_examples=100, deadline=None)
     def test_matches_per_k_reference(self, seed, top_exponent):
