@@ -57,7 +57,6 @@ def build_parser() -> _Parser:
     p.add_argument("--tracks", required=True)
     p.add_argument("--meta", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--delta-t", type=float, default=1.0)
     p.set_defaults(run=_cmd_tracks_derive)
 
     fit = sub.add_parser("fit", help="curve and diagram fitting").add_subparsers()
@@ -141,7 +140,7 @@ def _write_rows(handle, key: list, *columns) -> int:
 
 def _cmd_tracks_derive(args) -> dict:
     meta = io_store.meta_map(io_store.load_vessel_meta(args.meta))
-    runs, _ = io_store.load_tracks(args.tracks, meta, delta_t=args.delta_t)
+    runs, _ = io_store.load_tracks(args.tracks, meta)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -155,7 +154,7 @@ def _cmd_tracks_derive(args) -> dict:
         csv.writer(fh).writerow(["run_id", "t_seconds", "density_vpkm", "speed_kmh", "flow_vph"])
         for run in runs:
             # Each series is derived once, written, and reused for the flow samples.
-            speeds = [trajectory.speed_series(track, run.delta_t) for track in run.tracks]
+            speeds = [trajectory.speed_series(track) for track in run.tracks]
             for track, (t, v) in zip(run.tracks, speeds):
                 counts["speeds"] += _write_rows(sh, [run.run_id, track.meta.fleet_position], t, v)
             gaps = [trajectory.derive_gap(leader, follower)

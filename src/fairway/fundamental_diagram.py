@@ -33,6 +33,7 @@ from .errors import (
     InsufficientDataError,
     NoFeasibleDensityError,
 )
+# fit_curve is unused here; perfbench/tracer.py wraps this module's attribute.
 from .regression import FitReport, _columns, _family, _fit_r_squared, _line, fit_curve, predict
 from .trajectory import FiniteFields, FlowSample, FlowSamples
 
@@ -224,26 +225,26 @@ def _density_speed(samples) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(samples.density, dtype=float), np.asarray(samples.mean_speed, dtype=float)
 
 
-def _fit_branch(form: str, ks: np.ndarray, vs: np.ndarray, k1, v_f) -> FdModel:
-    """The model with its branch fitted to the samples beyond k1 (all when k1 is None).
+def _fit_branch(form: str, fx: np.ndarray, fy: np.ndarray, beyond) -> tuple[float, float]:
+    """(c1, c2) fitted to the samples ``beyond`` picks of the family-transformed columns.
 
-    Raises InsufficientDataError below 2 branch samples and DegenerateFitError
-    when a coefficient comes out non-positive.
+    Raises InsufficientDataError below 2 branch samples, DomainError on a
+    speed <= 0 under a logarithm and DegenerateFitError when the line fit is
+    degenerate or a coefficient is not finite and positive.
     """
     shape = _SHAPES[_FORM_SHAPE[form]]
-    beyond = slice(None) if k1 is None else ks > k1
-    branch_points = np.column_stack((ks, vs))[beyond]
-    if len(branch_points) < 2:
-        raise InsufficientDataError(
-            f"only {len(branch_points)} samples beyond k1={k1}; need at least 2"
-        )
-    report = fit_curve(shape.family, branch_points)
-    c1, c2 = shape.signs[0] * report.a, shape.signs[1] * report.b
-    if c1 <= 0 or c2 <= 0:
+    bx, by = fx[beyond], fy[beyond]
+    if len(bx) < 2:
+        raise InsufficientDataError(f"only {len(bx)} samples in the {form} branch; need at least 2")
+    if not np.isfinite(by).all():  # densities are positive, so ln k is finite
+        raise DomainError(f"{form} branch needs speeds > 0 under its logarithm")
+    a, b = _line(shape.family, bx, by)
+    c1, c2 = shape.signs[0] * a, shape.signs[1] * b
+    if not (_finite_positive(c1) and _finite_positive(c2)):
         raise DegenerateFitError(
             f"fitted {form} coefficients violate positivity: ({c1:.6g}, {c2:.6g})"
         )
-    return FdModel(form=form, c1=c1, c2=c2, v_f=v_f, k1=k1)
+    return c1, c2
 
 
 def fit_fd(
@@ -274,7 +275,9 @@ def fit_fd(
             raise DomainError("piecewise fitting requires k1 or k1_candidates")
         batch = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)  # converted once
         k1 = estimate_breakpoint(batch, v_f, k1_candidates, form=form)
-    model = _fit_branch(form, ks, vs, k1, v_f)
+    fx, fy = _family(_SHAPES[_FORM_SHAPE[form]].family).transform(ks, vs)
+    c1, c2 = _fit_branch(form, fx, fy, slice(None) if k1 is None else ks > k1)
+    model = FdModel(form=form, c1=c1, c2=c2, v_f=v_f, k1=k1)
     r2 = _fit_r_squared(vs, speed_at_density(model, ks))
     return model, FitReport(family=form, a=model.c1, b=model.c2, r_squared=r2, n_points=len(ks))
 
@@ -293,8 +296,8 @@ def estimate_breakpoint(
     candidate.  Candidates leaving fewer than 2 samples in the non-free
     branch, whose branch fit is degenerate or out of domain, or whose squared
     error is not finite, are skipped.  The columns are transformed once and
-    each candidate costs one closed-form line fit, the one ``fit_curve``
-    makes, and one error sum: O(n) array work per candidate.
+    each candidate costs one ``_fit_branch``, the line fit ``fit_fd`` makes,
+    and one error sum: O(n) array work per candidate.
     """
     if not candidates or not all(_finite_positive(c) for c in candidates):
         raise DomainError("candidates must be non-empty, finite and positive")
@@ -305,20 +308,16 @@ def estimate_breakpoint(
     ks, vs = _density_speed(samples)
     shape = _SHAPES[_FORM_SHAPE[form]]
     spec = _family(shape.family)
-    fx = np.log(ks) if spec.log_x else ks
-    fy = np.log(vs) if spec.log_y else vs  # ln 0 = -inf: _line rejects such a branch
+    fx, fy = spec.transform(ks, vs)
     best = None
     for cand in sorted(candidates):
         beyond = ks > cand
-        if np.count_nonzero(beyond) < 2:
-            continue
         try:
-            a, b = _line(shape.family, fx[beyond], fy[beyond])
-        except DegenerateFitError:
+            c1, c2 = _fit_branch(form, fx, fy, beyond)
+        except (InsufficientDataError, DomainError, DegenerateFitError):
             continue
-        if not (_finite_positive(shape.signs[0] * a) and _finite_positive(shape.signs[1] * b)):
-            continue
-        sse = float(np.sum((vs - np.where(beyond, spec.curve(a, b, ks), v_f)) ** 2))
+        branch = spec.curve(shape.signs[0] * c1, shape.signs[1] * c2, ks)
+        sse = float(np.sum((vs - np.where(beyond, branch, v_f)) ** 2))
         if math.isfinite(sse) and (best is None or sse < best[0]):
             best = (sse, cand)
     if best is None:

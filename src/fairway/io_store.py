@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, ParseError, SchemaVersionError
-from .fundamental_diagram import CharacteristicParams, FdModel, speed_at_density
-from .regression import FitReport
+from .fundamental_diagram import ALL_FORMS, CharacteristicParams, FdModel, speed_at_density
+from .regression import FAMILIES, FitReport
 from .traffic_state import StateBands
 from .trajectory import FleetRun, VesselMeta, VesselTrack
 
@@ -249,7 +249,6 @@ def meta_map(result: LoadResult) -> dict[tuple[str, int], VesselMeta]:
 def load_tracks(
     path,
     meta: dict[tuple[str, int], VesselMeta],
-    delta_t: float = 1.0,
     strict: bool = True,
 ) -> tuple[list[FleetRun], LoadResult]:
     """Fleet runs assembled from a track file plus a vessel-meta map.
@@ -257,7 +256,7 @@ def load_tracks(
     Cells are parsed a column at a time and rows grouped by one lexsort over
     (run, position, t), with no object per fix.  A row repeating the key of
     an earlier row is a duplicate even when that row has a bad coordinate.
-    ``items`` holds the accepted rows' line numbers.
+    ``items`` holds the accepted rows' line numbers; each track keeps its own fix spacing.
     """
     # run_id cells are interned: a few names repeat on every row.
     (run_ids, run_err), (p, p_err), (t, t_err), (x, x_err), (y, y_err) = _read_columns(
@@ -290,7 +289,7 @@ def load_tracks(
             raise ParseError(f"{path}: no vessel metadata for run {key[0]!r} position {key[1]}")
         tracks.append(VesselTrack(meta=meta[key], t=t[a:b], x=x[a:b], y=y[a:b]))
         if b == len(order) or run[b] != run[a]:
-            runs.append(FleetRun(run_id=key[0], tracks=tuple(tracks), delta_t=delta_t))
+            runs.append(FleetRun(run_id=key[0], tracks=tuple(tracks)))
             tracks = []
     return runs, LoadResult(items=tuple((np.flatnonzero(accepted) + 2).tolist()), rejects=rejects)
 
@@ -330,7 +329,6 @@ class ModelDocument:
     bands: Optional[StateBands] = None
     fit: Optional[FitReport] = None
     created_utc: Optional[str] = None
-    schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
         if self.fd is None and self.bands is None:
@@ -340,7 +338,7 @@ class ModelDocument:
 
 
 def document_to_dict(doc: ModelDocument) -> dict:
-    out: dict = {"schema_version": doc.schema_version}
+    out: dict = {"schema_version": SCHEMA_VERSION}
     for key, part in (("model", doc.fd), ("v_min", doc.v_min),
                       ("characteristics", doc.characteristics), ("bands", doc.bands),
                       ("fit", doc.fit), ("created_utc", doc.created_utc)):
@@ -368,8 +366,9 @@ def document_from_dict(raw: dict) -> ModelDocument:
     """The document's sections.
 
     TypeError on a section holding an unknown key, on true or false anywhere
-    (no field is boolean) and on a created_utc that is not a string.  A
-    legacy ``fit_space`` key in the fit section is dropped.
+    (no field is boolean) and on a created_utc that is not a string;
+    DomainError on a fit of no known family or form.  A legacy
+    ``fit_space`` key in the fit section is dropped.
     """
     if _has_boolean(raw):
         raise TypeError("no field of a model document takes true or false")
@@ -382,6 +381,8 @@ def document_from_dict(raw: dict) -> ModelDocument:
         )
     fit = {**raw.get("fit", {})}  # TypeError when the section is not an object
     fit.pop("fit_space", None)
+    if "family" in fit and fit["family"] not in FAMILIES + ALL_FORMS:
+        raise DomainError(f"unknown fit family {fit['family']!r}")
     return ModelDocument(
         fd=FdModel(**raw["model"]) if "model" in raw else None,
         v_min=raw.get("v_min"),

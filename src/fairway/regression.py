@@ -37,6 +37,11 @@ class _Family(NamedTuple):
     log_y: bool  # log-linearised: fit ln(y), a = e^intercept; needs y > 0
     curve: Callable  # (a, b, x) -> v
 
+    @np.errstate(divide="ignore")  # ln 0 = -inf, for the caller to reject
+    def transform(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The columns the straight line is fitted in: x and y, or their logarithms."""
+        return (np.log(x) if self.log_x else x), (np.log(y) if self.log_y else y)
+
 
 _FAMILIES = {
     "linear": _Family(False, False, lambda a, b, x: a * x + b),
@@ -55,19 +60,15 @@ def _family(name: str) -> _Family:
 
 @dataclass(frozen=True)
 class FitReport:
-    family: str
+    family: str  # a curve family, or the diagram form fit_fd fitted
     a: float
     b: float
     r_squared: float
     n_points: int
 
     def __post_init__(self):
-        from .fundamental_diagram import ALL_FORMS  # a diagram fit reports its form
-
         if not (isinstance(self.n_points, int) and self.n_points >= 2):
             raise DegenerateFitError(f"a fit needs integer n_points >= 2, got {self.n_points!r}")
-        if self.family not in FAMILIES + ALL_FORMS:
-            raise DomainError(f"unknown fit family {self.family!r}")
         if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.r_squared)):
             raise DegenerateFitError("non-finite fit result")
 
@@ -187,10 +188,7 @@ def fit_curve(family: str, points: Sequence[tuple[float, float]]) -> FitReport:
         if logged and np.any(col <= 0):
             bad = list(map(tuple, np.column_stack((x, y))[col <= 0].tolist()))
             raise DomainError(f"{family} fit requires {axis} > 0; offending points: {bad}")
-    fx = np.log(x) if spec.log_x else x
-    fy = np.log(y) if spec.log_y else y
-
-    a, b = _line(family, fx, fy)
+    a, b = _line(family, *spec.transform(x, y))
     r2 = _fit_r_squared(y, spec.curve(a, b, x))
     return FitReport(family=family, a=a, b=b, r_squared=r2, n_points=len(x))
 

@@ -48,13 +48,12 @@ _STATE_COLORS = {
 
 @dataclass(frozen=True)
 class ClusterModel:
-    k: int
-    centers: tuple[float, ...]  # sorted ascending
+    centers: tuple[float, ...]  # sorted ascending, one per cluster
     objective: float  # within-cluster sum of squares; inf when beyond the float range
 
     def __post_init__(self):
-        if self.k < 1 or len(self.centers) != self.k:
-            raise DomainError("center count must equal k >= 1")
+        if not self.centers:
+            raise DomainError("a clustering needs at least one center")
         if any(b <= a for a, b in zip(self.centers, self.centers[1:])):
             raise DomainError("centers must be strictly increasing")
         if self.objective < 0:
@@ -155,8 +154,7 @@ def _model(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> Cluste
     labels = np.repeat(np.arange(starts.size), np.diff(np.append(starts, values.size)))
     with np.errstate(over="ignore"):
         objective = np.ldexp(np.sum(counts * (scaled - means[labels]) ** 2), 2 * e)
-    return ClusterModel(k=starts.size, centers=tuple(np.ldexp(means, e).tolist()),
-                        objective=float(objective))
+    return ClusterModel(centers=tuple(np.ldexp(means, e).tolist()), objective=float(objective))
 
 
 @np.errstate(invalid="ignore", divide="ignore")  # singletons and a == b (0/0 too) score 0 below
@@ -272,8 +270,8 @@ def select_k(points: Sequence[float], k_range: Sequence[int], seed: int = 0) -> 
 
 def bands_from_clusters(model: ClusterModel) -> StateBands:
     """Midpoints between adjacent sorted centers; requires exactly 4 clusters."""
-    if model.k != 4:
-        raise DomainError(f"state bands need exactly 4 clusters, got {model.k}")
+    if len(model.centers) != 4:
+        raise DomainError(f"state bands need exactly 4 clusters, got {len(model.centers)}")
     c = model.centers
     return StateBands(boundaries=tuple((a + b) / 2 for a, b in zip(c, c[1:])))
 

@@ -1,4 +1,4 @@
-"""Microscopic and macroscopic quantities from per-second GNSS fleet recordings.
+"""Microscopic and macroscopic quantities from evenly spaced GNSS fleet recordings.
 
 A track is columnar: read-only numpy arrays t (whole seconds), x and y (m),
 validated once.  Speeds come from consecutive-fix displacements, gaps from
@@ -77,7 +77,6 @@ class VesselTrack:
 class FleetRun:
     run_id: str
     tracks: tuple[VesselTrack, ...]
-    delta_t: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "tracks", tuple(self.tracks))
@@ -86,8 +85,6 @@ class FleetRun:
             raise MalformedTrackError(
                 f"fleet positions must be consecutive 1..n, got {positions}"
             )
-        if not 0 < self.delta_t < math.inf:
-            raise DomainError(f"delta_t must be finite and positive, got {self.delta_t}")
 
 
 @np.errstate(all="ignore")
@@ -190,16 +187,17 @@ def _require_finite(problem: str, t: np.ndarray, *columns: np.ndarray) -> np.nda
 
 
 @np.errstate(all="ignore")
-def speed_series(track: VesselTrack, delta_t: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """(t, v): speeds in km/h keyed by the timestamp of the earlier fix of each pair."""
-    t = track.t
-    bad = np.flatnonzero(np.diff(t) != delta_t)
+def speed_series(track: VesselTrack) -> tuple[np.ndarray, np.ndarray]:
+    """(t, v) in km/h, keyed by each pair's earlier fix; every fix interval must equal the least."""
+    t, dt = track.t, np.diff(track.t).view(np.uint64)  # t increases: a wrapped interval is exact
+    step = int(dt.min())
+    bad = np.flatnonzero(dt != step)
     if len(bad):
         raise MalformedTrackError(
-            f"non-uniform time spacing (expected {delta_t}s) at {len(bad)} fix pair(s), "
+            f"non-uniform time spacing (expected {step}s) at {len(bad)} fix pair(s), "
             f"first at ({t[bad[0]]}, {t[bad[0] + 1]})")
     dist = _hypot(np.diff(track.x), np.diff(track.y))
-    return t[:-1], _require_finite("speed overflows", t, dist / delta_t * MS_TO_KMH)
+    return t[:-1], _require_finite("speed overflows", t, dist / step * MS_TO_KMH)
 
 
 @np.errstate(all="ignore")
@@ -252,7 +250,7 @@ def fleet_flow_samples(run: FleetRun, speeds=None, gaps=None) -> FlowSamples:
     so are those where a vessel stood still.  ``speeds`` and ``gaps`` (the
     run's speed_series per track, derive_gap per pair) are derived unless given.
     """
-    speeds = speeds or [speed_series(tr, run.delta_t) for tr in run.tracks]
+    speeds = speeds or [speed_series(tr) for tr in run.tracks]
     gaps = gaps or [derive_gap(a, b) for a, b in zip(run.tracks, run.tracks[1:])]
     series = list(speeds) + [(g.t, g.gap_m) for g in gaps]
     common = reduce(partial(np.intersect1d, assume_unique=True), [t for t, _ in series])

@@ -108,10 +108,10 @@ def reference_load_surveillance(path, strict=True):
     return _parse_rows(path, SURVEILLANCE_COLUMNS, parse, strict)
 
 
-def reference_load_tracks(path, meta, delta_t=1.0, strict=True):
+def reference_load_tracks(path, meta, strict=True):
     """Returns (runs, accepted row count, rejects as (line, column, message)).
 
-    A run is (run_id, delta_t, [(meta, [(t, x, y), ...]), ...]) per vessel.
+    A run is (run_id, [(meta, [(t, x, y), ...]), ...]) per vessel.
     """
     seen = set()
 
@@ -142,17 +142,17 @@ def reference_load_tracks(path, meta, delta_t=1.0, strict=True):
         positions = [m.fleet_position for m, _ in tracks]
         if positions != list(range(1, len(positions) + 1)):
             raise MalformedTrackError(f"fleet positions must be consecutive 1..n, got {positions}")
-        if delta_t <= 0:
-            raise DomainError("delta_t must be positive")
-        runs.append((run_id, delta_t, tracks))
+        runs.append((run_id, tracks))
     return runs, len(items), rejects
 
 
-def reference_speed_series(fixes, delta_t=1.0) -> dict:
-    bad = [(a[0], b[0]) for a, b in zip(fixes, fixes[1:]) if b[0] - a[0] != delta_t]
+def reference_speed_series(fixes) -> dict:
+    """Speeds over the track's spacing: its smallest fix interval, which every one must equal."""
+    step = min(b[0] - a[0] for a, b in zip(fixes, fixes[1:]))
+    bad = [(a[0], b[0]) for a, b in zip(fixes, fixes[1:]) if b[0] - a[0] != step]
     if bad:
         raise MalformedTrackError(f"non-uniform time spacing at fix pairs: {bad}")
-    return {a[0]: math.hypot(b[1] - a[1], b[2] - a[2]) / delta_t * MS_TO_KMH
+    return {a[0]: math.hypot(b[1] - a[1], b[2] - a[2]) / step * MS_TO_KMH
             for a, b in zip(fixes, fixes[1:])}
 
 
@@ -175,8 +175,8 @@ def reference_derive_gap(leader, follower) -> list:
 
 def reference_flow_samples(run) -> tuple[list, int]:
     """([(t, density, mean_speed, flow)], timestamps skipped for a stationary vessel)."""
-    _, delta_t, tracks = run
-    speeds = [reference_speed_series(fixes, delta_t) for _, fixes in tracks]
+    _, tracks = run
+    speeds = [reference_speed_series(fixes) for _, fixes in tracks]
     gaps = [{t: g for t, g, _ in reference_derive_gap(a, b)} for a, b in zip(tracks, tracks[1:])]
     lengths = [m.length for m, _ in tracks[1:]]
     common = set(speeds[0])
@@ -208,9 +208,9 @@ def reference_tracks_derive(tracks_path, meta, out_dir) -> None:
         gw.writerow(["run_id", "follower_position", "t_seconds", "gap_m", "overlap_flagged"])
         fw.writerow(["run_id", "t_seconds", "density_vpkm", "speed_kmh", "flow_vph"])
         for run in runs:
-            run_id, delta_t, tracks = run
+            run_id, tracks = run
             for m, fixes in tracks:
-                for t, v in sorted(reference_speed_series(fixes, delta_t).items()):
+                for t, v in sorted(reference_speed_series(fixes).items()):
                     sw.writerow([run_id, m.fleet_position, t, repr(v)])
             for leader, follower in zip(tracks, tracks[1:]):
                 for t, gap, flagged in reference_derive_gap(leader, follower):

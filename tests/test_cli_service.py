@@ -627,22 +627,34 @@ class TestTracksDerive:
         with open(out_dir / "flow_samples.csv", newline="") as handle:
             assert [r["t_seconds"] for r in csv.DictReader(handle)] == ["0", "1", "3"]
 
-    @pytest.mark.parametrize("delta_t", ["nan", "inf", "2"])
-    def test_bad_delta_t_exits_with_a_short_error(self, tmp_path, delta_t):
-        rows = [row for t in range(3600) for row in (
+    def test_two_second_convoy_uses_its_own_spacing(self, tmp_path, capsys):
+        rows = [row for t in range(0, 10, 2) for row in (
             ("r1", 1, t, 200.0 + 2.5 * t, 0.0), ("r1", 2, t, 50.0 + 2.5 * t, 0.0))]
         tracks, meta = convoy_files(tmp_path, rows)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
-                             "--out-dir", str(tmp_path / "derived"), "--delta-t", delta_t])
-        assert code == cli.EXIT_DATA
-        assert 0 < len(err.getvalue()) < 1024
+        out_dir = tmp_path / "derived"
+        code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                         "--out-dir", str(out_dir)])
+        assert code == cli.EXIT_OK
+        assert "speeds 8  gaps 5  flow samples 4" in capsys.readouterr().out
+        with open(out_dir / "speeds.csv", newline="") as handle:
+            speeds = list(csv.DictReader(handle))
+        assert [r["t_seconds"] for r in speeds[:4]] == ["0", "2", "4", "6"]
+        assert {float(r["speed_kmh"]) for r in speeds} == {5.0 / 2 * 3.6}
+
+    def test_delta_t_is_no_longer_an_option(self, tmp_path, capsys):
+        rows = [row for t in range(3) for row in (
+            ("r1", 1, t, 200.0 + 2.5 * t, 0.0), ("r1", 2, t, 50.0 + 2.5 * t, 0.0))]
+        tracks, meta = convoy_files(tmp_path, rows)
+        code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                         "--out-dir", str(tmp_path / "derived"), "--delta-t", "1"])
+        assert code == cli.EXIT_USAGE
+        assert "--delta-t" in capsys.readouterr().err
+        assert not (tmp_path / "derived").exists()
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_per_fix_reference_byte_for_byte(self, data):
-        """Any run ids, holes, stationary seconds and row order: the same three files."""
+        """Any run ids, holes, spacings, stationary seconds and row order: the same three files."""
         run_ids = data.draw(st.lists(st.sampled_from(["r1", "9", "10", "b,x", 'q"1', "p%s"]),
                                      min_size=1, max_size=2, unique=True))
         rows, meta_rows = [], []
@@ -650,9 +662,9 @@ class TestTracksDerive:
             for pos in range(1, data.draw(st.integers(1, 3)) + 1):
                 meta_rows.append((run_id, pos, data.draw(st.floats(20, 120)),
                                   data.draw(st.floats(0, 20)), "loaded"))
-                start = data.draw(st.integers(0, 2))
+                start, step = data.draw(st.integers(0, 2)), data.draw(st.sampled_from([1, 2]))
                 x = 1000.0 - 150.0 * pos
-                for t in range(start, start + data.draw(st.integers(2, 6))):
+                for t in range(start, start + step * data.draw(st.integers(2, 6)), step):
                     rows.append((run_id, pos, t, x, data.draw(st.floats(-5, 5))))
                     x += data.draw(st.sampled_from([0.0, 1.0, 2.5, 3.7]))
         rows = data.draw(st.permutations(rows))

@@ -392,7 +392,7 @@ class TestEstimateBreakpoint:
             return spec._replace(curve=curve)
 
         monkeypatch.setattr(fundamental_diagram, "_family", counting_family)
-        for name in ("speed_at_density", "predict", "fit_curve", "_fit_branch"):
+        for name in ("speed_at_density", "predict", "fit_curve"):
             monkeypatch.setattr(fundamental_diagram, name,
                                 lambda *args, name=name: calls.append(name))
         candidates = [float(c) for c in range(1, 11)]

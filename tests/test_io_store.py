@@ -411,7 +411,7 @@ def _outcome(load):
 def _columnar_as_reference(loaded):
     runs, result = loaded
     return (
-        [(r.run_id, r.delta_t,
+        [(r.run_id,
           [(tr.meta, list(zip(tr.t.tolist(), tr.x.tolist(), tr.y.tolist()))) for tr in r.tracks])
          for r in runs],
         len(result.items),

@@ -315,20 +315,20 @@ class TestSelectK:
 
 class TestBands:
     def test_midpoints(self):
-        model = ClusterModel(k=4, centers=(4.5, 6.5, 8.3, 10.5), objective=0.0)
+        model = ClusterModel(centers=(4.5, 6.5, 8.3, 10.5), objective=0.0)
         assert bands_from_clusters(model).boundaries == pytest.approx((5.5, 7.4, 9.4))
 
     def test_arithmetic(self):
-        model = ClusterModel(k=4, centers=(1.0, 2.0, 3.0, 4.0), objective=0.0)
+        model = ClusterModel(centers=(1.0, 2.0, 3.0, 4.0), objective=0.0)
         assert bands_from_clusters(model).boundaries == (1.5, 2.5, 3.5)
 
     def test_equal_spacing_preserved(self):
-        model = ClusterModel(k=4, centers=(2.0, 5.0, 8.0, 11.0), objective=0.0)
+        model = ClusterModel(centers=(2.0, 5.0, 8.0, 11.0), objective=0.0)
         b = bands_from_clusters(model).boundaries
         assert np.diff(b) == pytest.approx([3.0, 3.0])
 
     def test_wrong_cardinality(self):
-        model = ClusterModel(k=3, centers=(1.0, 2.0, 3.0), objective=0.0)
+        model = ClusterModel(centers=(1.0, 2.0, 3.0), objective=0.0)
         with pytest.raises(DomainError):
             bands_from_clusters(model)
 

@@ -31,8 +31,8 @@ def make_track(coords, position=1, length=40.0, offset=0.0, load="loaded", t0=0)
                        x=[x for x, _ in coords], y=[y for _, y in coords])
 
 
-def derive_speed(track, delta_t=1.0):
-    return speed_series(track, delta_t)[1].tolist()
+def derive_speed(track):
+    return speed_series(track)[1].tolist()
 
 
 def as_reference(track):
@@ -61,14 +61,30 @@ class TestDeriveSpeed:
         with pytest.raises(MalformedTrackError, match=r"1 fix pair\(s\), first at \(1, 3\)"):
             derive_speed(track)
 
-    @pytest.mark.parametrize("delta_t", [math.nan, 2.0])
-    def test_spacing_error_names_first_pair_and_count_only(self, delta_t):
-        track = make_track([(float(i), 0.0) for i in range(3600)])
+    def test_spacing_error_names_first_pair_and_count_only(self):
+        """Fixes 2 s apart but for one 1 s interval at the end: every 2 s pair is off."""
+        meta = VesselMeta(1, 40.0, 0.0, "loaded")
+        t = [*range(0, 7200, 2), 7199]
+        track = VesselTrack(meta, t=t, x=np.arange(len(t)), y=np.zeros(len(t)))
         with pytest.raises(MalformedTrackError) as info:
-            derive_speed(track, delta_t)
+            derive_speed(track)
         message = str(info.value)
-        assert "3599 fix pair(s), first at (0, 1)" in message
+        assert "(expected 1s) at 3599 fix pair(s), first at (0, 2)" in message
         assert len(message) < 200
+
+    def test_uniform_two_second_spacing(self):
+        coords = [(0.0, 0.0), (3.0, 4.0), (3.5, 4.25), (3.5, 4.25), (10.0, -2.0)]
+        track = VesselTrack(VesselMeta(1, 40.0, 0.0, "loaded"), t=[10, 12, 14, 16, 18],
+                            x=[x for x, _ in coords], y=[y for _, y in coords])
+        t, v = speed_series(track)
+        assert t.tolist() == [10, 12, 14, 16]
+        assert v.tolist() == [math.hypot(b[0] - a[0], b[1] - a[1]) / 2 * 3.6
+                              for a, b in zip(coords, coords[1:])]
+
+    def test_interval_past_the_int64_range_is_exact(self):
+        track = VesselTrack(VesselMeta(1, 40.0, 0.0, "loaded"), t=[-2 ** 63, 2 ** 63 - 1],
+                            x=[0.0, 3e19], y=[0.0, 4e19])
+        assert derive_speed(track) == [5e19 / (2 ** 64 - 1) * 3.6]
 
     def test_keyed_by_earlier_fix(self):
         t, v = speed_series(make_track([(0, 0), (3, 4), (3, 4)], t0=7))
@@ -342,8 +358,7 @@ class TestFleetFlowSamples:
                                      length=round(float(rng.uniform(20, 50)), 2),
                                      offset=round(float(rng.uniform(0, 10)), 2)))
         run = FleetRun("r", tuple(tracks))
-        expected, stationary = reference_flow_samples(
-            ("r", 1.0, [as_reference(tr) for tr in tracks]))
+        expected, stationary = reference_flow_samples(("r", [as_reference(tr) for tr in tracks]))
         s = fleet_flow_samples(run)
         got = list(zip(s.t.tolist(), s.density.tolist(), s.mean_speed.tolist(), s.flow.tolist()))
         assert got == expected
@@ -446,11 +461,6 @@ class TestInvariantEnforcement:
         assert a != make_track([(0, 0), (2, 0)])
         assert a != make_track([(0, 0), (1, 0)], t0=1)
         assert a != make_track([(0, 0), (1, 0)], length=41.0)
-
-    @pytest.mark.parametrize("delta_t", [0.0, -1.0, math.nan, math.inf])
-    def test_fleet_delta_t_finite_positive(self, delta_t):
-        with pytest.raises(DomainError, match="delta_t"):
-            FleetRun("r", (make_track([(0, 0)] * 2),), delta_t=delta_t)
 
     def test_fleet_positions_consecutive(self):
         t1 = make_track([(0, 0)] * 2, position=1)
