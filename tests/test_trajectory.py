@@ -61,15 +61,22 @@ class TestDeriveSpeed:
         with pytest.raises(MalformedTrackError, match=r"1 fix pair\(s\), first at \(1, 3\)"):
             derive_speed(track)
 
-    def test_spacing_error_names_first_pair_and_count_only(self):
-        """Fixes 2 s apart but for one 1 s interval at the end: every 2 s pair is off."""
+    # Each id is the track's regular fix spacing in seconds, nan where it has none.
+    @pytest.mark.parametrize("t, expected", [
+        # Fixes 2 s apart but for one 1 s interval at the end: every 2 s pair is off.
+        pytest.param([*range(0, 7200, 2), 7199],
+                     "(expected 1s) at 3599 fix pair(s), first at (0, 2)", id="2.0"),
+        # Intervals 1, 2, 3, ... s: every pair after the first is off.
+        pytest.param(np.cumsum(range(3600)),
+                     "(expected 1s) at 3598 fix pair(s), first at (1, 3)", id="nan"),
+    ])
+    def test_spacing_error_names_first_pair_and_count_only(self, t, expected):
         meta = VesselMeta(1, 40.0, 0.0, "loaded")
-        t = [*range(0, 7200, 2), 7199]
         track = VesselTrack(meta, t=t, x=np.arange(len(t)), y=np.zeros(len(t)))
         with pytest.raises(MalformedTrackError) as info:
             derive_speed(track)
         message = str(info.value)
-        assert "(expected 1s) at 3599 fix pair(s), first at (0, 2)" in message
+        assert expected in message
         assert len(message) < 200
 
     def test_uniform_two_second_spacing(self):
