@@ -62,7 +62,6 @@ def build_parser() -> _Parser:
     fit = sub.add_parser("fit", help="curve and diagram fitting").add_subparsers()
     p = fit.add_parser("speed-gap", help="rank the four speed-gap curve families")
     p.add_argument("--input", required=True, help="CSV with gap_m,speed_kmh")
-    p.add_argument("--min-count", type=int, default=1)
     p.add_argument("--raw", action="store_true", help="fit raw points, skip binning")
     p.add_argument("--out")
     p.set_defaults(run=_cmd_fit_speed_gap)
@@ -176,7 +175,7 @@ def _cmd_tracks_derive(args) -> dict:
 def _cmd_fit_speed_gap(args) -> dict:
     points = np.column_stack(io_store.read_columns(args.input, "gap_m", "speed_kmh"))
     if not args.raw:
-        binned = regression.bin_points(points, GAP_BIN_M, min_count=args.min_count)
+        binned = regression.bin_points(points, GAP_BIN_M)
         points = [(b.bin_center, b.mean_y) for b in binned]
     reports = regression.rank_families(points)
     if not reports:

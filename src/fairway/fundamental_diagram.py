@@ -2,8 +2,8 @@
 
 Six forms: three classical speed-density curves (linear, logarithmic,
 exponential decay) and their piecewise variants with a free-flow plateau
-at v_f up to a breakpoint density k1.  Each form's non-free branch has
-one of three shapes, and each shape is one row of ``_SHAPES``:
+at v_f up to a breakpoint density k1.  ``_FORM_SHAPE`` maps each form to
+the shape of its non-free branch, one of three:
 
     shape   branch v(k)        regression family  (a, b)    v at k->0+
     linear  v = -c1*k + c2     linear             (-c1, c2)  c2
@@ -58,18 +58,17 @@ class _Shape(NamedTuple):
     argmax: Callable  # (c1, c2) -> unconstrained argmax of k * v(k)
 
 
-_SHAPES = {
-    "linear": _Shape("linear", (-1, 1), lambda c1, c2: c2,
-                     lambda c1, c2, v: (c2 - v) / c1, lambda c1, c2: c2 / (2 * c1)),
-    "log": _Shape("logarithmic", (-1, 1), lambda c1, c2: None,
-                  lambda c1, c2, v: _exp((c2 - v) / c1), lambda c1, c2: _exp(c2 / c1 - 1)),
-    "exp": _Shape("exponential", (1, -1), lambda c1, c2: c1,
-                  lambda c1, c2, v: math.log(c1 / v) / c2, lambda c1, c2: 1 / c2),
-}
-
-# Non-free branch shape of each form; a piecewise form follows its classical one.
-_FORM_SHAPE = {"greenshields": "linear", "greenberg": "log", "underwood": "exp",
-               "piecewise_linear": "linear", "piecewise_log": "log", "piecewise_exp": "exp"}
+# The linear, log and exp shapes, in the order each half of ALL_FORMS lists them.
+# k_max <= 0 exactly when v_min is at or above the branch speed at k -> 0+; the
+# exp shape floors c1/v at the least subnormal, so an underflow gives ln < 0 too.
+_FORM_SHAPE = dict(zip(ALL_FORMS, 2 * (
+    _Shape("linear", (-1, 1), lambda c1, c2: c2,
+           lambda c1, c2, v: (c2 - v) / c1, lambda c1, c2: c2 / (2 * c1)),
+    _Shape("logarithmic", (-1, 1), lambda c1, c2: None,
+           lambda c1, c2, v: _exp((c2 - v) / c1), lambda c1, c2: _exp(c2 / c1 - 1)),
+    _Shape("exponential", (1, -1), lambda c1, c2: c1,
+           lambda c1, c2, v: math.log(max(c1 / v, math.ulp(0))) / c2, lambda c1, c2: 1 / c2),
+)))
 
 
 def _finite_positive(value) -> bool:
@@ -109,15 +108,11 @@ class FdModel:
         return self.form in PIECEWISE_FORMS
 
     @property
-    def branch_shape(self) -> str:
-        return _FORM_SHAPE[self.form]
-
-    @property
     def free_flow_speed(self) -> Optional[float]:
         """v at k -> 0+: v_f (piecewise), c2 (linear), c1 (exp), unbounded (log -> None)."""
         if self.is_piecewise:
             return self.v_f
-        return _SHAPES[self.branch_shape].v_at_zero(self.c1, self.c2)
+        return _FORM_SHAPE[self.form].v_at_zero(self.c1, self.c2)
 
 
 @dataclass(frozen=True)
@@ -157,9 +152,9 @@ def speed_at_density(model: FdModel, k: float):
     arr = np.asarray(k, dtype=float)
     if np.any(arr < 0):
         raise DomainError("density must be non-negative")
-    if model.branch_shape == "log" and np.any(arr <= 0):
+    shape = _FORM_SHAPE[model.form]
+    if _family(shape.family).log_x and np.any(arr <= 0):
         raise DomainError("logarithmic form undefined at k <= 0")
-    shape = _SHAPES[model.branch_shape]
     out = predict(shape.family, shape.signs[0] * model.c1, shape.signs[1] * model.c2, arr)
     if model.is_piecewise:
         out = np.where(arr <= model.k1, model.v_f, out)
@@ -181,22 +176,18 @@ def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams
     """
     if not _finite_positive(v_min):
         raise DomainError(f"v_min must be a finite positive number, got {v_min}")
-    shape, c1, c2 = _SHAPES[model.branch_shape], model.c1, model.c2
+    shape, c1, c2 = _FORM_SHAPE[model.form], model.c1, model.c2
     sup_v = model.free_flow_speed  # None means unbounded (log shape)
     if sup_v is not None and v_min >= sup_v:
         raise NoFeasibleDensityError(
             f"v_min {v_min} is not below the maximum attainable speed {sup_v}"
         )
-    branch_v0 = shape.v_at_zero(c1, c2)
-    if branch_v0 is not None and v_min >= branch_v0:
-        raise NoFeasibleDensityError(
-            f"v_min {v_min} is not below the branch speed {branch_v0} at k -> 0+"
-        )
     k_max = shape.k_max(c1, c2, v_min)
     lower = model.k1 if model.is_piecewise else 0.0
     if k_max <= lower:
+        bound = f"the breakpoint k1={lower:.6g}" if model.is_piecewise else "0"
         raise NoFeasibleDensityError(
-            f"speed falls to v_min at k={k_max:.4f}, inside the free-flow plateau"
+            f"v_min {v_min} puts k_max at {k_max:.6g}, not above {bound}"
         )
 
     candidates = [k_max]
@@ -232,7 +223,7 @@ def _fit_branch(form: str, fx: np.ndarray, fy: np.ndarray, beyond) -> tuple[floa
     speed <= 0 under a logarithm and DegenerateFitError when the line fit is
     degenerate or a coefficient is not finite and positive.
     """
-    shape = _SHAPES[_FORM_SHAPE[form]]
+    shape = _FORM_SHAPE[form]
     bx, by = fx[beyond], fy[beyond]
     if len(bx) < 2:
         raise InsufficientDataError(f"only {len(bx)} samples in the {form} branch; need at least 2")
@@ -275,7 +266,7 @@ def fit_fd(
             raise DomainError("piecewise fitting requires k1 or k1_candidates")
         batch = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)  # converted once
         k1 = estimate_breakpoint(batch, v_f, k1_candidates, form=form)
-    fx, fy = _family(_SHAPES[_FORM_SHAPE[form]].family).transform(ks, vs)
+    fx, fy = _family(_FORM_SHAPE[form].family).transform(ks, vs)
     c1, c2 = _fit_branch(form, fx, fy, slice(None) if k1 is None else ks > k1)
     model = FdModel(form=form, c1=c1, c2=c2, v_f=v_f, k1=k1)
     r2 = _fit_r_squared(vs, speed_at_density(model, ks))
@@ -306,7 +297,7 @@ def estimate_breakpoint(
     if form not in PIECEWISE_FORMS:
         raise DomainError(f"estimate_breakpoint needs a piecewise form, got {form!r}")
     ks, vs = _density_speed(samples)
-    shape = _SHAPES[_FORM_SHAPE[form]]
+    shape = _FORM_SHAPE[form]
     spec = _family(shape.family)
     fx, fy = spec.transform(ks, vs)
     best = None

@@ -95,12 +95,10 @@ def _columns(points) -> tuple[np.ndarray, np.ndarray]:
 def bin_points(
     points: Sequence[tuple[float, float]],
     width: float,
-    min_count: int = 1,
 ) -> list[BinnedPoint]:
-    """Average y over left-closed x bins of the given width.
+    """Average y over left-closed x bins of the given width; every non-empty bin is kept.
 
-    Bin b covers [b*width, (b+1)*width); its representative x is the
-    midpoint.  Bins with fewer than ``min_count`` members are dropped.
+    Bin b covers [b*width, (b+1)*width); its representative x is the midpoint.
     """
     if not 0 < width < math.inf:
         raise DomainError("bin width must be a finite positive number")
@@ -115,7 +113,6 @@ def bin_points(
     return [
         BinnedPoint(bin_center=(b + 0.5) * width, mean_y=float(np.mean(y[s:s + n])), count=n)
         for b, s, n in zip(bins.tolist(), starts.tolist(), counts.tolist())
-        if n >= min_count
     ]
 
 
@@ -147,6 +144,7 @@ def _fit_r_squared(y: np.ndarray, est: np.ndarray) -> float:
     return 1.0 - float(np.sum((y - est) ** 2)) / sst
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum that overflows or is NaN raises below
 def _line(family: str, fx: np.ndarray, fy: np.ndarray) -> tuple[float, float]:
     """(a, b) of the family curve from the least-squares line of fy on fx.
 

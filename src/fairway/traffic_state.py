@@ -87,28 +87,27 @@ def _exponent(values: np.ndarray) -> int:
 def _optimal_splits(pts: np.ndarray, k_max: int):
     """Exact 1-D k-means for every K <= k_max by dynamic programming.
 
-    Optimal clusters are contiguous runs of the sorted distinct values
-    (Wang & Song 2011, Ckmeans.1d.dp), so equal values are never split.
-    Returns the distinct values, their counts and each K's cluster starts,
-    read back from one row per K >= 2 giving, for each prefix of j distinct
-    values, where the last of its K optimal clusters starts.  Those starts
-    are monotone in j, so a leftmost-argmin divide and conquer fills each
-    row in O(n log n) (Gronlund et al. 2017, arXiv:1701.07204).
+    Scaling by 2**-e into (-1, 1) keeps every sum finite, so the partition
+    does not depend on the units; values it rounds together become one value
+    for the DP, the model and the silhouettes alike.  Optimal clusters are
+    contiguous runs of the sorted distinct scaled values y (Wang & Song 2011,
+    Ckmeans.1d.dp), so equal values are never split.  Returns y, their
+    counts, e and each K's cluster starts, read back from one row per K >= 2
+    giving, for each prefix of j values, where the last of its K optimal
+    clusters starts.  Those starts are monotone in j, so a leftmost-argmin
+    divide and conquer fills each row in O(n log n) (Gronlund et al. 2017,
+    arXiv:1701.07204).
     """
     if not np.isfinite(pts).all():
         raise DomainError("points must be finite")
-    values, counts = np.unique(pts, return_counts=True)
-    m = values.size
+    e = _exponent(pts)
+    y, counts = np.unique(np.ldexp(pts, -e), return_counts=True)
+    m = y.size
     if m < k_max:
         raise DegenerateClusteringError(f"only {m} distinct values; cannot form {k_max} clusters")
-    # Scaling by a power of two into (-1, 1) is exact and keeps the squares
-    # finite at any scale, so the partition does not depend on the units;
-    # shifting by a central value keeps the prefix sums small, so that their
-    # differences stay accurate.
-    y = np.ldexp(values, -_exponent(values))
-    y -= y[m // 2]
+    z = y - y[m // 2]  # centred, so the prefix-sum differences stay accurate
     w, s1, s2 = (np.concatenate(([0.0], np.cumsum(a)))
-                 for a in (counts, counts * y, counts * y * y))
+                 for a in (counts, counts * z, counts * z * z))
 
     def cost(i, j):  # within-cluster sum of squares of distinct values i..j-1
         s = s1[j] - s1[i]
@@ -143,32 +142,30 @@ def _optimal_splits(pts: np.ndarray, k_max: int):
         for split in reversed(table[:k - 1]):
             back.append(split[back[-1]])
         starts[k] = np.array([0] + back[:0:-1])
-    return values, counts, starts
+    return y, counts, e, starts
 
 
-def _model(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> ClusterModel:
-    """The clustering whose clusters start at these indices of the sorted distinct values."""
-    e = _exponent(values)  # exact scaling: the sums cannot overflow
-    scaled = np.ldexp(values, -e)
-    means = np.add.reduceat(counts * scaled, starts) / np.add.reduceat(counts, starts)
-    labels = np.repeat(np.arange(starts.size), np.diff(np.append(starts, values.size)))
+def _model(y: np.ndarray, counts: np.ndarray, e: int, starts: np.ndarray) -> ClusterModel:
+    """The clustering whose clusters start at these indices of y, scaled back by 2**e."""
+    means = np.add.reduceat(counts * y, starts) / np.add.reduceat(counts, starts)
+    labels = np.repeat(np.arange(starts.size), np.diff(np.append(starts, y.size)))
     with np.errstate(over="ignore"):
-        objective = np.ldexp(np.sum(counts * (scaled - means[labels]) ** 2), 2 * e)
+        objective = np.ldexp(np.sum(counts * (y - means[labels]) ** 2), 2 * e)
     return ClusterModel(centers=tuple(np.ldexp(means, e).tolist()), objective=float(objective))
 
 
 @np.errstate(invalid="ignore", divide="ignore")  # singletons and a == b (0/0 too) score 0 below
-def _run_silhouette(values: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> float:
+def _run_silhouette(y: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> float:
     """Mean silhouette of clusters that are runs of the sorted distinct values, in O(m).
 
-    A point's nearest other cluster is an adjacent run, and its mean distance
+    y is scaled as ``_optimal_splits`` returns it: the score is a ratio.  A
+    point's nearest other cluster is an adjacent run, and its mean distance
     to a run wholly on one side is the gap to the run's nearer end plus the
     mean's offset from that end: two non-negative terms, so no cancellation.
     Distances within a run come from prefix sums of values centred on its mean.
     """
-    ends = np.append(starts[1:], values.size)
-    label, j = np.repeat(np.arange(starts.size), ends - starts), np.arange(values.size)
-    y = np.ldexp(values, -_exponent(values))  # exact, and the score is a ratio
+    ends = np.append(starts[1:], y.size)
+    label, j = np.repeat(np.arange(starts.size), ends - starts), np.arange(y.size)
     first, last, sizes = y[starts], y[ends - 1], np.add.reduceat(counts, starts)
     above_first = np.add.reduceat(counts * (y - first[label]), starts) / sizes
     below_last = np.add.reduceat(counts * (last[label] - y), starts) / sizes
@@ -194,8 +191,8 @@ def kmeans(points: Sequence[float], k: int, seed: int = 0) -> ClusterModel:
         raise DomainError("k must be >= 1")
     if pts.size < k:
         raise DomainError(f"need at least {k} points, got {pts.size}")
-    values, counts, starts = _optimal_splits(pts, k)
-    return _model(values, counts, starts[k])
+    y, counts, e, starts = _optimal_splits(pts, k)
+    return _model(y, counts, e, starts[k])
 
 
 def silhouette(points: Sequence[float], assignments: Sequence[int]) -> float:
@@ -262,10 +259,10 @@ def select_k(points: Sequence[float], k_range: Sequence[int], seed: int = 0) -> 
     ks = sorted(set(int(k) for k in k_range))
     if not ks or ks[0] < 2 or ks[-1] > pts.size - 1:
         raise DomainError(f"k_range must lie within [2, {pts.size - 1}]")
-    values, counts, starts = _optimal_splits(pts, ks[-1])
-    table = {k: _run_silhouette(values, counts, starts[k]) for k in ks}
+    y, counts, e, starts = _optimal_splits(pts, ks[-1])
+    table = {k: _run_silhouette(y, counts, starts[k]) for k in ks}
     best_k = max(ks, key=lambda k: (table[k], -k))
-    return KSelection(best_k, table, _model(values, counts, starts[best_k]))
+    return KSelection(best_k, table, _model(y, counts, e, starts[best_k]))
 
 
 def bands_from_clusters(model: ClusterModel) -> StateBands:

@@ -86,6 +86,12 @@ class TestUsage:
             assert cli.main([group]) == cli.EXIT_USAGE
         assert capsys.readouterr().err.count("usage: fairway") == 5
 
+    def test_min_count_option_is_gone(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "gv.csv", ["gap_m", "speed_kmh"], [(20, 5), (40, 6)])
+        assert cli.main(["fit", "speed-gap", "--input", path, "--min-count", "2"]) \
+            == cli.EXIT_USAGE
+        assert "unrecognized arguments: --min-count" in capsys.readouterr().err
+
     def test_config_option_is_gone(self, tmp_path, capsys):
         path = density_speed_csv(tmp_path, GREENSHIELDS, [1, 2, 3, 4])
         assert cli.main(["--config", "x.json", "fit", "fd", "--form", "greenshields",
@@ -207,6 +213,20 @@ class TestFitFd:
         code = cli.main(["fit", "fd", "--form", "greenberg", "--input", path, "--raw"])
         assert code == cli.EXIT_DATA
         assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    def test_density_whose_square_overflows_exits_with_data_error(self, tmp_path, capsys, form):
+        """A density near 1.4e154 bins, but the line fit's x-variance overflows: no warning."""
+        rows = [(0.5, 11.42), (1, 11.04), (2, 10.28), (3, 9.52), (1.4333549594718842e+154, 8.0),
+                (6, 7.24), (8, 5.72), (10, 4.2)]
+        path = write_csv(tmp_path / "kv.csv", ["density_vpkm", "speed_kmh"], rows)
+        argv = ["fit", "fd", "--form", form, "--input", path]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv + (["--v-f", "12"] if form.startswith("piecewise") else []))
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestFitSpeedGap:
@@ -741,7 +761,7 @@ FUZZ_COMMANDS = {
         ["fit", "speed-gap", "--input", "{a}"],
         {"a": (["gap_m", "speed_kmh"],
                [(g, 1.3 * math.log(g) + 0.5) for g in (20, 40, 60, 80, 100, 120)])},
-        {"--min-count": (int, None)}, ["--raw"]),
+        {}, ["--raw"]),
     "fit fd": (
         ["fit", "fd", "--input", "{a}"],
         {"a": (["density_vpkm", "speed_kmh"],

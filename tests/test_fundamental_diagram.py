@@ -256,10 +256,51 @@ class TestDeriveCharacteristics:
         with pytest.raises(DomainError):
             derive_characteristics(FdModel("greenshields", 0.7634, 11.817), v_min)
 
-    def test_v_min_above_exp_branch_amplitude(self):
-        # The plateau v_f = 10.5 is above v_min, but the branch starts at c1 = 6.
-        with pytest.raises(NoFeasibleDensityError):
-            derive_characteristics(FdModel("piecewise_exp", 6.0, 0.115, v_f=10.5, k1=4.0), 7.0)
+    @pytest.mark.parametrize("form,c1,c2", [("piecewise_exp", 6.0, 0.115),
+                                            ("piecewise_linear", 0.3, 6.0)],
+                             ids=["piecewise_exp", "piecewise_linear"])
+    def test_v_min_above_exp_branch_amplitude(self, form, c1, c2):
+        # The plateau v_f = 10.5 is above v_min, but the branch starts at 6.
+        with pytest.raises(NoFeasibleDensityError,
+                           match=r"puts k_max at -[0-9.]+, not above the breakpoint k1=4$"):
+            derive_characteristics(FdModel(form, c1, c2, v_f=10.5, k1=4.0), 7.0)
+
+    def test_log_branch_underflowing_to_zero_density_names_the_bound(self):
+        # exp((c2 - v_min) / c1) = exp(-799) underflows to k_max = 0: no plateau to name.
+        with pytest.raises(NoFeasibleDensityError, match=r"puts k_max at 0, not above 0$"):
+            derive_characteristics(FdModel("greenberg", 1.0, 1.0), 800.0)
+
+    @given(st.sampled_from(ALL_FORMS), *[st.floats(1e-6, 1e6)] * 5)
+    @example("piecewise_exp", 5e-324, 1.0, 10.0, 1.0, 2.0)  # c1 / v_min underflows to 0
+    @example("piecewise_linear", 1.0, 6.0, 10.0, 1.0, 6.0)  # v_min at the branch speed at 0
+    @example("piecewise_exp", 6.0, 1.0, 10.0, 1.0, 6.0)
+    @example("greenshields", 1.0, 6.0, 10.0, 1.0, 6.0)
+    @settings(max_examples=500, deadline=None)
+    def test_feasibility_matches_the_three_test_rule(self, form, c1, c2, v_f, k1, v_min):
+        """Infeasible exactly when v_min reaches the free-flow speed, then the branch
+        speed at k -> 0+, then puts k_max at or below k1 (0 for classical forms)."""
+        piecewise = form in PIECEWISE
+        model = FdModel(form, c1, c2, v_f=v_f, k1=k1) if piecewise else FdModel(form, c1, c2)
+        linear = form in ("greenshields", "piecewise_linear")
+        log = form in ("greenberg", "piecewise_log")
+        branch_v0 = c2 if linear else None if log else c1
+        sup_v = v_f if piecewise else branch_v0
+        try:
+            k_max = ((c2 - v_min) / c1 if linear else math.exp((c2 - v_min) / c1) if log
+                     else math.log(c1 / v_min) / c2)
+        except (OverflowError, ValueError):  # past the float range; c1 / v_min == 0
+            k_max = math.nan
+        infeasible = (sup_v is not None and v_min >= sup_v
+                      or branch_v0 is not None and v_min >= branch_v0
+                      or k_max <= (k1 if piecewise else 0.0))
+        try:
+            derive_characteristics(model, v_min)
+        except NoFeasibleDensityError:
+            assert infeasible
+        except DomainError:  # a closed form or a result past the float range
+            assert not infeasible
+        else:
+            assert not infeasible
 
     def test_log_form_reports_no_free_flow_speed(self):
         chars = derive_characteristics(FdModel("greenberg", 2.502, 11.227), V_MIN)

@@ -26,7 +26,7 @@ def noiseless(family, a, b, xs):
     return [(x, predict(family, a, b, x)) for x in xs]
 
 
-def reference_bin_points(points, width, min_count=1):
+def reference_bin_points(points, width):
     """The dict-of-lists loop that bin_points replaced."""
     buckets = {}
     for x, y in points:
@@ -35,7 +35,6 @@ def reference_bin_points(points, width, min_count=1):
         BinnedPoint(bin_center=(idx + 0.5) * width, mean_y=float(np.mean(sorted(ys))),
                     count=len(ys))
         for idx, ys in buckets.items()
-        if len(ys) >= min_count
     ]
     out.sort(key=lambda p: p.bin_center)
     return out
@@ -94,26 +93,6 @@ class TestBinPoints:
         out = bin_points([(55.0, 1), (54.999, 2)], width=5)
         assert [b.bin_center for b in out] == pytest.approx([52.5, 57.5])
 
-    def test_min_count_against_naive_oracle(self):
-        rng = np.random.default_rng(7)
-        pts = [(float(x), float(y)) for x, y in zip(rng.uniform(0, 200, 1000),
-                                                    rng.normal(size=1000))]
-        out = bin_points(pts, width=5, min_count=3)
-        assert all(b.count >= 3 for b in out)
-        # naive re-binning oracle
-        naive = {}
-        for x, y in pts:
-            naive.setdefault(math.floor(x / 5), []).append(y)
-        expected = {
-            (i + 0.5) * 5: (float(np.mean(ys)), len(ys))
-            for i, ys in naive.items() if len(ys) >= 3
-        }
-        got = {b.bin_center: (b.mean_y, b.count) for b in out}
-        assert got.keys() == expected.keys()
-        for center, (mean_y, count) in expected.items():
-            assert got[center][0] == pytest.approx(mean_y, rel=1e-12)
-            assert got[center][1] == count
-
     def test_empty_input(self):
         assert bin_points([], width=5) == []
 
@@ -135,11 +114,11 @@ class TestBinPoints:
                                         st.floats(-1e6, 1e6)),
                               st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))),
                     max_size=60),
-           st.sampled_from([0.2, 1.0, 5, 7.5]), st.integers(0, 4))
+           st.sampled_from([0.2, 1.0, 5, 7.5]))
     @settings(max_examples=200)
-    def test_matches_dict_of_lists_reference(self, pts, width, min_count):
-        """Duplicate x, signed zeros and min_count: the same bins, bit for bit."""
-        got, want = bin_points(pts, width, min_count), reference_bin_points(pts, width, min_count)
+    def test_matches_dict_of_lists_reference(self, pts, width):
+        """Duplicate x and signed zeros: the same bins, bit for bit."""
+        got, want = bin_points(pts, width), reference_bin_points(pts, width)
         assert got == want
         assert [math.copysign(1.0, b.mean_y) for b in got] == \
             [math.copysign(1.0, b.mean_y) for b in want]

@@ -268,6 +268,36 @@ class TestSelectK:
                2.2250738585072014e-308, 10.4, 10.5, 10.6]
         assert np.isfinite(list(select_k(pts, range(2, 10)).silhouette_by_k.values())).all()
 
+    def test_values_merged_by_scaling_are_one_value_throughout(self):
+        """0.0 and 2.2e-308 scale to one value next to 1e308 for the DP, models and silhouettes."""
+        pts = [4.4, 4.5, 1e308, 6.4, 6.5, 2.2e-308, 0.0, 8.3, 2.2e-308, 10.4, 10.5, 10.6]
+        for k in (4, 5):
+            centers = kmeans(pts, k).centers
+            assert all(a < b for a, b in zip(centers, centers[1:]))
+        selection = select_k(pts, range(2, 6))
+        assert selection.model == kmeans(pts, selection.best_k)
+        reference = silhouette(pts, assign_points(pts, kmeans(pts, 3).centers))
+        assert reference == pytest.approx(0.6073, abs=5e-5)
+        assert selection.silhouette_by_k[3] == pytest.approx(reference, rel=0, abs=1e-12)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+           st.integers(1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_any_finite_floats(self, pts, k):
+        """Any magnitudes: a model or too few (distinct) points; the sweep agrees with kmeans."""
+        try:
+            kmeans(pts, k)
+        except DegenerateClusteringError:
+            pass
+        except DomainError as exc:
+            assert f"need at least {k} points" in str(exc)
+        if len(pts) >= 3:
+            try:
+                selection = select_k(pts, range(2, min(6, len(pts) - 1) + 1))
+            except DegenerateClusteringError:
+                return
+            assert selection.model == kmeans(pts, selection.best_k)
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0, -996, 1020]))
     @settings(max_examples=100, deadline=None)
     def test_matches_per_k_reference(self, seed, top_exponent):
