@@ -58,17 +58,16 @@ class _Shape(NamedTuple):
     argmax: Callable  # (c1, c2) -> unconstrained argmax of k * v(k)
 
 
-# The linear, log and exp shapes, in the order each half of ALL_FORMS lists them.
 # k_max <= 0 exactly when v_min is at or above the branch speed at k -> 0+; the
 # exp shape floors c1/v at the least subnormal, so an underflow gives ln < 0 too.
-_FORM_SHAPE = dict(zip(ALL_FORMS, 2 * (
-    _Shape("linear", (-1, 1), lambda c1, c2: c2,
-           lambda c1, c2, v: (c2 - v) / c1, lambda c1, c2: c2 / (2 * c1)),
-    _Shape("logarithmic", (-1, 1), lambda c1, c2: None,
-           lambda c1, c2, v: _exp((c2 - v) / c1), lambda c1, c2: _exp(c2 / c1 - 1)),
-    _Shape("exponential", (1, -1), lambda c1, c2: c1,
-           lambda c1, c2, v: math.log(max(c1 / v, math.ulp(0))) / c2, lambda c1, c2: 1 / c2),
-)))
+_LINEAR = _Shape("linear", (-1, 1), lambda c1, c2: c2,
+                 lambda c1, c2, v: (c2 - v) / c1, lambda c1, c2: c2 / (2 * c1))
+_LOG = _Shape("logarithmic", (-1, 1), lambda c1, c2: None,
+              lambda c1, c2, v: _exp((c2 - v) / c1), lambda c1, c2: _exp(c2 / c1 - 1))
+_EXP = _Shape("exponential", (1, -1), lambda c1, c2: c1,
+              lambda c1, c2, v: math.log(max(c1 / v, math.ulp(0))) / c2, lambda c1, c2: 1 / c2)
+_FORM_SHAPE = {"greenshields": _LINEAR, "greenberg": _LOG, "underwood": _EXP,
+               "piecewise_linear": _LINEAR, "piecewise_log": _LOG, "piecewise_exp": _EXP}
 
 
 def _finite_positive(value) -> bool:

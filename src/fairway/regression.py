@@ -77,7 +77,6 @@ class FitReport:
 class BinnedPoint:
     bin_center: float
     mean_y: float
-    count: int
 
 
 def predict(family: str, a: float, b: float, x):
@@ -111,7 +110,7 @@ def bin_points(
     idx, y = idx[order], y[order]
     bins, starts, counts = np.unique(idx, return_index=True, return_counts=True)
     return [
-        BinnedPoint(bin_center=(b + 0.5) * width, mean_y=float(np.mean(y[s:s + n])), count=n)
+        BinnedPoint(bin_center=(b + 0.5) * width, mean_y=float(np.mean(y[s:s + n])))
         for b, s, n in zip(bins.tolist(), starts.tolist(), counts.tolist())
     ]
 

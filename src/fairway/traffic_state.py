@@ -147,8 +147,11 @@ def _optimal_splits(pts: np.ndarray, k_max: int):
 
 def _model(y: np.ndarray, counts: np.ndarray, e: int, starts: np.ndarray) -> ClusterModel:
     """The clustering whose clusters start at these indices of y, scaled back by 2**e."""
-    means = np.add.reduceat(counts * y, starts) / np.add.reduceat(counts, starts)
-    labels = np.repeat(np.arange(starts.size), np.diff(np.append(starts, y.size)))
+    ends = np.append(starts[1:], y.size)
+    # Clamped into its run: a rounded mean can pass the run's last value by an ulp.
+    means = np.clip(np.add.reduceat(counts * y, starts) / np.add.reduceat(counts, starts),
+                    y[starts], y[ends - 1])
+    labels = np.repeat(np.arange(starts.size), ends - starts)
     with np.errstate(over="ignore"):
         objective = np.ldexp(np.sum(counts * (y - means[labels]) ** 2), 2 * e)
     return ClusterModel(centers=tuple(np.ldexp(means, e).tolist()), objective=float(objective))

@@ -259,8 +259,9 @@ class TestDeriveCharacteristics:
     @pytest.mark.parametrize("form,c1,c2", [("piecewise_exp", 6.0, 0.115),
                                             ("piecewise_linear", 0.3, 6.0)],
                              ids=["piecewise_exp", "piecewise_linear"])
-    def test_v_min_above_exp_branch_amplitude(self, form, c1, c2):
-        # The plateau v_f = 10.5 is above v_min, but the branch starts at 6.
+    def test_v_min_above_branch_speed_at_zero(self, form, c1, c2):
+        # The plateau v_f = 10.5 is above v_min, but the branch starts at 6 (c1 for
+        # the exp shape, the intercept c2 for the linear shape).
         with pytest.raises(NoFeasibleDensityError,
                            match=r"puts k_max at -[0-9.]+, not above the breakpoint k1=4$"):
             derive_characteristics(FdModel(form, c1, c2, v_f=10.5, k1=4.0), 7.0)

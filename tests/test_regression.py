@@ -32,8 +32,7 @@ def reference_bin_points(points, width):
     for x, y in points:
         buckets.setdefault(math.floor(x / width), []).append(y)
     out = [
-        BinnedPoint(bin_center=(idx + 0.5) * width, mean_y=float(np.mean(sorted(ys))),
-                    count=len(ys))
+        BinnedPoint(bin_center=(idx + 0.5) * width, mean_y=float(np.mean(sorted(ys))))
         for idx, ys in buckets.items()
     ]
     out.sort(key=lambda p: p.bin_center)
@@ -83,7 +82,6 @@ class TestBinPoints:
         assert len(out) == 1
         assert out[0].bin_center == pytest.approx(52.5)
         assert out[0].mean_y == pytest.approx(7.0)
-        assert out[0].count == 2
 
     def test_boundary_split(self):
         out = bin_points([(51, 6), (57, 8)], width=5)

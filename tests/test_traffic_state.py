@@ -2,7 +2,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairway.errors import DegenerateClusteringError, DomainError
@@ -280,8 +280,15 @@ class TestSelectK:
         assert reference == pytest.approx(0.6073, abs=5e-5)
         assert selection.silhouette_by_k[3] == pytest.approx(reference, rel=0, abs=1e-12)
 
+    def test_rounded_mean_past_its_run_is_clamped(self):
+        """Scaled, 0.1 x3 is 0.8 and 3 * 0.8 / 3 rounds to the next value: clamped back."""
+        pts = [0.1, 0.1, 0.1, 0.10000000000000002]
+        assert kmeans(pts, 2).centers == (0.1, 0.10000000000000002)
+        assert select_k(pts, [2]).model == kmeans(pts, 2)
+
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
            st.integers(1, 6))
+    @example([0.1, 0.1, 0.1, 0.10000000000000002], 2)  # 3 * 0.8 / 3 rounds up an ulp
     @settings(max_examples=300, deadline=None)
     def test_any_finite_floats(self, pts, k):
         """Any magnitudes: a model or too few (distinct) points; the sweep agrees with kmeans."""
