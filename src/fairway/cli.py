@@ -16,8 +16,6 @@ Exit codes: 0 success, 1 usage error, 2 data or domain error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
@@ -125,18 +123,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _write_rows(handle, key: list, *columns) -> int:
-    """Rows of ``key`` and one value per column, as csv.writer writes them; returns the count.
-
-    Only the key can need quoting, so it alone goes through csv.
-    """
-    head = io.StringIO()
-    csv.writer(head).writerow(key)
-    row = head.getvalue()[:-2].replace("%", "%%") + ",%r" * len(columns) + "\r\n"
-    handle.write("".join(map(row.__mod__, zip(*(c.tolist() for c in columns)))))
-    return len(columns[0])
-
-
 def _cmd_tracks_derive(args) -> dict:
     meta = io_store.meta_map(io_store.load_vessel_meta(args.meta))
     runs, _ = io_store.load_tracks(args.tracks, meta)
@@ -147,23 +133,24 @@ def _cmd_tracks_derive(args) -> dict:
     with open(out_dir / "speeds.csv", "w", newline="", encoding="utf-8") as sh, \
          open(out_dir / "gaps.csv", "w", newline="", encoding="utf-8") as gh, \
          open(out_dir / "flow_samples.csv", "w", newline="", encoding="utf-8") as fh:
-        csv.writer(sh).writerow(["run_id", "fleet_position", "t_seconds", "speed_kmh"])
-        csv.writer(gh).writerow(
-            ["run_id", "follower_position", "t_seconds", "gap_m", "overlap_flagged"])
-        csv.writer(fh).writerow(["run_id", "t_seconds", "density_vpkm", "speed_kmh", "flow_vph"])
+        sh.write("run_id,fleet_position,t_seconds,speed_kmh\r\n")
+        gh.write("run_id,follower_position,t_seconds,gap_m,overlap_flagged\r\n")
+        fh.write("run_id,t_seconds,density_vpkm,speed_kmh,flow_vph\r\n")
         for run in runs:
             # Each series is derived once, written, and reused for the flow samples.
             speeds = [trajectory.speed_series(track) for track in run.tracks]
             for track, (t, v) in zip(run.tracks, speeds):
-                counts["speeds"] += _write_rows(sh, [run.run_id, track.meta.fleet_position], t, v)
+                counts["speeds"] += io_store.write_rows(
+                    sh, [run.run_id, track.meta.fleet_position], t, v)
             gaps = [trajectory.derive_gap(leader, follower)
                     for leader, follower in zip(run.tracks, run.tracks[1:])]
             for follower, g in zip(run.tracks[1:], gaps):
-                counts["gaps"] += _write_rows(gh, [run.run_id, follower.meta.fleet_position],
-                                              g.t, g.gap_m, g.overlap_flagged.astype(int))
+                counts["gaps"] += io_store.write_rows(
+                    gh, [run.run_id, follower.meta.fleet_position],
+                    g.t, g.gap_m, g.overlap_flagged.astype(int))
             s = trajectory.fleet_flow_samples(run, speeds, gaps)
-            counts["flow_samples"] += _write_rows(fh, [run.run_id], s.t, s.density,
-                                                  s.mean_speed, s.flow)
+            counts["flow_samples"] += io_store.write_rows(
+                fh, [run.run_id], s.t, s.density, s.mean_speed, s.flow)
             counts["stationary"] += s.stationary
 
     print(f"runs {counts['runs']}  speeds {counts['speeds']}  "
@@ -172,12 +159,14 @@ def _cmd_tracks_derive(args) -> dict:
     return counts
 
 
+def _points(args, x: str, y: str, width: float) -> np.ndarray:
+    """The x and y columns of --input as (n, 2) points, binned at ``width`` unless --raw."""
+    points = np.column_stack(io_store.read_columns(args.input, x, y))
+    return points if args.raw else np.array(regression.bin_points(points, width)).reshape(-1, 2)
+
+
 def _cmd_fit_speed_gap(args) -> dict:
-    points = np.column_stack(io_store.read_columns(args.input, "gap_m", "speed_kmh"))
-    if not args.raw:
-        binned = regression.bin_points(points, GAP_BIN_M)
-        points = [(b.bin_center, b.mean_y) for b in binned]
-    reports = regression.rank_families(points)
+    reports = regression.rank_families(_points(args, "gap_m", "speed_kmh", GAP_BIN_M))
     if not reports:
         raise InsufficientDataError("every curve family was excluded from ranking")
     print(f"{'family':<12} {'a':>10} {'b':>10} {'R^2':>8} {'n':>5}")
@@ -188,11 +177,7 @@ def _cmd_fit_speed_gap(args) -> dict:
 
 
 def _cmd_fit_fd(args) -> dict:
-    points = np.column_stack(io_store.read_columns(args.input, "density_vpkm", "speed_kmh"))
-    if not args.raw:
-        binned = regression.bin_points(points, DENSITY_BIN_VPKM)
-        points = np.array([(b.bin_center, b.mean_y) for b in binned]).reshape(-1, 2)
-    k, v = points.T
+    k, v = _points(args, "density_vpkm", "speed_kmh", DENSITY_BIN_VPKM).T
     with np.errstate(over="ignore"):  # the batch rejects a flow that overflows
         samples = trajectory.FlowSamples(density=k, mean_speed=v, flow=k * v)
     model, report = fd.fit_fd(args.form, samples, v_f=args.v_f, k1=args.k1)

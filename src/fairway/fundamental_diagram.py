@@ -160,11 +160,13 @@ def speed_at_density(model: FdModel, k: float):
     return out if np.ndim(k) else float(out)
 
 
+@np.errstate(all="ignore")  # a q past the float range is inf; CharacteristicParams rejects it
 def flow_at_density(model: FdModel, k: float):
     """q(k) = k * v(k) in vessels/h."""
     return k * speed_at_density(model, k)
 
 
+@np.errstate(all="ignore")  # CharacteristicParams rejects a result that is not finite
 def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams:
     """Characteristic parameters under the minimum-speed constraint.
 

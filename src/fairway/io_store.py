@@ -1,14 +1,16 @@
-"""CSV ingestion, model-document persistence, and plot-ready curve export.
+"""CSV reading and writing, model-document persistence, and plot-ready curve export.
 
 All inputs are UTF-8 comma-separated files with a mandatory header row.
-Loaders parse a column at a time and never silently drop rows: every data
-row is either accepted or recorded as a reject with its line number (strict
-mode raises on the first reject).  A float cell must hold a finite number,
-an integer cell must fit in 64 bits.  Files are read in blocks of rows.
-numpy's C parser reads a block of printable-ASCII lines without '"' when it
-yields the same values with no reject; any other block goes through
-csv.reader and a per-cell cast that names each reject, and so does the rest
-of the file after the first block holding a quote or another character.
+Loaders never silently drop rows: every data row is either accepted or
+recorded as a reject with its line number (strict mode raises on the first
+reject).  A float cell must hold a finite number, an integer cell must fit
+in 64 bits.  Files are read in blocks of rows.  One np.loadtxt call reads
+every column of a block of printable-ASCII lines without '"', text cells as
+Python str, when it yields the same values with no reject; any other block
+goes through csv.reader and a per-cell cast that names each reject, and so
+does the rest of the file after the first block holding a quote or another
+character.  ``write_rows`` is the one CSV writer: csv quotes the key cells,
+and each value is written as its repr.
 Model documents are strict JSON with full-precision numbers, so save/load
 round-trips are bit-identical; on load, an integer must fit in 64 bits and
 no value may be true or false.
@@ -17,6 +19,7 @@ no value may be true or false.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
@@ -24,7 +27,6 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass, field, is_dataclass
 from datetime import datetime
-from functools import partial
 from itertools import chain, islice
 from pathlib import Path
 from typing import Optional, Sequence
@@ -105,24 +107,22 @@ def _typed_column(cells: list, column: str, cast, first_row: int) -> tuple:
 
 
 def _fast_columns(lines: list, picks: list, casts: Sequence) -> Optional[list]:
-    """Quote-free lines as ``_typed_column`` reads them, through numpy's C parser.
+    """Quote-free lines as ``_typed_column`` reads them, from one np.loadtxt call.
 
-    None wherever the two could differ: a parse that fails or warns, a row
-    count other than the lines', a non-finite float, or an empty string.
+    Text cells come as Python str and numeric columns as copies: a view would keep
+    the block's table alive.  None wherever the two could differ: a parse that fails
+    or warns, a row count other than the lines', a non-finite float, or an empty string.
     """
-    numeric = [j for j, cast in enumerate(casts) if cast in _DTYPES]
-    read = partial(np.loadtxt, lines, delimiter=",", comments=None, ndmin=1)
+    dtype = np.dtype([(str(j), _DTYPES.get(cast, object)) for j, cast in enumerate(casts)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy 1.2x warns on "1.5" read as an int
         try:
-            table = read(np.dtype([(str(j), _DTYPES[casts[j]]) for j in numeric]),
-                         usecols=[picks[j] for j in numeric]) if numeric else {}
-            columns = [table[str(j)] if cast in _DTYPES else read(str, usecols=[pick]).tolist()
-                       for j, (pick, cast) in enumerate(zip(picks, casts))]
+            table = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1, usecols=picks)
         except (ValueError, OverflowError, Warning):
             return None
     out = []
-    for values, cast in zip(columns, casts):
+    for j, cast in enumerate(casts):
+        values = table[str(j)].copy() if cast in _DTYPES else table[str(j)].tolist()
         if len(values) != len(lines) or cast not in _DTYPES and "" in values:
             return None
         if cast is float and not np.isfinite(values).all():
@@ -253,9 +253,9 @@ def load_tracks(
 ) -> tuple[list[FleetRun], LoadResult]:
     """Fleet runs assembled from a track file plus a vessel-meta map.
 
-    Cells are parsed a column at a time and rows grouped by one lexsort over
-    (run, position, t), with no object per fix.  A row repeating the key of
-    an earlier row is a duplicate even when that row has a bad coordinate.
+    Rows are grouped by one lexsort over (run, position, t), with no object
+    per fix.  A row repeating the key of an earlier row is a duplicate even
+    when that row has a bad coordinate.
     ``items`` holds the accepted rows' line numbers; each track keeps its own fix spacing.
     """
     # run_id cells are interned: a few names repeat on every row.
@@ -424,6 +424,14 @@ def load_model(path) -> ModelDocument:
         raise ParseError(f"{path}: malformed model document: {exc}") from exc
 
 
+def write_rows(handle, key: Sequence, *columns) -> int:
+    """Write rows as csv.writer would, the ``key`` cells then one repr per column; the count."""
+    head = io.StringIO()  # only the key can need quoting, so csv writes the row template
+    csv.writer(head).writerow([str(x).replace("%", "%%") for x in key] + ["%r"] * len(columns))
+    handle.write("".join(map(head.getvalue().__mod__, zip(*(c.tolist() for c in columns)))))
+    return len(columns[0])
+
+
 def emit_curve_samples(model: FdModel, k_range: tuple[float, float], step: float, path) -> int:
     """Write a k,v,q CSV over an inclusive density grid; returns the row count.
 
@@ -450,7 +458,5 @@ def emit_curve_samples(model: FdModel, k_range: tuple[float, float], step: float
     if not np.isfinite(q).all():  # v past the float range takes q with it
         raise DomainError(f"v or q overflows on the grid up to k={k[-1]!r}")
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k", "v", "q"])
-        writer.writerows(zip(*(map(repr, c.tolist()) for c in (k, v, q))))
-    return len(k)
+        handle.write("k,v,q\r\n")
+        return write_rows(handle, (), k, v, q)

@@ -12,7 +12,7 @@ transformed before the straight-line fit, and the curve in (a, b).
 ``fundamental_diagram`` reports ``_fit_r_squared``, 1 - SSE/SST of y in its
 own units, so R^2 compares across families and forms and never exceeds 1.
 
-Points are (x, y) pairs: a sequence of pairs or an (n, 2) array.
+Points are (x, y) pairs: a sequence of pairs, such as ``bin_points``' bins, or an (n, 2) array.
 """
 
 from __future__ import annotations
@@ -73,12 +73,12 @@ class FitReport:
             raise DegenerateFitError("non-finite fit result")
 
 
-@dataclass(frozen=True)
-class BinnedPoint:
+class BinnedPoint(NamedTuple):
     bin_center: float
     mean_y: float
 
 
+@np.errstate(all="ignore")  # inf on overflow; fits, characteristics and curve export reject it
 def predict(family: str, a: float, b: float, x):
     """Evaluate a family curve at x (scalar or array)."""
     out = _family(family).curve(a, b, np.asarray(x, dtype=float))

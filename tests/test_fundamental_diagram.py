@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fairway.errors import (
 )
 from fairway.fundamental_diagram import (
     ALL_FORMS,
+    CharacteristicParams,
     FdModel,
     derive_characteristics,
     economic_speed,
@@ -306,6 +308,46 @@ class TestDeriveCharacteristics:
     def test_log_form_reports_no_free_flow_speed(self):
         chars = derive_characteristics(FdModel("greenberg", 2.502, 11.227), V_MIN)
         assert chars.v_f is None
+
+
+POSITIVE_FLOATS = st.floats(0.0, exclude_min=True, allow_infinity=False)
+
+
+class TestOverflowIsQuiet:
+    """Finite coefficients past what the float range can evaluate end in a value
+    or a DomainError; numpy's overflow warning never reaches the caller."""
+
+    def test_characteristics_past_the_float_range_raise(self):
+        model = FdModel("greenshields", 4.791402715687035e+16, 1.7976931348623157e+308)
+        with pytest.raises(DomainError, match="every field must be finite"):
+            derive_characteristics(model, 1.0)
+
+    def test_overflow_in_a_losing_candidate_is_dropped(self):
+        model = FdModel("piecewise_log", 2.411586393831417e+305, 2.4115863938311856e+305,
+                        v_f=2.0, k1=5e-324)
+        chars = derive_characteristics(model, 1.0)
+        assert all(math.isfinite(v) for v in (chars.v_m, chars.k_m, chars.q_m, chars.k_max))
+
+    def test_predict_overflows_to_inf(self):
+        assert predict("exponential", 1e308, 1e308, 1.0) == math.inf
+
+    def test_flow_overflows_to_minus_inf(self):
+        assert flow_at_density(FdModel("greenshields", 1e300, 1e300), 1e300) == -math.inf
+
+    @given(st.sampled_from(ALL_FORMS), *[POSITIVE_FLOATS] * 5)
+    @example("greenshields", 4.791402715687035e+16, 1.7976931348623157e+308, 1.0, 1.0, 1.0)
+    @example("piecewise_log", 2.411586393831417e+305, 2.4115863938311856e+305, 2.0, 5e-324, 1.0)
+    @settings(max_examples=500, deadline=None)
+    def test_characteristics_over_the_full_float_range(self, form, c1, c2, v_f, k1, v_min):
+        piecewise = form in PIECEWISE
+        model = FdModel(form, c1, c2, v_f=v_f, k1=k1) if piecewise else FdModel(form, c1, c2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                chars = derive_characteristics(model, v_min)
+            except DomainError:
+                return
+        assert isinstance(chars, CharacteristicParams)
 
 
 class TestFitFd:

@@ -508,6 +508,17 @@ class TestReadColumns:
         with pytest.raises(ParseError, match=rf"kv\.csv:3:speed_kmh: {message}"):
             read_columns(path, "gap_m", "speed_kmh")
 
+    def test_one_parse_per_block_and_no_view_of_it(self):
+        """Every column of a plain block comes from one np.loadtxt call, and no numeric
+        column is a view of its table: a view would keep every block's table alive."""
+        lines = ["r1,1,0,3.5,4.5\n", "r 2,2,5,5.5,6.5\r\n"]
+        with patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            typed = io_store._fast_columns(lines, [0, 1, 2, 3, 4], (str, int, int, float, float))
+        assert loadtxt.call_count == 1
+        assert [values if isinstance(values, list) else values.tolist() for values, _ in typed] \
+            == [["r1", "r 2"], [1, 2], [0, 5], [3.5, 5.5], [4.5, 6.5]]
+        assert all(values.base is None for values, _ in typed if isinstance(values, np.ndarray))
+
     @pytest.mark.parametrize("load", [
         lambda path: read_columns(path, "speed_kmh"), load_vessel_meta,
         lambda path: load_tracks(path, {}), load_surveillance,
