@@ -7,8 +7,7 @@ recommendations, state-band training/classification, curve export, and
 the classification HTTP service.
 
 Analysis parameters come from the flags ``--v-f``, ``--k1``, ``--v-min`` and
-``--tail`` (published defaults) and from the bin widths and K range below;
-there is no config file.
+``--tail`` (published defaults) and from the bin widths and K range below.
 
 Exit codes: 0 success, 1 usage error, 2 data or domain error.
 """
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import fundamental_diagram as fd
 from . import io_store, regression, trajectory, traffic_state
-from .errors import FairwayError, InsufficientDataError
+from .errors import DomainError, FairwayError, InsufficientDataError
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 GAP_BIN_M = 5.0  # speed-gap bin width
@@ -159,14 +158,29 @@ def _cmd_tracks_derive(args) -> dict:
     return counts
 
 
-def _points(args, x: str, y: str, width: float) -> np.ndarray:
-    """The x and y columns of --input as (n, 2) points, binned at ``width`` unless --raw."""
-    points = np.column_stack(io_store.read_columns(args.input, x, y))
+def _gaps(path, *others: str) -> tuple[np.ndarray, ...]:
+    """gap_m and the ``others`` of a CSV; DomainError on a gap <= 0, a flagged GNSS overlap."""
+    gaps, *rest = io_store.read_columns(path, "gap_m", *others)
+    if (bad := np.flatnonzero(gaps <= 0)).size:
+        raise DomainError(f"{path}: {bad.size} gap(s) <= 0, the first on line {bad[0] + 2}; "
+                          "drop the rows tracks derive flags with overlap_flagged 1")
+    return gaps, *rest
+
+
+def _document(**sections) -> dict:
+    """A model document of these sections, stamped with the UTC time now, as JSON values."""
+    return io_store.document_to_dict(io_store.ModelDocument(
+        **sections, created_utc=datetime.now(timezone.utc).isoformat()))
+
+
+def _points(args, x: np.ndarray, y: np.ndarray, width: float) -> np.ndarray:
+    """x and y as (n, 2) points, binned at ``width`` unless --raw."""
+    points = np.column_stack((x, y))
     return points if args.raw else np.array(regression.bin_points(points, width)).reshape(-1, 2)
 
 
 def _cmd_fit_speed_gap(args) -> dict:
-    reports = regression.rank_families(_points(args, "gap_m", "speed_kmh", GAP_BIN_M))
+    reports = regression.rank_families(_points(args, *_gaps(args.input, "speed_kmh"), GAP_BIN_M))
     if not reports:
         raise InsufficientDataError("every curve family was excluded from ranking")
     print(f"{'family':<12} {'a':>10} {'b':>10} {'R^2':>8} {'n':>5}")
@@ -177,7 +191,8 @@ def _cmd_fit_speed_gap(args) -> dict:
 
 
 def _cmd_fit_fd(args) -> dict:
-    k, v = _points(args, "density_vpkm", "speed_kmh", DENSITY_BIN_VPKM).T
+    columns = io_store.read_columns(args.input, "density_vpkm", "speed_kmh")
+    k, v = _points(args, *columns, DENSITY_BIN_VPKM).T
     with np.errstate(over="ignore"):  # the batch rejects a flow that overflows
         samples = trajectory.FlowSamples(density=k, mean_speed=v, flow=k * v)
     model, report = fd.fit_fd(args.form, samples, v_f=args.v_f, k1=args.k1)
@@ -189,11 +204,7 @@ def _cmd_fit_fd(args) -> dict:
     print(f"v_f {_fmt(chars.v_f)}  v_m {_fmt(chars.v_m)}  k_m {_fmt(chars.k_m)}  "
           f"q_m {_fmt(chars.q_m)}  k_max {_fmt(chars.k_max)}  v_min {_fmt(chars.v_min)}")
 
-    doc = io_store.ModelDocument(
-        fd=model, v_min=args.v_min, characteristics=chars, fit=report,
-        created_utc=datetime.now(timezone.utc).isoformat(),
-    )
-    return io_store.document_to_dict(doc)
+    return _document(fd=model, v_min=args.v_min, characteristics=chars, fit=report)
 
 
 def _cmd_stats_summary(args) -> dict:
@@ -216,11 +227,8 @@ def _cmd_economic_speed(args) -> dict:
 
 
 def _cmd_minimums(args) -> dict:
-    result = fd.recommend_minimums(
-        io_store.read_columns(args.speeds, "speed_kmh")[0],
-        io_store.read_columns(args.gaps, "gap_m")[0],
-        tail_fraction=args.tail,
-    )
+    (speeds,), (gaps,) = io_store.read_columns(args.speeds, "speed_kmh"), _gaps(args.gaps)
+    result = fd.recommend_minimums(speeds, gaps, tail_fraction=args.tail)
     print(f"v_min {_fmt(result.v_min)} km/h  g_min {_fmt(result.g_min)} m  (tail {args.tail})")
     return {**asdict(result), "tail_fraction": args.tail}
 
@@ -232,17 +240,9 @@ def _cmd_states_train(args) -> dict:
     for k in sorted(selection.silhouette_by_k):
         marker = " *" if k == selection.best_k else ""
         print(f"{k}  {_fmt(selection.silhouette_by_k[k])}{marker}")
-    if selection.best_k != 4:
-        raise FairwayError(
-            f"silhouette selected K={selection.best_k}; state bands need K=4 "
-            "(four-level classification)"
-        )
     bands = traffic_state.bands_from_clusters(selection.model)
     print("boundaries " + "  ".join(_fmt(b) for b in bands.boundaries))
-    doc = io_store.ModelDocument(
-        bands=bands, created_utc=datetime.now(timezone.utc).isoformat(),
-    )
-    return io_store.document_to_dict(doc)
+    return _document(bands=bands)
 
 
 def _cmd_states_classify(args) -> dict:

@@ -25,7 +25,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime
 from itertools import chain, islice
 from pathlib import Path
@@ -75,9 +75,12 @@ class RejectedRow:
 
 @dataclass(frozen=True)
 class LoadResult:
-    """Accepted items plus per-line rejects; counts always add up."""
+    """Accepted items plus per-line rejects; counts always add up.
 
-    items: tuple
+    ``load_tracks``' items are one int64 array: its results are not compared with ``==``.
+    """
+
+    items: tuple | np.ndarray
     rejects: tuple[RejectedRow, ...] = field(default=())
 
 
@@ -291,7 +294,7 @@ def load_tracks(
         if b == len(order) or run[b] != run[a]:
             runs.append(FleetRun(run_id=key[0], tracks=tuple(tracks)))
             tracks = []
-    return runs, LoadResult(items=tuple((np.flatnonzero(accepted) + 2).tolist()), rejects=rejects)
+    return runs, LoadResult(items=np.flatnonzero(accepted) + 2, rejects=rejects)
 
 
 def load_surveillance(path, strict: bool = True) -> LoadResult:
@@ -335,17 +338,24 @@ class ModelDocument:
             raise DomainError("a model document needs a diagram model or state bands")
         if self.v_min is not None and not 0 < self.v_min < math.inf:
             raise DomainError(f"v_min must be a finite positive number, got {self.v_min!r}")
+        if self.fit is not None and self.fit.family not in FAMILIES + ALL_FORMS:
+            raise DomainError(f"unknown fit family {self.fit.family!r}")
+
+
+# Each JSON section of a model document: its ModelDocument field, and the
+# dataclass the section is read into (None for a plain value).
+_SECTIONS = {"model": ("fd", FdModel), "v_min": ("v_min", None),
+             "characteristics": ("characteristics", CharacteristicParams),
+             "bands": ("bands", StateBands), "fit": ("fit", FitReport),
+             "created_utc": ("created_utc", None)}
 
 
 def document_to_dict(doc: ModelDocument) -> dict:
     out: dict = {"schema_version": SCHEMA_VERSION}
-    for key, part in (("model", doc.fd), ("v_min", doc.v_min),
-                      ("characteristics", doc.characteristics), ("bands", doc.bands),
-                      ("fit", doc.fit), ("created_utc", doc.created_utc)):
-        if part is not None:
-            out[key] = asdict(part) if is_dataclass(part) else part
-    if doc.bands is not None:
-        out["bands"]["boundaries"] = list(doc.bands.boundaries)
+    for key, (name, kind) in _SECTIONS.items():
+        if (part := getattr(doc, name)) is not None:
+            out[key] = part if kind is None else {
+                k: list(v) if isinstance(v, tuple) else v for k, v in asdict(part).items()}
     return out
 
 
@@ -363,35 +373,24 @@ def _json_int(text: str) -> int:
 
 
 def document_from_dict(raw: dict) -> ModelDocument:
-    """The document's sections.
+    """The document's sections, each read as ``_SECTIONS`` says.
 
-    TypeError on a section holding an unknown key, on true or false anywhere
-    (no field is boolean) and on a created_utc that is not a string;
-    DomainError on a fit of no known family or form.  A legacy
-    ``fit_space`` key in the fit section is dropped.
+    TypeError on an unknown key at any level, a section that is not an object
+    or lacks a field, true or false anywhere (no field is boolean) or a
+    created_utc that is not a string.
     """
     if _has_boolean(raw):
         raise TypeError("no field of a model document takes true or false")
     if not isinstance(raw.get("created_utc", ""), str):
         raise TypeError(f"created_utc must be a string, got {raw['created_utc']!r}")
-    version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if (version := raw.get("schema_version")) != SCHEMA_VERSION:
         raise SchemaVersionError(
-            f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}"
-        )
-    fit = {**raw.get("fit", {})}  # TypeError when the section is not an object
-    fit.pop("fit_space", None)
-    if "family" in fit and fit["family"] not in FAMILIES + ALL_FORMS:
-        raise DomainError(f"unknown fit family {fit['family']!r}")
-    return ModelDocument(
-        fd=FdModel(**raw["model"]) if "model" in raw else None,
-        v_min=raw.get("v_min"),
-        characteristics=(CharacteristicParams(**{"v_f": None, **raw["characteristics"]})
-                         if "characteristics" in raw else None),
-        bands=StateBands(**raw["bands"]) if "bands" in raw else None,
-        fit=FitReport(**fit) if "fit" in raw else None,
-        created_utc=raw.get("created_utc"),
-    )
+            f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
+    if unknown := sorted(raw.keys() - _SECTIONS.keys() - {"schema_version"}):
+        raise TypeError(f"unknown top-level key(s) {unknown}")
+    parts = {name: raw[key] if kind is None else kind(**raw[key])
+             for key, (name, kind) in _SECTIONS.items() if key in raw}
+    return ModelDocument(**parts)
 
 
 def json_text(payload, **layout) -> str:
@@ -420,7 +419,7 @@ def load_model(path) -> ModelDocument:
         raise ParseError(f"{path}: model document must be a JSON object")
     try:
         return document_from_dict(raw)
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ParseError(f"{path}: malformed model document: {exc}") from exc
 
 
@@ -440,12 +439,8 @@ def emit_curve_samples(model: FdModel, k_range: tuple[float, float], step: float
     file is opened.
     """
     lo, hi = k_range
-    if not all(math.isfinite(x) for x in (lo, hi, step)):
-        raise DomainError("k_range bounds and step must be finite")
-    if step <= 0:
-        raise DomainError("step must be positive")
-    if hi < lo:
-        raise DomainError("k_range upper bound below lower bound")
+    if not (math.isfinite(lo) and lo <= hi < math.inf and 0 < step < math.inf):
+        raise DomainError(f"need finite lo <= hi and 0 < step < inf, got {k_range} and {step!r}")
     # At most n rows: rounding moves each k by less than a float spacing.
     n = (hi + 1e-12 - lo + 2 * math.ulp(max(abs(lo), abs(hi)))) / step + 2
     if n > MAX_CURVE_ROWS:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from fairway import cli
 from fairway.errors import FairwayError
-from fairway.fundamental_diagram import ALL_FORMS, FdModel, speed_at_density
+from fairway.fundamental_diagram import ALL_FORMS, FdModel, derive_characteristics, speed_at_density
 from fairway.io_store import (
     ModelDocument,
     document_to_dict,
@@ -276,6 +276,95 @@ class TestFitSpeedGap:
         assert "gv.csv:3:gap_m" in capsys.readouterr().err
 
 
+def speed_gap_rows(rng, n):
+    """n (gap_m, speed_kmh) rows from v = 2 ln g - 1.5 plus noise, gaps in 10..300 m."""
+    gaps = rng.uniform(10, 300, n)
+    return [(g, 2 * math.log(g) - 1.5 + rng.normal(0, 0.3)) for g in gaps]
+
+
+def gap_commands(tmp_path, rows):
+    """fit speed-gap and minimums argv on the same (gap_m, speed_kmh) rows."""
+    path = write_csv(tmp_path / "gv.csv", ["gap_m", "speed_kmh"], rows)
+    return path, [["fit", "speed-gap", "--input", path],
+                  ["minimums", "--speeds", path, "--gaps", path]]
+
+
+class TestFlaggedGaps:
+    """A gap <= 0, which tracks derive keeps with overlap_flagged 1, is refused, not ranked."""
+
+    def test_one_flagged_gap_among_2000_exits_with_data_error(self, tmp_path, capsys):
+        rows = speed_gap_rows(np.random.default_rng(7), 2000)
+        path, commands = gap_commands(tmp_path, rows)
+        for argv in commands:
+            assert cli.main(argv) == cli.EXIT_OK
+        rows[1234] = (-0.4, rows[1234][1])
+        path, commands = gap_commands(tmp_path, rows)
+        capsys.readouterr()
+        for argv in commands:
+            assert cli.main(argv) == cli.EXIT_DATA
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: {path}: 1 gap(s) <= 0, the first on line 1236; "
+                                    "drop the rows tracks derive flags with overlap_flagged 1\n")
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_any_non_positive_gaps_exit_with_data_error(self, data):
+        rows = speed_gap_rows(np.random.default_rng(data.draw(st.integers(0, 99))), 40)
+        bad = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, unique=True))
+        for i in bad:
+            rows[i] = (data.draw(st.sampled_from([0.0, -0.0, -5e-324, -0.4, -1e308])), rows[i][1])
+        raw = data.draw(st.booleans())
+        with tempfile.TemporaryDirectory() as tmp:
+            path, commands = gap_commands(Path(tmp), rows)
+            for argv in commands:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    assert cli.main(argv + (["--raw"] if raw and "--input" in argv else [])) \
+                        == cli.EXIT_DATA
+                assert f"{path}: {len(bad)} gap(s) <= 0, the first on line {min(bad) + 2};" \
+                    in err.getvalue()
+
+
+class TestRefusedDocumentShapes:
+    """Document shapes an older fairway wrote, and any unknown top-level key, exit 2."""
+
+    COMMANDS = {
+        "states_classify": ["states", "classify", "--flow", "30", "--density", "3"],
+        "emit_curve": ["emit", "curve", "--k-min", "1", "--k-max", "10", "--step", "1",
+                       "--out", "curve.csv"],
+        # A port no server can bind: a document that loaded would still exit 2, not serve.
+        "serve": ["serve", "--port", "-1", "--host", "127.0.0.1"],
+    }
+    SHAPES = {
+        "fit_space": lambda raw: raw["fit"].__setitem__("fit_space", "transformed"),
+        "characteristics_without_v_f": lambda raw: raw["characteristics"].pop("v_f"),
+        "unknown_top_level_key": lambda raw: raw.__setitem__("note", "hand edited"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_exits_with_data_error(self, tmp_path, capsys, monkeypatch, command, shape):
+        model = FdModel(form="piecewise_exp", c1=13.62, c2=0.115, v_f=10.5, k1=4.0)
+        raw = document_to_dict(ModelDocument(
+            fd=model, v_min=V_MIN, characteristics=derive_characteristics(model, V_MIN),
+            bands=StateBands(boundaries=STATE_BOUNDARIES),
+            fit=FitReport(family=model.form, a=model.c1, b=model.c2, r_squared=0.9, n_points=40)))
+        (tmp_path / "good.json").write_text(json.dumps(raw))
+        self.SHAPES[shape](raw)
+        (tmp_path / "model.json").write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        argv = self.COMMANDS[command]
+        if command != "serve":
+            assert cli.main(argv + ["--model", "good.json"]) == cli.EXIT_OK
+            (tmp_path / "curve.csv").unlink(missing_ok=True)
+            capsys.readouterr()
+        assert cli.main(argv + ["--model", "model.json"]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and "malformed model document" in captured.err
+        assert not (tmp_path / "curve.csv").exists()
+
+
 class TestStatsAndScalars:
     def test_stats_summary(self, tmp_path, capsys):
         path = write_csv(tmp_path / "v.csv", ["speed_kmh"],
@@ -410,7 +499,7 @@ class TestStates:
         path = write_csv(tmp_path / "speeds.csv", ["speed_kmh"], [(v,) for v in speeds])
         code = cli.main(["states", "train", "--speeds", path])
         assert code == cli.EXIT_DATA
-        assert "silhouette selected K=3" in capsys.readouterr().err
+        assert "state bands need exactly 4 clusters, got 3" in capsys.readouterr().err
 
     def test_train_has_no_seed_option(self, tmp_path, capsys):
         speeds = self.blob_speeds_csv(tmp_path)

@@ -175,7 +175,7 @@ class TestLoadTracks:
         assert [tr.meta.fleet_position for tr in run.tracks] == [1, 2]
         assert run.tracks[0].t.tolist() == [0, 1, 2, 3]
         assert run.tracks[1].x.tolist() == [50.0, 53.0, 56.0, 59.0]
-        assert result.items == (2, 3, 4, 5, 6, 7, 8, 9)  # accepted line numbers
+        assert result.items.tolist() == [2, 3, 4, 5, 6, 7, 8, 9]  # accepted line numbers
         # steady 3 m/s convoy: usable downstream of the loaders
         samples = fleet_flow_samples(run)
         assert len(samples) == 3
@@ -233,7 +233,7 @@ class TestLoadTracks:
         assert [(r.line, r.column) for r in result.rejects] == [(3, "x_m"), (4, "t_seconds")]
         assert "duplicate key ('run_a', 1, 1)" in result.rejects[1].message
         assert runs[0].tracks[0].t.tolist() == [0, 2]
-        assert result.items == (2, 5)
+        assert result.items.tolist() == [2, 5]
 
     def test_rows_grouped_from_any_order(self, tmp_path):
         meta_path = write(tmp_path, "meta.csv", META_HEADER + (
@@ -570,26 +570,96 @@ def make_document():
     )
 
 
+POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+MODERATE = st.floats(-1e150, 1e150)  # k_m * v_m stays finite
+# The top-level keys a model document may hold, as written by save_model.
+DOCUMENT_KEYS = {"schema_version", "model", "v_min", "characteristics", "bands", "fit",
+                 "created_utc"}
+
+
+@st.composite
+def fd_models(draw):
+    form = draw(st.sampled_from(ALL_FORMS))
+    plateau = {"v_f": draw(POSITIVE), "k1": draw(POSITIVE)} if form.startswith("piecewise") else {}
+    return FdModel(form, draw(POSITIVE), draw(POSITIVE), **plateau)
+
+
+@st.composite
+def characteristic_params(draw):
+    k_m, v_m = draw(MODERATE), draw(MODERATE)
+    return CharacteristicParams(v_f=draw(st.none() | MODERATE), v_m=v_m, k_m=k_m, q_m=k_m * v_m,
+                                k_max=draw(MODERATE), v_min=draw(MODERATE))
+
+
+@st.composite
+def model_documents(draw):
+    """A document with a diagram model and/or state bands, plus any subset of the rest."""
+    parts = {
+        "fd": fd_models(), "v_min": POSITIVE, "characteristics": characteristic_params(),
+        "bands": st.lists(POSITIVE, min_size=3, max_size=3, unique=True).map(
+            lambda b: StateBands(boundaries=sorted(b))),
+        "fit": st.builds(FitReport, st.sampled_from(FIT_NAMES), MODERATE, MODERATE, MODERATE,
+                         st.integers(2, 2 ** 63 - 1)),
+        "created_utc": st.text(max_size=12),
+    }
+    sections = draw(st.fixed_dictionaries({}, optional=parts))
+    if "fd" not in sections and "bands" not in sections:
+        required = draw(st.sampled_from(["fd", "bands"]), label="required")
+        sections[required] = draw(parts[required])
+    return ModelDocument(**sections)
+
+
 class TestModelDocument:
+    @given(model_documents(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_document_round_trips_and_refuses_an_extra_key(self, doc, data):
+        """save -> load gives the document back and re-saves the same bytes; one more
+        top-level key, whatever its value, makes the document malformed."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(doc, path)
+            text = path.read_text(encoding="utf-8")
+            assert load_model(path) == doc
+            assert serialize_document(load_model(path)) == text
+            raw = json.loads(text)
+            assert set(raw) <= DOCUMENT_KEYS
+            key = data.draw(st.text(max_size=8).filter(lambda k: k not in DOCUMENT_KEYS),
+                            label="extra key")
+            raw[key] = data.draw(JSON_VALUES, label="extra value")
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            with pytest.raises(ParseError):
+                load_model(path)
+
     def test_requires_model_or_bands(self):
         with pytest.raises(DomainError):
             ModelDocument()
         ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES))
         ModelDocument(fd=FdModel(form="underwood", c1=13.0, c2=0.107))
 
+    def test_fit_of_no_known_family_is_refused_when_built(self):
+        """The writer holds the rule the reader holds: no document saves what cannot load."""
+        fit = FitReport(family="quadratic", a=1.0, b=1.0, r_squared=0.5, n_points=3)
+        with pytest.raises(DomainError, match="unknown fit family 'quadratic'"):
+            ModelDocument(fd=FdModel(form="underwood", c1=13.0, c2=0.107), fit=fit)
+
     def test_dict_round_trip_identity(self):
         doc = make_document()
         assert document_from_dict(document_to_dict(doc)) == doc
 
     @pytest.mark.parametrize("fit_space", ["original", "transformed"])
-    def test_legacy_fit_space_key_is_dropped(self, tmp_path, fit_space):
-        """A version-1 document written when fits carried fit_space still loads, unchanged."""
+    def test_legacy_fit_space_key_is_malformed(self, tmp_path, fit_space):
+        """A fit section carrying fit_space holds an R^2 of another definition: refused."""
         raw = document_to_dict(make_document())
-        legacy = json.loads(json.dumps(raw))
-        legacy["fit"]["fit_space"] = fit_space
-        assert legacy["schema_version"] == 1
-        assert load_model(write(tmp_path, "legacy.json", json.dumps(legacy))) == \
-            load_model(write(tmp_path, "current.json", json.dumps(raw))) == make_document()
+        raw["fit"]["fit_space"] = fit_space
+        with pytest.raises(ParseError, match="malformed model document.*fit_space"):
+            load_model(write(tmp_path, "legacy.json", json.dumps(raw)))
+
+    @pytest.mark.parametrize("key", ["note", "fd", "schema", "Model"])
+    def test_unknown_top_level_key_is_malformed(self, tmp_path, key):
+        raw = document_to_dict(make_document())
+        raw[key] = {}
+        with pytest.raises(ParseError, match=f"unknown top-level key.*{key}"):
+            load_model(write(tmp_path, "model.json", json.dumps(raw)))
 
     @pytest.mark.parametrize("fit", ["logarithmic", 3, None, [["family", "linear"]]])
     def test_fit_section_that_is_not_an_object_is_malformed(self, tmp_path, fit):
@@ -668,11 +738,16 @@ class TestModelDocument:
         with pytest.raises(ParseError, match="colour"):
             load_model(path)
 
-    def test_characteristics_without_v_f_load(self, tmp_path):
+    @pytest.mark.parametrize("section, key", [
+        ("characteristics", "v_f"), ("model", "c1"), ("fit", "n_points"), ("bands", "boundaries"),
+    ])
+    def test_section_missing_a_field_is_malformed(self, tmp_path, section, key):
+        """Characteristics without v_f included: a logarithmic form's is null, never absent."""
         raw = document_to_dict(make_document())
-        del raw["characteristics"]["v_f"]
+        del raw[section][key]
         path = write(tmp_path, "model.json", json.dumps(raw))
-        assert load_model(path).characteristics.v_f is None
+        with pytest.raises(ParseError, match=f"malformed model document.*{key}"):
+            load_model(path)
 
     @pytest.mark.parametrize("section, key", [
         ("model", "c1"), (None, "v_min"), ("characteristics", "k_m"), ("fit", "n_points"),

@@ -10,6 +10,7 @@ from fairway.errors import DegenerateFitError, DomainError
 from fairway.regression import (
     FAMILIES,
     BinnedPoint,
+    _columns,
     bin_points,
     fit_curve,
     predict,
@@ -337,3 +338,41 @@ class TestRankFamilies:
         families = [r.family for r in rank_families(pts)]
         assert "exponential" not in families and "power" not in families
         assert set(families) == {"linear", "logarithmic"}
+
+
+def reference_columns(points):
+    """The np.asarray conversion that regression._columns keeps for arrays."""
+    return tuple(np.asarray(points, dtype=float).reshape(len(points), 2).T.copy())
+
+
+def conversion(convert, points):
+    """Each column's dtype, contiguity and bit-exact values, or the error class raised."""
+    try:
+        columns = convert(points)
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+    return [(c.dtype, c.flags.c_contiguous, [repr(v) for v in c.tolist()]) for c in columns]
+
+
+ELEMENT = st.one_of(st.floats(), st.integers(-2 ** 80, 2 ** 80),
+                    st.sampled_from([None, "1.5", " 2 ", "a", "", "nan", 10 ** 400]))
+NUMBER = st.floats() | st.integers(-2 ** 60, 2 ** 60)
+PAIRS = st.one_of(
+    st.lists(st.tuples(NUMBER, NUMBER), max_size=8),
+    st.lists(st.builds(BinnedPoint, NUMBER, NUMBER), max_size=8),
+    st.lists(st.tuples(ELEMENT, ELEMENT) | st.lists(ELEMENT, min_size=2, max_size=2), max_size=8),
+    st.lists(st.tuples(NUMBER, NUMBER) | st.lists(NUMBER, max_size=3).map(tuple), max_size=8),
+    st.lists(st.tuples(NUMBER, NUMBER), max_size=8).map(
+        lambda pairs: np.array(pairs, dtype=float).reshape(-1, 2)),
+    st.lists(st.floats(), max_size=9).map(np.array),
+)
+
+
+class TestColumns:
+    @given(PAIRS)
+    @settings(max_examples=400, deadline=None)
+    def test_same_as_asarray(self, points):
+        """Pairs of tuples, BinnedPoints, lists or arrays: the values, dtype and layout of
+        np.asarray(points, float).reshape(n, 2), or its error class on ragged or
+        non-numeric pairs."""
+        assert conversion(_columns, points) == conversion(reference_columns, points)
