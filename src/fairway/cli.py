@@ -32,31 +32,23 @@ DENSITY_BIN_VPKM = 0.2  # speed-density bin width
 K_RANGE = range(2, 10)  # cluster counts the silhouette sweep tries
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
-
-
 def _fmt(x) -> str:
     return "-" if x is None else f"{x:.3f}"
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="fairway", description=__doc__)
-    sub = parser.add_subparsers()
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="fairway", description=__doc__)
+    command = {"dest": "command", "required": True}  # a bare command or group is a usage error
+    sub = parser.add_subparsers(**command)
 
-    tracks = sub.add_parser("tracks", help="trajectory-derived series").add_subparsers()
+    tracks = sub.add_parser("tracks", help="trajectory-derived series").add_subparsers(**command)
     p = tracks.add_parser("derive", help="tracks -> speed/gap/flow-sample CSVs")
     p.add_argument("--tracks", required=True)
     p.add_argument("--meta", required=True)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(run=_cmd_tracks_derive)
 
-    fit = sub.add_parser("fit", help="curve and diagram fitting").add_subparsers()
+    fit = sub.add_parser("fit", help="curve and diagram fitting").add_subparsers(**command)
     p = fit.add_parser("speed-gap", help="rank the four speed-gap curve families")
     p.add_argument("--input", required=True, help="CSV with gap_m,speed_kmh")
     p.add_argument("--raw", action="store_true", help="fit raw points, skip binning")
@@ -72,7 +64,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write a model document JSON")
     p.set_defaults(run=_cmd_fit_fd)
 
-    stats = sub.add_parser("stats", help="distribution summaries").add_subparsers()
+    stats = sub.add_parser("stats", help="distribution summaries").add_subparsers(**command)
     p = stats.add_parser("summary", help="p15/median/p85/mean of one column")
     p.add_argument("--input", required=True)
     p.add_argument("--column", required=True)
@@ -92,7 +84,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(run=_cmd_minimums)
 
-    states = sub.add_parser("states", help="traffic-state training/classification").add_subparsers()
+    states = sub.add_parser("states", help="traffic-state training/classification")
+    states = states.add_subparsers(**command)
     p = states.add_parser("train", help="select K by silhouette and build bands")
     p.add_argument("--speeds", required=True, help="CSV with speed_kmh")
     p.add_argument("--out", help="write a model document with state bands")
@@ -104,7 +97,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
     p.set_defaults(run=_cmd_states_classify)
 
-    emit = sub.add_parser("emit", help="plot-ready exports").add_subparsers()
+    emit = sub.add_parser("emit", help="plot-ready exports").add_subparsers(**command)
     p = emit.add_parser("curve", help="sample k,v,q over a density grid")
     p.add_argument("--model", required=True)
     p.add_argument("--k-min", type=float, required=True)
@@ -216,10 +209,9 @@ def _cmd_stats_summary(args) -> dict:
 
 
 def _cmd_economic_speed(args) -> dict:
-    result = fd.economic_speed({
-        "loaded": io_store.read_columns(args.loaded, "speed_kmh")[0],
-        "empty": io_store.read_columns(args.empty, "speed_kmh")[0],
-    })
+    (loaded,), (empty,) = (io_store.read_columns(path, "speed_kmh")
+                           for path in (args.loaded, args.empty))
+    result = fd.economic_speed(loaded, empty)
     print(f"loaded median {_fmt(result.loaded_median)} km/h  "
           f"empty median {_fmt(result.empty_median)} km/h  "
           f"combined v_f {_fmt(result.combined_v_f)} km/h")
@@ -274,18 +266,14 @@ def _cmd_serve(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    run = getattr(args, "run", None)  # unset without a command or a group's subcommand
-    if run is None:
-        print(parser.format_usage(), file=sys.stderr)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed its usage and error lines, or --help
+        if exc.code == 0:
+            raise
         return EXIT_USAGE
     try:
-        payload = run(args)
+        payload = args.run(args)
         out = getattr(args, "out", None)
         if out:
             Path(out).write_text(io_store.json_text(payload, indent=2) + "\n", encoding="utf-8")

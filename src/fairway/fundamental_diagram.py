@@ -321,18 +321,13 @@ def estimate_breakpoint(
 
 
 @np.errstate(all="ignore")  # EconomicSpeed rejects a result that overflows
-def economic_speed(speeds_by_load: dict[str, Sequence[float]]) -> EconomicSpeed:
+def economic_speed(loaded: Sequence[float], empty: Sequence[float]) -> EconomicSpeed:
     """Median speed per load class; combined free-flow speed = mean of medians."""
-    for key in ("loaded", "empty"):
-        if not len(speeds_by_load.get(key, ())):
+    for key, speeds in (("loaded", loaded), ("empty", empty)):
+        if not len(speeds):
             raise DomainError(f"economic_speed requires a non-empty {key!r} speed list")
-    loaded = float(np.median(np.asarray(speeds_by_load["loaded"], dtype=float)))
-    empty = float(np.median(np.asarray(speeds_by_load["empty"], dtype=float)))
-    return EconomicSpeed(
-        loaded_median=loaded,
-        empty_median=empty,
-        combined_v_f=(loaded + empty) / 2,
-    )
+    medians = [float(np.median(np.asarray(speeds, dtype=float))) for speeds in (loaded, empty)]
+    return EconomicSpeed(*medians, combined_v_f=sum(medians) / 2)
 
 
 @np.errstate(all="ignore")  # RecommendedMinimums rejects a result that overflows

@@ -12,8 +12,8 @@ does the rest of the file after the first block holding a quote or another
 character.  ``write_rows`` is the one CSV writer: csv quotes the key cells,
 and each value is written as its repr.
 Model documents are strict JSON with full-precision numbers, so save/load
-round-trips are bit-identical; on load, an integer must fit in 64 bits and
-no value may be true or false.
+round-trips are bit-identical.  No value may be true or false and an integer
+must fit in 64 bits: a document breaking that is refused when built and when loaded.
 """
 
 from __future__ import annotations
@@ -340,6 +340,8 @@ class ModelDocument:
             raise DomainError(f"v_min must be a finite positive number, got {self.v_min!r}")
         if self.fit is not None and self.fit.family not in FAMILIES + ALL_FORMS:
             raise DomainError(f"unknown fit family {self.fit.family!r}")
+        if fault := _json_fault(document_to_dict(self)):  # what load_model would refuse
+            raise DomainError(fault)
 
 
 # Each JSON section of a model document: its ModelDocument field, and the
@@ -359,30 +361,33 @@ def document_to_dict(doc: ModelDocument) -> dict:
     return out
 
 
-def _has_boolean(value) -> bool:
-    """Whether a parsed JSON value holds true or false at any depth."""
-    inner = value.values() if isinstance(value, dict) else value if isinstance(value, list) else ()
-    return isinstance(value, bool) or any(map(_has_boolean, inner))
+def _json_fault(raw: dict) -> Optional[str]:
+    """What breaks a JSON-level rule of a model document, or None.
 
-
-def _json_int(text: str) -> int:
-    """A JSON integer, held to the 64 bits a CSV integer cell must fit in."""
-    if not -2 ** 63 <= (value := int(text)) < 2 ** 63:
-        raise ValueError(f"integer outside 64 bits: {text}")
-    return value
+    No value is true or false (no field is boolean), every integer fits in the
+    64 bits a CSV integer cell must fit in, and created_utc, when present, is a string.
+    """
+    values = [raw]
+    while values:
+        value = values.pop()
+        if isinstance(value, bool):
+            return "no field of a model document takes true or false"
+        if isinstance(value, int) and not -2 ** 63 <= value < 2 ** 63:
+            return "no field of a model document takes an integer outside 64 bits"
+        if isinstance(value, (dict, list)):
+            values += value.values() if isinstance(value, dict) else value
+    if not isinstance(raw.get("created_utc", ""), str):
+        return f"created_utc must be a string, got {raw['created_utc']!r}"
 
 
 def document_from_dict(raw: dict) -> ModelDocument:
     """The document's sections, each read as ``_SECTIONS`` says.
 
-    TypeError on an unknown key at any level, a section that is not an object
-    or lacks a field, true or false anywhere (no field is boolean) or a
-    created_utc that is not a string.
+    TypeError on what ``_json_fault`` names, an unknown key at any level, or a
+    section that is not an object or lacks a field.
     """
-    if _has_boolean(raw):
-        raise TypeError("no field of a model document takes true or false")
-    if not isinstance(raw.get("created_utc", ""), str):
-        raise TypeError(f"created_utc must be a string, got {raw['created_utc']!r}")
+    if fault := _json_fault(raw):
+        raise TypeError(fault)
     if (version := raw.get("schema_version")) != SCHEMA_VERSION:
         raise SchemaVersionError(
             f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
@@ -412,8 +417,8 @@ def save_model(doc: ModelDocument, path) -> None:
 
 def load_model(path) -> ModelDocument:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=_json_int)
-    except ValueError as exc:  # also text that is not UTF-8, and an integer past 64 bits
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # also text that is not UTF-8, and an integer past 4,300 digits
         raise ParseError(f"{path}: malformed model document: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: model document must be a JSON object")

@@ -186,9 +186,10 @@ def fit_curve(family: str, points: Sequence[tuple[float, float]]) -> FitReport:
         raise DegenerateFitError("a fit needs at least 2 points")
 
     for logged, axis, col in ((spec.log_x, "x", x), (spec.log_y, "y", y)):
-        if logged and np.any(col <= 0):
-            bad = list(map(tuple, np.column_stack((x, y))[col <= 0].tolist()))
-            raise DomainError(f"{family} fit requires {axis} > 0; offending points: {bad}")
+        if logged and (bad := np.flatnonzero(col <= 0)).size:
+            first = (float(x[bad[0]]), float(y[bad[0]]))
+            raise DomainError(f"{family} fit requires {axis} > 0; "
+                              f"{bad.size} offending point(s), the first {first}")
     a, b = _line(family, *spec.transform(x, y))
     r2 = _fit_r_squared(y, spec.curve(a, b, x))
     return FitReport(family=family, a=a, b=b, r_squared=r2, n_points=len(x))

@@ -14,7 +14,28 @@ from urllib.parse import parse_qs, urlparse
 
 from .errors import DomainError
 from .io_store import ModelDocument, document_to_dict, json_text
-from .traffic_state import classify_flow_density
+from .traffic_state import StateBands, classify_flow_density
+
+
+def answer(bands: StateBands, path: str, query: dict[str, list[str]]) -> tuple[int, dict]:
+    """The status and JSON body of a GET on ``path`` other than /model; ``query`` as parse_qs."""
+    if path == "/health":
+        return 200, {"status": "ok"}
+    if path != "/state":
+        return 404, {"error": f"unknown path {path}"}
+    values = []
+    for name in ("flow", "density"):
+        if name not in query:
+            return 400, {"error": f"missing query parameter {name!r}"}
+        try:
+            values.append(float(query[name][0]))
+        except ValueError:
+            return 400, {"error": f"invalid value for {name!r}: {query[name][0]!r}"}
+    try:
+        speed, state = classify_flow_density(bands, *values)
+    except DomainError as exc:
+        return 422, {"error": str(exc)}
+    return 200, {"speed_kmh": speed, "state": state.value, "color": state.color}
 
 
 def make_server(doc: ModelDocument, port: int, host: str = "127.0.0.1") -> ThreadingHTTPServer:
@@ -57,35 +78,9 @@ def make_server(doc: ModelDocument, port: int, host: str = "127.0.0.1") -> Threa
 
         def do_GET(self):
             url = urlparse(self.path)
-            if url.path == "/health":
-                self._send_json(200, {"status": "ok"})
-            elif url.path == "/model":
+            if url.path == "/model":
                 self._send(200, model_body)
-            elif url.path == "/state":
-                self._handle_state(parse_qs(url.query))
             else:
-                self._send_json(404, {"error": f"unknown path {url.path}"})
-
-        def _handle_state(self, query) -> None:
-            values = {}
-            for name in ("flow", "density"):
-                if name not in query:
-                    self._send_json(400, {"error": f"missing query parameter {name!r}"})
-                    return
-                try:
-                    values[name] = float(query[name][0])
-                except ValueError:
-                    self._send_json(
-                        400, {"error": f"invalid value for {name!r}: {query[name][0]!r}"}
-                    )
-                    return
-            try:
-                speed, state = classify_flow_density(bands, values["flow"], values["density"])
-            except DomainError as exc:
-                self._send_json(422, {"error": str(exc)})
-                return
-            self._send_json(
-                200, {"speed_kmh": speed, "state": state.value, "color": state.color}
-            )
+                self._send_json(*answer(bands, url.path, parse_qs(url.query)))
 
     return ThreadingHTTPServer((host, port), Handler)

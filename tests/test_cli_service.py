@@ -22,7 +22,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairway import cli
+from fairway import cli, service
 from fairway.errors import FairwayError
 from fairway.fundamental_diagram import ALL_FORMS, FdModel, derive_characteristics, speed_at_density
 from fairway.io_store import (
@@ -74,6 +74,21 @@ class TestUsage:
     def test_missing_required_option(self, capsys):
         assert cli.main(["fit", "fd", "--form", "greenshields"]) == cli.EXIT_USAGE
         assert "--input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["states"],
+        ["frobnicate"],
+        ["fit", "fd", "--form", "greenshields"],
+        ["fit", "fd", "--form", "quadratic", "--input", "kv.csv"],
+        ["states", "classify", "--flow", "many", "--density", "7", "--model", "m.json"],
+        ["minimums", "--speeds", "v.csv", "--gaps", "g.csv", "--tail"],
+    ])
+    def test_usage_error_prints_argparse_lines_to_stderr_only(self, capsys, argv):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: fairway") and "error: " in captured.err
+        assert captured.out == ""
 
     def test_only_serve_imports_the_http_server(self):
         result = subprocess.run(
@@ -1104,6 +1119,30 @@ class TestService:
             assert int(headers["Content-Length"]) == len(body)
             error = json.loads(body, parse_constant=lambda name: pytest.fail(name))["error"]
             assert isinstance(error, str) and error
+
+    @pytest.mark.parametrize("path, query, status, body", [
+        ("/health", {}, 200, {"status": "ok"}),
+        ("/state", {"flow": ["42"], "density": ["7"]}, 200,
+         {"speed_kmh": 6.0, "state": "congested", "color": "red"}),
+        ("/state", {"flow": ["30"]}, 400, {"error": "missing query parameter 'density'"}),
+        ("/state", {"flow": ["many"], "density": ["3"]}, 400,
+         {"error": "invalid value for 'flow': 'many'"}),
+        ("/state", {"flow": ["30"], "density": ["0"]}, 422,
+         {"error": "density must be positive and finite, got 0.0"}),
+        ("/nothing", {}, 404, {"error": "unknown path /nothing"}),
+    ])
+    def test_answer_is_a_pure_router(self, path, query, status, body):
+        assert service.answer(StateBands(STATE_BOUNDARIES), path, query) == (status, body)
+
+    def test_answer_classifies_through_the_module_attribute(self, monkeypatch):
+        """A wrapper set on service.classify_flow_density sees every /state query."""
+        calls = []
+        classify = service.classify_flow_density
+        monkeypatch.setattr(service, "classify_flow_density",
+                            lambda *args: calls.append(args) or classify(*args))
+        bands = StateBands(STATE_BOUNDARIES)
+        assert service.answer(bands, "/state", {"flow": ["42"], "density": ["7"]})[0] == 200
+        assert calls == [(bands, 42.0, 7.0)]
 
     def test_requires_bands(self):
         from fairway.errors import DomainError

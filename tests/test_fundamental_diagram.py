@@ -551,26 +551,26 @@ class TestFlowSamplesBatch:
 
 class TestEconomicSpeed:
     def test_combined_from_class_medians(self):
-        result = economic_speed({"loaded": [9.0], "empty": [12.0]})
+        result = economic_speed([9.0], [12.0])
         assert result.combined_v_f == pytest.approx(10.5)
 
     def test_constant_classes(self):
-        result = economic_speed({"loaded": [8, 8], "empty": [8, 8, 8]})
+        result = economic_speed([8, 8], [8, 8, 8])
         assert (result.loaded_median, result.empty_median, result.combined_v_f) == (8, 8, 8)
 
     def test_hand_medians(self):
-        result = economic_speed({"loaded": [8, 9, 10], "empty": [11, 12, 13]})
+        result = economic_speed([8, 9, 10], [11, 12, 13])
         assert result.loaded_median == pytest.approx(9.0)
         assert result.empty_median == pytest.approx(12.0)
         assert result.combined_v_f == pytest.approx(10.5)
 
     def test_empty_class_errors(self):
         with pytest.raises(DomainError):
-            economic_speed({"loaded": [], "empty": [12.0]})
+            economic_speed([], [12.0])
 
     def test_overflowing_mean_of_medians_errors(self):
         with pytest.raises(DomainError, match="must be finite"):
-            economic_speed({"loaded": [1.5e308], "empty": [1.7e308]})
+            economic_speed([1.5e308], [1.7e308])
 
 
 class TestRecommendMinimums:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -570,6 +571,10 @@ def make_document():
     )
 
 
+# Values a field of a built document may be given: floats, booleans, and integers
+# inside and just outside 64 bits.
+FIELD_VALUES = (st.floats() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+                | st.sampled_from([2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 10 ** 30]))
 POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
 MODERATE = st.floats(-1e150, 1e150)  # k_m * v_m stays finite
 # The top-level keys a model document may hold, as written by save_model.
@@ -641,6 +646,50 @@ class TestModelDocument:
         fit = FitReport(family="quadratic", a=1.0, b=1.0, r_squared=0.5, n_points=3)
         with pytest.raises(DomainError, match="unknown fit family 'quadratic'"):
             ModelDocument(fd=FdModel(form="underwood", c1=13.0, c2=0.107), fit=fit)
+
+    @pytest.mark.parametrize("sections", [
+        {"fd": FdModel("greenshields", 0.7634, 11.817), "created_utc": 5},
+        {"fd": FdModel("greenshields", 0.7634, 11.817), "v_min": True},
+        {"fd": FdModel("greenshields", 0.7634, 11.817), "v_min": 10 ** 30},
+        {"fd": FdModel("greenshields", True, 10.0)},
+        {"bands": StateBands((True, 2.0, 3.0))},
+        {"bands": StateBands(STATE_BOUNDARIES),
+         "fit": FitReport("linear", 1.0, 1.0, 0.5, 2 ** 70)},
+    ], ids=["created_utc", "v_min_true", "v_min_past_64_bits", "c1_true", "boundary_true",
+            "n_points_past_64_bits"])
+    def test_what_load_model_refuses_is_refused_when_built(self, sections):
+        with pytest.raises(DomainError, match="created_utc|true or false|64 bits"):
+            ModelDocument(**sections)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_built_document_loads_back_equal(self, data):
+        """One field and created_utc set to any value: building the document raises a
+        FairwayError, or save_model -> load_model gives it back equal."""
+        doc = make_document()
+        name = data.draw(st.sampled_from(["fd", "v_min", "characteristics", "bands", "fit"]),
+                         label="section")
+        value = data.draw(POSITIVE | FIELD_VALUES, label="value")
+        created = data.draw(st.sampled_from([st.none(), st.text(max_size=8), FIELD_VALUES])
+                            .flatmap(lambda values: values), label="created_utc")
+        try:
+            if name == "v_min":
+                section = value
+            elif name == "bands":
+                boundaries = list(doc.bands.boundaries)
+                boundaries[data.draw(st.integers(0, 2), label="boundary")] = value
+                section = StateBands(boundaries)
+            else:
+                fields = [f.name for f in dataclasses.fields(getattr(doc, name))]
+                field = data.draw(st.sampled_from(fields), label="field")
+                section = dataclasses.replace(getattr(doc, name), **{field: value})
+            doc = dataclasses.replace(doc, **{name: section, "created_utc": created})
+        except FairwayError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(doc, path)
+            assert load_model(path) == doc
 
     def test_dict_round_trip_identity(self):
         doc = make_document()
