@@ -210,33 +210,58 @@ def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams
     )
 
 
-def _density_speed(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Density and mean-speed columns of a FlowSamples batch or a sequence of FlowSample."""
-    if not isinstance(samples, FlowSamples):
-        return _columns([(s.density, s.mean_speed) for s in samples])
-    return np.asarray(samples.density, dtype=float), np.asarray(samples.mean_speed, dtype=float)
+@np.errstate(all="ignore")  # a candidate whose fit or error sum is not finite is skipped
+def _fit_splits(form: str, samples, v_f, k1, candidates) -> tuple:
+    """(k1, c1, c2, v, speeds) of the best split, each split fitted once.
 
-
-def _fit_branch(form: str, fx: np.ndarray, fy: np.ndarray, beyond) -> tuple[float, float]:
-    """(c1, c2) fitted to the samples ``beyond`` picks of the family-transformed columns.
-
-    Raises InsufficientDataError below 2 branch samples, DomainError on a
-    speed <= 0 under a logarithm and DegenerateFitError when the line fit is
-    degenerate or a coefficient is not finite and positive.
+    The splits are none for a classical form, the given k1, or else each
+    sorted candidate.  Each split's branch line gives v over all samples and
+    the squared speed error in km/h.  A given split raises its own error; the
+    candidate scan skips such splits and those whose error is not finite.
     """
+    scan = form in PIECEWISE_FORMS and k1 is None
+    if form in PIECEWISE_FORMS and not _finite_positive(v_f):
+        raise DomainError(f"piecewise fitting requires a finite v_f > 0, got {v_f}")
+    if scan and not (candidates and all(map(_finite_positive, candidates))):
+        raise DomainError("piecewise fitting needs k1 or non-empty, finite and positive candidates")
+    if isinstance(samples, FlowSamples):
+        ks, vs = np.asarray(samples.density, dtype=float), np.asarray(samples.mean_speed, dtype=float)
+    else:
+        ks, vs = _columns([(s.density, s.mean_speed) for s in samples])
     shape = _FORM_SHAPE[form]
-    bx, by = fx[beyond], fy[beyond]
-    if len(bx) < 2:
-        raise InsufficientDataError(f"only {len(bx)} samples in the {form} branch; need at least 2")
-    if not np.isfinite(by).all():  # densities are positive, so ln k is finite
-        raise DomainError(f"{form} branch needs speeds > 0 under its logarithm")
-    a, b = _line(shape.family, bx, by)
-    c1, c2 = shape.signs[0] * a, shape.signs[1] * b
-    if not (_finite_positive(c1) and _finite_positive(c2)):
-        raise DegenerateFitError(
-            f"fitted {form} coefficients violate positivity: ({c1:.6g}, {c2:.6g})"
+    spec = _family(shape.family)
+    fx, fy = spec.transform(ks, vs)
+    best = None
+    for split in sorted(candidates) if scan else (k1,):
+        beyond = slice(None) if split is None else ks > split
+        bx, by = fx[beyond], fy[beyond]
+        try:
+            if len(bx) < 2:
+                raise InsufficientDataError(
+                    f"only {len(bx)} samples in the {form} branch; need at least 2")
+            if not np.isfinite(by).all():  # densities are positive, so ln k is finite
+                raise DomainError(f"{form} branch needs speeds > 0 under its logarithm")
+            a, b = _line(shape.family, bx, by)
+            c1, c2 = shape.signs[0] * a, shape.signs[1] * b
+            if not (_finite_positive(c1) and _finite_positive(c2)):
+                raise DegenerateFitError(
+                    f"fitted {form} coefficients violate positivity: ({c1:.6g}, {c2:.6g})")
+        except (InsufficientDataError, DomainError, DegenerateFitError):
+            if not scan:
+                raise
+            continue
+        v = spec.curve(a, b, ks)
+        if split is not None:
+            v = np.where(beyond, v, v_f)
+        sse = float(np.sum((vs - v) ** 2))
+        if not scan or (math.isfinite(sse) and (best is None or sse < best[0])):
+            best = (sse, split, c1, c2, v)
+    if best is None:
+        raise InsufficientDataError(
+            "no candidate leaves at least 2 samples in the non-free branch "
+            "with a fit whose squared error is finite"
         )
-    return c1, c2
+    return (*best[1:], vs)
 
 
 def fit_fd(
@@ -248,33 +273,28 @@ def fit_fd(
 ) -> tuple[FdModel, FitReport]:
     """Fit one model form to (density, mean_speed) samples.
 
-    Classical forms reduce to a regression-module fit on (k, v).  Piecewise
-    forms fix the free branch at v_f and fit the branch to the samples beyond
-    k1, given or estimated from candidates.  Every form reports family=form,
-    a=c1, b=c2 and R^2 = 1 - SSE/SST of the speeds in km/h over all samples.
+    Classical forms fit one line to all samples.  Piecewise forms fix the
+    free branch at v_f and fit the branch to the samples beyond k1: the given
+    one, or the winner of one scan of k1_candidates, kept rather than
+    refitted.  A given v_f or k1 that is not finite and positive is refused
+    before any fit.  Every form reports family=form, a=c1, b=c2 and
+    R^2 = 1 - SSE/SST of the speeds in km/h over all samples.
     """
     if form not in ALL_FORMS:
         raise DomainError(f"unknown model form {form!r}")
+    for name, value in (("v_f", v_f), ("k1", k1)):
+        if value is not None and not _finite_positive(value):
+            raise DomainError(f"{form} needs a finite positive {name}, got {value!r}")
     if len(samples) < 3:
         raise InsufficientDataError("fitting needs at least 3 samples")
-    ks, vs = _density_speed(samples)
     if form in CLASSICAL_FORMS:
         v_f = k1 = None
-    elif not _finite_positive(v_f):
-        raise DomainError(f"piecewise fitting requires a finite v_f > 0, got {v_f}")
-    elif k1 is None:
-        if not k1_candidates:
-            raise DomainError("piecewise fitting requires k1 or k1_candidates")
-        batch = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)  # converted once
-        k1 = estimate_breakpoint(batch, v_f, k1_candidates, form=form)
-    fx, fy = _family(_FORM_SHAPE[form].family).transform(ks, vs)
-    c1, c2 = _fit_branch(form, fx, fy, slice(None) if k1 is None else ks > k1)
+    k1, c1, c2, v, vs = _fit_splits(form, samples, v_f, k1, k1_candidates)
     model = FdModel(form=form, c1=c1, c2=c2, v_f=v_f, k1=k1)
-    r2 = _fit_r_squared(vs, speed_at_density(model, ks))
-    return model, FitReport(family=form, a=model.c1, b=model.c2, r_squared=r2, n_points=len(ks))
+    r2 = _fit_r_squared(vs, v)
+    return model, FitReport(family=form, a=c1, b=c2, r_squared=r2, n_points=len(vs))
 
 
-@np.errstate(all="ignore")  # a candidate whose fit or error sum is not finite is skipped
 def estimate_breakpoint(
     samples: FlowSamples | Sequence[FlowSample],
     v_f: float,
@@ -283,41 +303,16 @@ def estimate_breakpoint(
 ) -> float:
     """Pick the breakpoint minimizing total squared error of the piecewise fit.
 
-    For each candidate: flat v_f for k <= candidate plus the best-fit branch
-    beyond it, scored over all samples at once.  Ties go to the smaller
-    candidate.  Candidates leaving fewer than 2 samples in the non-free
-    branch, whose branch fit is degenerate or out of domain, or whose squared
-    error is not finite, are skipped.  The columns are transformed once and
-    each candidate costs one ``_fit_branch``, the line fit ``fit_fd`` makes,
-    and one error sum: O(n) array work per candidate.
+    The scan ``fit_fd`` runs without a k1: each candidate is scored as a flat
+    v_f up to it plus the branch fitted once beyond it, over all samples at
+    once, in O(n) array work.  Ties go to the smaller candidate.  Candidates
+    leaving fewer than 2 samples in the branch, whose branch fit is
+    degenerate or out of domain, or whose squared error is not finite, are
+    skipped; InsufficientDataError when none is left.
     """
-    if not candidates or not all(_finite_positive(c) for c in candidates):
-        raise DomainError("candidates must be non-empty, finite and positive")
-    if not _finite_positive(v_f):
-        raise DomainError(f"breakpoint search requires a finite v_f > 0, got {v_f}")
     if form not in PIECEWISE_FORMS:
         raise DomainError(f"estimate_breakpoint needs a piecewise form, got {form!r}")
-    ks, vs = _density_speed(samples)
-    shape = _FORM_SHAPE[form]
-    spec = _family(shape.family)
-    fx, fy = spec.transform(ks, vs)
-    best = None
-    for cand in sorted(candidates):
-        beyond = ks > cand
-        try:
-            c1, c2 = _fit_branch(form, fx, fy, beyond)
-        except (InsufficientDataError, DomainError, DegenerateFitError):
-            continue
-        branch = spec.curve(shape.signs[0] * c1, shape.signs[1] * c2, ks)
-        sse = float(np.sum((vs - np.where(beyond, branch, v_f)) ** 2))
-        if math.isfinite(sse) and (best is None or sse < best[0]):
-            best = (sse, cand)
-    if best is None:
-        raise InsufficientDataError(
-            "no candidate leaves at least 2 samples in the non-free branch "
-            "with a fit whose squared error is finite"
-        )
-    return best[1]
+    return _fit_splits(form, samples, v_f, None, candidates)[0]
 
 
 @np.errstate(all="ignore")  # EconomicSpeed rejects a result that overflows

@@ -203,6 +203,7 @@ class TestFitFd:
     @pytest.mark.parametrize("option, value, name", [
         ("--v-min", "nan", "v_min"), ("--v-min", "inf", "v_min"),
         ("--v-f", "nan", "v_f"), ("--v-f", "inf", "v_f"),
+        ("--k1", "nan", "k1"), ("--k1", "inf", "k1"), ("--k1", "0", "k1"),
     ])
     def test_non_finite_option_exits_with_data_error(self, tmp_path, capsys,
                                                      option, value, name):
@@ -213,6 +214,15 @@ class TestFitFd:
         assert code == cli.EXIT_DATA
         assert name in capsys.readouterr().err
 
+    @pytest.mark.parametrize("form", ["greenshields", "greenberg", "underwood"])
+    @pytest.mark.parametrize("option, name", [("--v-f", "v_f"), ("--k1", "k1")])
+    def test_classical_form_refuses_a_non_finite_option(self, tmp_path, capsys, form, option, name):
+        """Classical forms ignore --v-f and the default --k1 4.0, but not a nan or inf."""
+        path = density_speed_csv(tmp_path, GREENSHIELDS, [k / 2 for k in range(1, 23)])
+        for value in ("nan", "inf"):
+            code = cli.main(["fit", "fd", "--form", form, "--input", path, option, value])
+            assert code == cli.EXIT_DATA
+            assert f"finite positive {name}, got {value}" in capsys.readouterr().err
 
     def test_density_past_the_bin_range_exits_with_data_error(self, tmp_path, capsys):
         path = write_csv(tmp_path / "kv.csv", ["density_vpkm", "speed_kmh"],

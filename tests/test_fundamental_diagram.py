@@ -28,6 +28,7 @@ from fairway.fundamental_diagram import (
 from fairway.regression import FAMILIES, fit_curve, predict, r_squared
 from fairway.trajectory import FlowSample, FlowSamples
 
+import reference_fd
 from reference_data import (
     CLASSICAL_CHARACTERISTICS,
     K1,
@@ -134,6 +135,33 @@ def reference_breakpoint(samples, v_f, candidates, form):
         if best is None or sse < best[0]:
             best = (sse, cand)
     return None if best is None else best[1]
+
+
+SCAN_CANDIDATES = [float(c) for c in range(1, 11)]
+
+
+def count_curve_calls(monkeypatch):
+    """1,200 piecewise_exp samples, with the family curve's argument sizes and any
+    speed_at_density, predict or fit_curve call recorded instead of made."""
+    truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)
+    samples = samples_from(truth, [0.01 * i for i in range(1, 1201)])
+    sizes, calls = [], []
+    real_family = fundamental_diagram._family
+
+    def counting_family(name):
+        spec = real_family(name)
+
+        def curve(a, b, k):
+            sizes.append(np.size(k))
+            return spec.curve(a, b, k)
+
+        return spec._replace(curve=curve)
+
+    monkeypatch.setattr(fundamental_diagram, "_family", counting_family)
+    for name in ("speed_at_density", "predict", "fit_curve"):
+        monkeypatch.setattr(fundamental_diagram, name,
+                            lambda *args, name=name: calls.append(name))
+    return samples, sizes, calls
 
 
 def grid_optimum(model, k_max, step=1e-4):
@@ -386,6 +414,29 @@ class TestFitFd:
             fit_fd("piecewise_exp", samples_from(truth, K_GRID), v_f=v_f,
                    k1_candidates=[3.0, 4.0])
 
+    def test_keeps_the_scanned_fit(self, monkeypatch):
+        """The winning split's fit is the model: one curve evaluation per candidate, no refit."""
+        samples, sizes, calls = count_curve_calls(monkeypatch)
+        model, report = fit_fd("piecewise_exp", samples, v_f=10.5, k1_candidates=SCAN_CANDIDATES)
+        assert model.k1 == 4.0 and report.r_squared == pytest.approx(1.0, abs=1e-9)
+        assert calls == []
+        assert sizes == [len(samples)] * len(SCAN_CANDIDATES)
+
+    @pytest.mark.parametrize("form", ALL_FORMS)
+    @pytest.mark.parametrize("name", ["v_f", "k1"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_given_v_f_or_k1_checked_before_fitting(self, form, name, bad):
+        """Samples all below k1 would fail the branch fit; the bad value is named first."""
+        samples = samples_from(FdModel("greenshields", 0.7634, 11.817), [0.5, 1.0, 2.0, 3.0])
+        kwargs = {"v_f": 10.5, "k1": 4.0, name: bad}
+        with pytest.raises(DomainError, match=f"finite positive {name}, got {bad!r}"):
+            fit_fd(form, samples, **kwargs)
+
+    @pytest.mark.parametrize("form,c1,c2", SPEED_DENSITY_FITS)
+    def test_classical_forms_ignore_a_valid_v_f_and_k1(self, form, c1, c2):
+        samples = samples_from(make_model(form, c1, c2), K_GRID)
+        assert fit_fd(form, samples, v_f=10.5, k1=4.0) == fit_fd(form, samples)
+
 
 class TestEstimateBreakpoint:
     def test_recovers_generator_breakpoint(self):
@@ -460,29 +511,10 @@ class TestEstimateBreakpoint:
 
     def test_never_evaluates_one_sample_at_a_time(self, monkeypatch):
         """Candidates are scored on whole columns, with no model fit or prediction call."""
-        truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)
-        ks = [0.01 * i for i in range(1, 1201)]
-        samples = samples_from(truth, ks)
-        sizes, calls = [], []
-        real_family = fundamental_diagram._family
-
-        def counting_family(name):
-            spec = real_family(name)
-
-            def curve(a, b, k):
-                sizes.append(np.size(k))
-                return spec.curve(a, b, k)
-
-            return spec._replace(curve=curve)
-
-        monkeypatch.setattr(fundamental_diagram, "_family", counting_family)
-        for name in ("speed_at_density", "predict", "fit_curve"):
-            monkeypatch.setattr(fundamental_diagram, name,
-                                lambda *args, name=name: calls.append(name))
-        candidates = [float(c) for c in range(1, 11)]
-        assert estimate_breakpoint(samples, 10.5, candidates) == 4.0
+        samples, sizes, calls = count_curve_calls(monkeypatch)
+        assert estimate_breakpoint(samples, 10.5, SCAN_CANDIDATES) == 4.0
         assert calls == []
-        assert sizes == [len(ks)] * len(candidates)
+        assert sizes == [len(samples)] * len(SCAN_CANDIDATES)
 
     @given(seed=st.integers(0, 2**32 - 1), form=st.sampled_from(PIECEWISE),
            n_candidates=st.integers(1, 40))
@@ -547,6 +579,83 @@ class TestFlowSamplesBatch:
         batch = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)
         assert batch.t is None and len(batch) == len(K_GRID)
         assert fit_fd("greenshields", batch) == fit_fd("greenshields", samples_from(truth, K_GRID))
+
+
+NOT_FINITE_POSITIVE = (math.nan, math.inf, -math.inf, 0.0, -1.0)
+
+
+def outcome(fn, *args, **kwargs) -> str:
+    """The exact result, floats to the last bit, or the class of the error raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except (DomainError, InsufficientDataError, DegenerateFitError) as exc:
+        return type(exc).__name__
+
+
+class TestOneScan:
+    @given(seed=st.integers(0, 2**32 - 1), form=st.sampled_from(ALL_FORMS),
+           split=st.sampled_from(("k1", "candidates", "neither")),
+           n_candidates=st.integers(1, 40), batch=st.booleans(),
+           branch=st.sampled_from(("noisy", "constant", "zero speed")),
+           v_f=st.one_of(st.just("generator"), st.sampled_from((None, 1e308) + NOT_FINITE_POSITIVE)),
+           k1=st.one_of(st.just("candidate"), st.sampled_from(NOT_FINITE_POSITIVE)))
+    @example(seed=7, form="piecewise_exp", split="candidates", n_candidates=8, batch=False,
+             branch="constant", v_f="generator", k1="candidate")  # degenerate splits skipped
+    @example(seed=7, form="piecewise_linear", split="k1", n_candidates=1, batch=True,
+             branch="constant", v_f="generator", k1="candidate")  # a given degenerate split
+    @example(seed=0, form="piecewise_log", split="candidates", n_candidates=12, batch=True,
+             branch="noisy", v_f=1e308, k1="candidate")  # every plateau error sum overflows
+    @example(seed=3, form="piecewise_log", split="candidates", n_candidates=12, batch=True,
+             branch="noisy", v_f=1e308, k1="candidate")  # but one split has no plateau sample
+    @example(seed=3, form="piecewise_exp", split="candidates", n_candidates=6, batch=False,
+             branch="zero speed", v_f="generator", k1="candidate")  # ln 0 splits skipped
+    @example(seed=0, form="piecewise_exp", split="k1", n_candidates=1, batch=False,
+             branch="zero speed", v_f="generator", k1="candidate")  # ln 0 in the given split
+    @example(seed=3, form="underwood", split="neither", n_candidates=1, batch=False,
+             branch="zero speed", v_f="generator", k1="candidate")
+    @settings(max_examples=300, deadline=None)
+    def test_matches_frozen_reference(self, seed, form, split, n_candidates, batch, branch,
+                                      v_f, k1):
+        """fit_fd and estimate_breakpoint give what the refitting code gave, bit for bit.
+
+        The one allowed difference: a given v_f or k1 that is not finite and
+        positive is now refused with DomainError for every form.
+        """
+        rng = np.random.default_rng(seed)
+        c1, c2 = random_branch(rng, form)
+        true_k1 = rng.uniform(1.0, 5.0)
+        true_v_f = max(reference_speed(form, c1, c2, 0.0, 0.0, true_k1), 1.0) * rng.uniform(1.0, 1.3)
+        ks = np.sort(rng.uniform(0.2, 12.0, rng.integers(3, 80)))
+        vs = reference_speed(form, c1, c2, true_v_f, true_k1, ks)
+        if branch == "constant":  # speeds beyond the breakpoint clipped to one floor
+            vs = np.where(ks > true_k1, 0.05, true_v_f)
+        else:
+            vs = np.clip(vs + rng.normal(0.0, rng.uniform(0.05, 1.0), ks.size), 0.05, None)
+        if branch == "zero speed":  # ln 0 in every exp-shape split below the median density
+            vs[ks.size // 2] = 0.0
+        if batch:
+            samples = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)
+        else:
+            samples = [FlowSample.from_density_speed(k, v) for k, v in zip(ks.tolist(), vs.tolist())]
+        # Half the candidates sit exactly on a sample density.
+        candidates = [float(rng.choice(ks)) if rng.random() < 0.5 else float(rng.uniform(0.1, 12.0))
+                      for _ in range(n_candidates)]
+        v_f = float(true_v_f) if v_f == "generator" else v_f
+        kwargs = {} if v_f is None else {"v_f": v_f}
+        if split == "k1":
+            kwargs["k1"] = candidates[0] if k1 == "candidate" else k1
+        elif split == "candidates":
+            kwargs["k1_candidates"] = candidates
+
+        got = outcome(fit_fd, form, samples, **kwargs)
+        if any(kwargs.get(name) is not None and not 0 < kwargs[name] < math.inf
+               for name in ("v_f", "k1")):
+            assert got == "DomainError"
+        else:
+            assert got == outcome(reference_fd.fit_fd, form, samples, **kwargs)
+        if split == "candidates" and form in PIECEWISE:
+            assert outcome(estimate_breakpoint, samples, v_f, candidates, form=form) == \
+                outcome(reference_fd.estimate_breakpoint, samples, v_f, candidates, form=form)
 
 
 class TestEconomicSpeed:
