@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fundamental_diagram as fd
 from . import io_store, regression, trajectory, traffic_state
-from .errors import DomainError, FairwayError, InsufficientDataError
+from .errors import FairwayError, InsufficientDataError
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
 GAP_BIN_M = 5.0  # speed-gap bin width
@@ -151,15 +151,6 @@ def _cmd_tracks_derive(args) -> dict:
     return counts
 
 
-def _gaps(path, *others: str) -> tuple[np.ndarray, ...]:
-    """gap_m and the ``others`` of a CSV; DomainError on a gap <= 0, a flagged GNSS overlap."""
-    gaps, *rest = io_store.read_columns(path, "gap_m", *others)
-    if (bad := np.flatnonzero(gaps <= 0)).size:
-        raise DomainError(f"{path}: {bad.size} gap(s) <= 0, the first on line {bad[0] + 2}; "
-                          "drop the rows tracks derive flags with overlap_flagged 1")
-    return gaps, *rest
-
-
 def _document(**sections) -> dict:
     """A model document of these sections, stamped with the UTC time now, as JSON values."""
     return io_store.document_to_dict(io_store.ModelDocument(
@@ -173,7 +164,8 @@ def _points(args, x: np.ndarray, y: np.ndarray, width: float) -> np.ndarray:
 
 
 def _cmd_fit_speed_gap(args) -> dict:
-    reports = regression.rank_families(_points(args, *_gaps(args.input, "speed_kmh"), GAP_BIN_M))
+    gaps, speeds = io_store.read_gaps(args.input, "speed_kmh")
+    reports = regression.rank_families(_points(args, gaps, speeds, GAP_BIN_M))
     if not reports:
         raise InsufficientDataError("every curve family was excluded from ranking")
     print(f"{'family':<12} {'a':>10} {'b':>10} {'R^2':>8} {'n':>5}")
@@ -219,7 +211,8 @@ def _cmd_economic_speed(args) -> dict:
 
 
 def _cmd_minimums(args) -> dict:
-    (speeds,), (gaps,) = io_store.read_columns(args.speeds, "speed_kmh"), _gaps(args.gaps)
+    (speeds,) = io_store.read_columns(args.speeds, "speed_kmh")
+    (gaps,) = io_store.read_gaps(args.gaps)
     result = fd.recommend_minimums(speeds, gaps, tail_fraction=args.tail)
     print(f"v_min {_fmt(result.v_min)} km/h  g_min {_fmt(result.g_min)} m  (tail {args.tail})")
     return {**asdict(result), "tail_fraction": args.tail}

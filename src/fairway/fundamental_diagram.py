@@ -222,7 +222,8 @@ def _fit_splits(form: str, samples, v_f, k1, candidates) -> tuple:
     scan = form in PIECEWISE_FORMS and k1 is None
     if form in PIECEWISE_FORMS and not _finite_positive(v_f):
         raise DomainError(f"piecewise fitting requires a finite v_f > 0, got {v_f}")
-    if scan and not (candidates and all(map(_finite_positive, candidates))):
+    if scan and (candidates is None or not len(candidates)
+                 or not all(map(_finite_positive, candidates))):
         raise DomainError("piecewise fitting needs k1 or non-empty, finite and positive candidates")
     if isinstance(samples, FlowSamples):
         ks, vs = np.asarray(samples.density, dtype=float), np.asarray(samples.mean_speed, dtype=float)
@@ -232,7 +233,7 @@ def _fit_splits(form: str, samples, v_f, k1, candidates) -> tuple:
     spec = _family(shape.family)
     fx, fy = spec.transform(ks, vs)
     best = None
-    for split in sorted(candidates) if scan else (k1,):
+    for split in sorted(map(float, candidates)) if scan else (k1,):
         beyond = slice(None) if split is None else ks > split
         bx, by = fx[beyond], fy[beyond]
         try:

@@ -1,15 +1,14 @@
 """CSV reading and writing, model-document persistence, and plot-ready curve export.
 
-All inputs are UTF-8 comma-separated files with a mandatory header row.
-Loaders never silently drop rows: every data row is either accepted or
-recorded as a reject with its line number (strict mode raises on the first
-reject).  A float cell must hold a finite number, an integer cell must fit
-in 64 bits.  Files are read in blocks of rows.  One np.loadtxt call reads
-every column of a block of printable-ASCII lines without '"', text cells as
-Python str, when it yields the same values with no reject; any other block
-goes through csv.reader and a per-cell cast that names each reject, and so
-does the rest of the file after the first block holding a quote or another
-character.  ``write_rows`` is the one CSV writer: csv quotes the key cells,
+All inputs are UTF-8 comma-separated files with a mandatory header row, and
+every row is one line.  Loaders never silently drop rows: every data row is
+accepted or recorded as a reject naming its physical line, blank lines counted
+(strict mode raises on the first reject).  A float cell must hold a finite
+number, an integer cell must fit in 64 bits, and a quoted field must close on
+its own line.  Each block of lines is read on its own: by one np.loadtxt call
+when its lines are printable ASCII without '"' and that yields the same values
+with no reject, else by csv.reader line by line and a per-cell cast that names
+each reject.  ``write_rows`` is the one CSV writer: csv quotes the key cells,
 and each value is written as its repr.
 Model documents are strict JSON with full-precision numbers, so save/load
 round-trips are bit-identical.  No value may be true or false and an integer
@@ -25,9 +24,10 @@ import math
 import re
 import sys
 import warnings
+from collections import ChainMap
 from dataclasses import asdict, dataclass, field
 from datetime import datetime
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -40,7 +40,7 @@ from .traffic_state import StateBands
 from .trajectory import FleetRun, VesselMeta, VesselTrack
 
 SCHEMA_VERSION = 1
-_BLOCK_ROWS = 16384  # rows of a CSV file held as text at once
+_BLOCK_ROWS = 16384  # lines of a CSV file held as text at once
 MAX_CURVE_ROWS = 1_000_000  # rows emit_curve_samples writes at most
 _DTYPES = {float: np.float64, int: np.int64}
 _PLAIN = re.compile(r"[ -!#-~\r\n]*").fullmatch  # printable ASCII without '"'
@@ -85,9 +85,9 @@ class LoadResult:
 
 
 def _typed_column(cells: list, column: str, cast, first_row: int) -> tuple:
-    """The cells cast one by one, and {row: RejectedRow}; float and int give arrays.
+    """The cells cast one by one, and {row: (column, message)}; float and int give arrays.
 
-    A bad cell reads as cast("0"), and its reject says what is wrong with it.
+    A bad cell reads as cast("0"), and its error says what is wrong with it.
     """
     values, errors = [], {}
     for row, raw in enumerate(cells, start=first_row):
@@ -105,7 +105,7 @@ def _typed_column(cells: list, column: str, cast, first_row: int) -> tuple:
             values.append(value)
         except ValueError as exc:
             values.append(cast("0"))
-            errors[row] = RejectedRow(row + 2, column, str(exc))
+            errors[row] = (column, str(exc))
     return (np.array(values, _DTYPES[cast]) if cast in _DTYPES else values), errors
 
 
@@ -134,78 +134,66 @@ def _fast_columns(lines: list, picks: list, casts: Sequence) -> Optional[list]:
     return out
 
 
-def _blocks(handle):
-    """(lines or None, csv rows) for each block of the file's rows.
+def _read_columns(path, required: Sequence[str], casts: Sequence) -> tuple:
+    """The physical line of each data row, {row: (None, message)} of the rows left
+    unread (a quoted field open at the end of the line: its cells read as ""), then
+    each required column as ``_typed_column`` returns it.
 
-    Blocks of printable ASCII without '"' also come as their lines, blank ones
-    left out.  From the first other block on, the rest of the file goes
-    through csv.reader, so a quoted field holding a newline is never cut.
-    """
-    while block := list(islice(handle, _BLOCK_ROWS)):
-        if not _PLAIN("".join(block)):
-            break
-        lines = [line for line in block if line not in _BLANK]
-        yield lines, csv.reader(lines)
-    reader = csv.reader(chain(block, handle))
-    while rows := list(islice(reader, _BLOCK_ROWS)):
-        yield None, rows
-
-
-def _read_columns(path, required: Sequence[str], casts: Sequence) -> list[tuple]:
-    """Each required column as ``_typed_column`` returns it, read in blocks of rows.
-
-    Blank lines are skipped and not counted (data row i is line i + 2), a
-    short row reads "" for the cells it lacks, and a repeated column name
-    reads its last occurrence.  Only the csv path names rejects, so numpy
-    reads a block only where that gives the same values and no rejects.
+    A short row reads "" for the cells it lacks; a repeated column name, its last one.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            header = next(csv.reader(handle), None)
-            if header is None:
+            if not (first := handle.readline()):
                 raise ParseError(f"{path}: empty file, header row required")
-            missing = [c for c in required if c not in header]
-            if missing:
+            header = next(csv.reader([first]))
+            if missing := [c for c in required if c not in header]:
                 raise ParseError(f"{path}: missing required column(s) {missing}")
             picks = [max(i for i, name in enumerate(header) if name == c) for c in required]
-            width = max(picks, default=-1) + 1
             # An empty first block gives each column its type, even in a file without rows.
-            parts = [[_typed_column([], c, cast, 0)] for c, cast in zip(required, casts)]
-            n = 0
-            for lines, rows in _blocks(handle):
-                typed = _fast_columns(lines, picks, casts) if lines else None
-                if typed:
-                    rows = lines  # one row per line
-                else:
-                    rows = [row if len(row) >= width else row + [""] * (width - len(row))
-                            for row in rows if row]
-                    typed = [_typed_column([row[i] for row in rows], column, cast, n)
+            blocks = [[_typed_column([], c, cast, 0) for c, cast in zip(required, casts)]]
+            flags, unread, n = [b"\0\0"], {}, 0  # byte i: line i holds a data row; 0, 1 do not
+            while block := list(islice(handle, _BLOCK_ROWS)):
+                keep = bytes([text not in _BLANK for text in block])
+                lines = list(compress(block, keep))
+                flags.append(keep)
+                typed = _PLAIN("".join(lines)) and _fast_columns(lines, picks, casts)
+                if not typed:
+                    rows = [next(csv.reader([text.rstrip("\r\n") + "\n"])) for text in lines]
+                    for row, cells in enumerate(rows, n):
+                        if cells[-1].endswith("\n"):  # only a quoted field keeps the newline
+                            unread[row] = (None, "quoted field open at end of line")
+                            cells.clear()
+                    typed = [_typed_column([row[i] if i < len(row) else "" for row in rows],
+                                           column, cast, n)
                              for i, column, cast in zip(picks, required, casts)]
-                for part, column in zip(parts, typed):
-                    part.append(column)
-                n += len(rows)
+                blocks.append(typed)
+                n += len(lines)
     except UnicodeDecodeError as exc:  # raised as the file is read, block by block
         raise ParseError(f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
                          f"({exc.reason})") from None
-    return [(np.concatenate([v for v, _ in part]) if isinstance(part[0][0], np.ndarray)
-             else list(chain.from_iterable(v for v, _ in part)),
-             {row: reject for _, errors in part for row, reject in errors.items()})
-            for part in parts]
+    return np.flatnonzero(np.frombuffer(b"".join(flags), bool)), unread, *(
+        (np.concatenate(values) if isinstance(values[0], np.ndarray)
+         else list(chain.from_iterable(values)), dict(ChainMap(*errors)))
+        for values, errors in (zip(*column) for column in zip(*blocks)))
 
 
-def _rejects(path, strict: bool, *column_errors: dict) -> tuple[RejectedRow, ...]:
-    """Each bad row's first error (checks in precedence order), in line order.
+def _rejects(path, strict: bool, lines: np.ndarray, *errors: dict) -> tuple:
+    """Each bad row's first error (checks in precedence order) as a RejectedRow naming
+    its line, in line order, and the mask of the rows kept; strict raises the first."""
+    first = ChainMap(*errors)  # a row's error from the first check that names it
+    rejects = tuple(RejectedRow(int(lines[row]), *first[row]) for row in sorted(first))
+    if strict and rejects:
+        raise ParseError(f"{path}:{rejects[0].line}:{rejects[0].column}: {rejects[0].message}")
+    kept = np.ones(len(lines), dtype=bool)
+    kept[list(first)] = False
+    return rejects, kept
 
-    Strict mode raises the first of them as a ParseError.
-    """
-    first: dict = {}
-    for errors in column_errors:
-        for row, reject in errors.items():
-            first.setdefault(row, reject)
-    found = tuple(first[row] for row in sorted(first))
-    if strict and found:
-        raise ParseError(f"{path}:{found[0].line}:{found[0].column}: {found[0].message}")
-    return found
+
+def _read_floats(path, columns: Sequence[str]) -> tuple:
+    """The line of each data row, then the named columns as ``read_columns`` reads them."""
+    lines, unread, *typed = _read_columns(path, columns, [float] * len(columns))
+    _rejects(path, True, lines, unread, *(errors for _, errors in typed))
+    return lines, *(values for values, _ in typed)
 
 
 def read_columns(path, *columns: str) -> tuple[np.ndarray, ...]:
@@ -213,9 +201,16 @@ def read_columns(path, *columns: str) -> tuple[np.ndarray, ...]:
 
     Strict: the first bad cell raises ParseError naming path:line:column.
     """
-    typed = _read_columns(path, columns, [float] * len(columns))
-    _rejects(path, True, *(errors for _, errors in typed))
-    return tuple(values for values, _ in typed)
+    return _read_floats(path, columns)[1:]
+
+
+def read_gaps(path, *others: str) -> tuple[np.ndarray, ...]:
+    """gap_m and the ``others`` as ``read_columns`` reads them; DomainError on a gap <= 0."""
+    lines, gaps, *rest = _read_floats(path, ("gap_m", *others))
+    if (bad := np.flatnonzero(gaps <= 0)).size:
+        raise DomainError(f"{path}: {bad.size} gap(s) <= 0, the first on line {lines[bad[0]]}; "
+                          "drop the rows tracks derive flags with overlap_flagged 1")
+    return gaps, *rest
 
 
 def load_vessel_meta(path, strict: bool = True) -> LoadResult:
@@ -224,25 +219,23 @@ def load_vessel_meta(path, strict: bool = True) -> LoadResult:
     A row repeating the key of an earlier row is a duplicate even when that
     row is rejected for a later cell.
     """
-    (run_ids, run_err), (pos, pos_err), (length, len_err), (offset, off_err), (load, load_err) = \
-        _read_columns(path, META_COLUMNS, (str, int, float, float, str))
-    rows = list(zip(run_ids, pos.tolist(), length.tolist(), offset.tolist(), load))
+    lines, unread, (run_ids, run_err), (pos, pos_err), (length, len_err), (offset, off_err), \
+        (load, load_err) = _read_columns(path, META_COLUMNS, (str, int, float, float, str))
+    rows = zip(run_ids, pos.tolist(), length.tolist(), offset.tolist(), load)
     seen, dup_err, items, domain_err = set(), {}, {}, {}
     for row, (run_id, p, *fields) in enumerate(rows):
         if row not in run_err and row not in pos_err:
             if (run_id, p) in seen:
-                dup_err[row] = RejectedRow(row + 2, "fleet_position",
-                                           f"duplicate key {(run_id, p)}")
+                dup_err[row] = ("fleet_position", f"duplicate key {(run_id, p)}")
             seen.add((run_id, p))
         try:
             items[row] = (run_id, VesselMeta(p, *fields))
         except DomainError as exc:
-            domain_err[row] = RejectedRow(row + 2, None, str(exc))
-    rejects = _rejects(path, strict, run_err, pos_err, dup_err, len_err, off_err, load_err,
-                       domain_err)
-    for r in rejects:
-        items.pop(r.line - 2, None)
-    return LoadResult(items=tuple(items.values()), rejects=rejects)
+            domain_err[row] = (None, str(exc))
+    rejects, kept = _rejects(path, strict, lines, unread, run_err, pos_err, dup_err, len_err,
+                             off_err, load_err, domain_err)
+    return LoadResult(items=tuple(item for row, item in items.items() if kept[row]),
+                      rejects=rejects)
 
 
 def meta_map(result: LoadResult) -> dict[tuple[str, int], VesselMeta]:
@@ -262,8 +255,8 @@ def load_tracks(
     ``items`` holds the accepted rows' line numbers; each track keeps its own fix spacing.
     """
     # run_id cells are interned: a few names repeat on every row.
-    (run_ids, run_err), (p, p_err), (t, t_err), (x, x_err), (y, y_err) = _read_columns(
-        path, TRACK_COLUMNS, (sys.intern, int, int, float, float))
+    lines, unread, (run_ids, run_err), (p, p_err), (t, t_err), (x, x_err), (y, y_err) = \
+        _read_columns(path, TRACK_COLUMNS, (sys.intern, int, int, float, float))
     names = sorted(set(run_ids))  # str order, so runs come out sorted by run_id
     code = {name: i for i, name in enumerate(names)}
     run = np.array([code[r] for r in run_ids], dtype=np.int64)
@@ -273,12 +266,10 @@ def load_tracks(
     order = order[keyed[order]]
     later, earlier = order[1:], order[:-1]
     dups = later[(run[later] == run[earlier]) & (p[later] == p[earlier]) & (t[later] == t[earlier])]
-    dup_err = {r: RejectedRow(r + 2, "t_seconds",
-                              f"duplicate key {(run_ids[r], int(p[r]), int(t[r]))}")
+    dup_err = {r: ("t_seconds", f"duplicate key {(run_ids[r], int(p[r]), int(t[r]))}")
                for r in dups.tolist()}
-    rejects = _rejects(path, strict, run_err, p_err, t_err, dup_err, x_err, y_err)
-    accepted = np.ones(len(run), dtype=bool)
-    accepted[[r.line - 2 for r in rejects]] = False
+    rejects, accepted = _rejects(path, strict, lines, unread, run_err, p_err, t_err, dup_err,
+                                 x_err, y_err)
     order = order[accepted[order]]
     run, p, t, x, y = (column[order] for column in (run, p, t, x, y))
     first = np.ones(len(order), dtype=bool)  # rows that start a (run, position) track
@@ -294,11 +285,11 @@ def load_tracks(
         if b == len(order) or run[b] != run[a]:
             runs.append(FleetRun(run_id=key[0], tracks=tuple(tracks)))
             tracks = []
-    return runs, LoadResult(items=np.flatnonzero(accepted) + 2, rejects=rejects)
+    return runs, LoadResult(items=lines[accepted], rejects=rejects)
 
 
 def load_surveillance(path, strict: bool = True) -> LoadResult:
-    (start, start_err), (way, way_err), (flow, flow_err), (speed, speed_err), \
+    lines, unread, (start, start_err), (way, way_err), (flow, flow_err), (speed, speed_err), \
         (loaded, loaded_err), (empty, empty_err) = _read_columns(
             path, SURVEILLANCE_COLUMNS, (str, str, float, float, int, int))
     not_iso = {}
@@ -306,20 +297,18 @@ def load_surveillance(path, strict: bool = True) -> LoadResult:
         try:
             datetime.fromisoformat(text)
         except ValueError:
-            not_iso[row] = RejectedRow(row + 2, "interval_start", f"not ISO-8601: {text!r}")
-    unknown_way = {r: RejectedRow(r + 2, "direction",
-                                  f"must be one of {DIRECTIONS}, got {w!r}")
+            not_iso[row] = ("interval_start", f"not ISO-8601: {text!r}")
+    unknown_way = {r: ("direction", f"must be one of {DIRECTIONS}, got {w!r}")
                    for r, w in enumerate(way) if w not in DIRECTIONS}
-    negative = {r: RejectedRow(r + 2, "flow_vph", "flow must be >= 0")
-                for r in np.flatnonzero(flow < 0).tolist()}
-    still = {r: RejectedRow(r + 2, "mean_speed_kmh", "speed must be positive when flow > 0")
+    negative = {r: ("flow_vph", "flow must be >= 0") for r in np.flatnonzero(flow < 0).tolist()}
+    still = {r: ("mean_speed_kmh", "speed must be positive when flow > 0")
              for r in np.flatnonzero((flow > 0) & (speed <= 0)).tolist()}
-    rejects = _rejects(path, strict, start_err, not_iso, way_err, unknown_way, flow_err,
-                       speed_err, negative, still, loaded_err, empty_err)
-    bad = {r.line - 2 for r in rejects}
+    rejects, kept = _rejects(path, strict, lines, unread, start_err, not_iso, way_err,
+                             unknown_way, flow_err, speed_err, negative, still, loaded_err,
+                             empty_err)
     rows = zip(start, way, flow.tolist(), speed.tolist(), loaded.tolist(), empty.tolist())
-    items = tuple(SurveillanceRow(*row) for i, row in enumerate(rows) if i not in bad)
-    return LoadResult(items=items, rejects=rejects)
+    return LoadResult(items=tuple(SurveillanceRow(*row) for row in compress(rows, kept)),
+                      rejects=rejects)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Row-at-a-time reference for the columnar loaders and the track derivation.
 
-This is the implementation the columnar code replaced: a ``csv.DictReader``
-loop building one object per row or fix, and speeds, gaps and flow samples
-joined through dicts keyed by timestamp.  Tests compare the columnar path
-against it.  One rule differs from the code it was taken from: a timestamp
-where a vessel stood still is left out of the flow samples (its space-mean
-speed is undefined) instead of failing the run.
+This is the implementation the columnar code replaced: a loop over the
+file's physical lines, each parsed on its own and building one object per row
+or fix, and speeds, gaps and flow samples joined through dicts keyed by
+timestamp.  Tests compare the columnar path against it.  Two rules differ from
+the code it was taken from: every row is one line, so a quoted field open at
+the end of its line is a reject and blank lines count towards line numbers;
+and a timestamp where a vessel stood still is left out of the flow samples
+(its space-mean speed is undefined) instead of failing the run.
 """
 
 from __future__ import annotations
@@ -46,19 +48,44 @@ def _field(row, lineno, column, cast):
     return value
 
 
+def _ends_in_open_quote(text) -> bool:
+    """Whether the line ends inside a quoted field, by csv's rules: a field starting
+    with '"' is quoted, '""' inside it is one quote and a lone '"' closes it;
+    anywhere else a '"' is a literal."""
+    state = "start"
+    for c in text.rstrip("\r\n"):
+        if state == "quoted":
+            state = "closing" if c == '"' else "quoted"
+        elif state == "closing" and c == '"':
+            state = "quoted"
+        elif c == ",":
+            state = "start"
+        else:
+            state = "quoted" if state == "start" and c == '"' else "plain"
+    return state == "quoted"
+
+
 def _parse_rows(path, required, row_fn, strict):
-    """Items and rejects as (line, column, message), one row at a time."""
+    """Items and rejects as (line, column, message), one physical line at a time.
+
+    Blank lines are skipped but counted; a line ending inside a quoted field is rejected.
+    """
     items, rejects = [], []
     with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+        first = handle.readline()
+        if not first:
             raise ParseError(f"{path}: empty file, header row required")
-        missing = [c for c in required if c not in reader.fieldnames]
+        header = next(csv.reader([first]))
+        missing = [c for c in required if c not in header]
         if missing:
             raise ParseError(f"{path}: missing required column(s) {missing}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, text in enumerate(handle, start=2):
+            if text in ("\n", "\r\n", "\r"):
+                continue
             try:
-                items.append(row_fn(row, lineno))
+                if _ends_in_open_quote(text):
+                    raise _RowError(lineno, None, "quoted field open at end of line")
+                items.append(row_fn(dict(zip(header, next(csv.reader([text])))), lineno))
             except _RowError as exc:
                 if strict:
                     raise ParseError(f"{path}:{exc.line}:{exc.column}: {exc.message}") from None

@@ -495,6 +495,40 @@ class TestCsvNotUtf8:
         assert captured.err == f"error: {bad}: not UTF-8 text: byte 0xff (invalid start byte)\n"
 
 
+class TestLinesAfterBlankLines:
+    """An error names the physical line of its row: blank lines count."""
+
+    SPEEDS = "speed_kmh\n1.0\n\n\n2.0\nabc\n"
+    GAPS = "gap_m,speed_kmh\n10,5\n\n\n20,6\n-1,4\n30,7\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["stats", "summary", "--input", "{speeds}", "--column", "speed_kmh"],
+         "{speeds}:6:speed_kmh: cannot parse 'abc'"),
+        (["fit", "speed-gap", "--raw", "--input", "{gaps}"],
+         "{gaps}: 1 gap(s) <= 0, the first on line 6; "
+         "drop the rows tracks derive flags with overlap_flagged 1"),
+        (["minimums", "--speeds", "{gaps}", "--gaps", "{gaps}"],
+         "{gaps}: 1 gap(s) <= 0, the first on line 6; "
+         "drop the rows tracks derive flags with overlap_flagged 1"),
+    ], ids=["stats_summary", "fit_speed_gap", "minimums"])
+    def test_exits_2_naming_line_6(self, tmp_path, capsys, argv, message):
+        files = {"speeds": tmp_path / "speeds.csv", "gaps": tmp_path / "gaps.csv"}
+        files["speeds"].write_text(self.SPEEDS, encoding="utf-8")
+        files["gaps"].write_text(self.GAPS, encoding="utf-8")
+        assert cli.main([arg.format(**files) for arg in argv]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(**files)}\n"
+
+    def test_quoted_field_open_at_the_end_of_its_line_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "speeds.csv"
+        path.write_text('speed_kmh\n1.0\n\n"2.0\n3.0"\n', encoding="utf-8")
+        assert cli.main(["stats", "summary", "--input", str(path), "--column", "speed_kmh"]) \
+            == cli.EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {path}:4:None: quoted field open at end of line\n")
+
+
 class TestStates:
     def blob_speeds_csv(self, tmp_path):
         rng = np.random.default_rng(0)

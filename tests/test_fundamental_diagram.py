@@ -422,6 +422,22 @@ class TestFitFd:
         assert calls == []
         assert sizes == [len(samples)] * len(SCAN_CANDIDATES)
 
+    @pytest.mark.parametrize("candidates", [[3.0, 4.0], [6.0, 2.0, 4.0, 3.0], SCAN_CANDIDATES])
+    def test_candidates_as_an_array_fit_as_the_equal_list(self, candidates):
+        truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)
+        samples = samples_from(truth, K_GRID)
+        expected = fit_fd("piecewise_exp", samples, v_f=10.5, k1_candidates=list(candidates))
+        got = fit_fd("piecewise_exp", samples, v_f=10.5, k1_candidates=np.array(candidates))
+        assert repr(got) == repr(expected)
+        assert repr(estimate_breakpoint(samples, 10.5, np.array(candidates))) \
+            == repr(estimate_breakpoint(samples, 10.5, list(candidates))) == repr(expected[0].k1)
+
+    @pytest.mark.parametrize("candidates", [np.array([]), np.array([3.0, np.nan])])
+    def test_empty_or_non_finite_candidate_array_rejected(self, candidates):
+        samples = samples_from(FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0), K_GRID)
+        with pytest.raises(DomainError, match="non-empty, finite and positive candidates"):
+            fit_fd("piecewise_exp", samples, v_f=10.5, k1_candidates=candidates)
+
     @pytest.mark.parametrize("form", ALL_FORMS)
     @pytest.mark.parametrize("name", ["v_f", "k1"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])

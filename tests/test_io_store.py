@@ -241,7 +241,7 @@ class TestLoadTracks:
             "b,1,85.0,12.0,loaded\n" "a,1,85.0,12.0,loaded\n" "a,2,90.0,10.0,empty\n"))
         track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + (
             "b,1,1,1.0,0.0\n" "a,2,1,1.0,0.0\n" "a,1,1,3.0,0.0\n"
-            "\n"  # blank lines are skipped and not counted
+            "\n"  # blank lines are skipped but counted
             "a,2,0,0.0,0.0\n" "b,1,0,0.0,0.0\n" "a,1,0,2.0,0.0\n" "a,1\n"
         ))
         runs, result = load_tracks(
@@ -250,7 +250,20 @@ class TestLoadTracks:
         assert [[tr.x.tolist() for tr in r.tracks] for r in runs] == [
             [[2.0, 3.0], [0.0, 1.0]], [[0.0, 1.0]]]
         assert [(r.line, r.column, r.message) for r in result.rejects] == [
-            (8, "t_seconds", "missing value")]
+            (9, "t_seconds", "missing value")]
+
+    def test_items_are_physical_lines_after_blank_lines(self, tmp_path):
+        meta_path = write(tmp_path, "meta.csv", META_HEADER + "a,1,85.0,12.0,loaded\n")
+        track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + (
+            "\n" "a,1,0,0.0,0.0\n" "\r\n" "\n" "a,1,5,oops,0.0\n" "a,1,1,1.0,0.0\n" "\n"
+            "a,1,2,2.0,0.0"))
+        for block_rows in (1, 2, 16384):
+            with patch.object(io_store, "_BLOCK_ROWS", block_rows):
+                runs, result = load_tracks(
+                    track_path, meta_map(load_vessel_meta(meta_path)), strict=False)
+            assert result.items.tolist() == [3, 7, 9]
+            assert [(r.line, r.column) for r in result.rejects] == [(6, "x_m")]
+            assert runs[0].tracks[0].t.tolist() == [0, 1, 2]
 
     @pytest.mark.parametrize("cell", ["9223372036854775808", "-9223372036854775809",
                                       "99999999999999999999"])
@@ -274,26 +287,70 @@ class TestLoadTracks:
             check_tracks_reference(data, strict)
 
     def test_quoted_field_holding_a_newline_across_blocks(self, tmp_path):
-        """Plain blocks, a quoted field split over two lines, then plain lines again."""
+        """Every row is one line: a quoted field left open at the end of its line is
+        rejected there, and the next line is a row of its own, here with a bare '"'
+        in an unquoted field, which reads as a literal."""
         meta_path = write(tmp_path, "meta.csv", META_HEADER + (
             'p,1,85.0,12.0,loaded\n"r\n1",1,85.0,12.0,loaded\n'))
         track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + (
             "p,1,0,0.0,0.0\n" "p,1,1,1.0,0.0\n" '"r\n1",1,0,0.0,0.0\n' "\n"
             '"r\n1",1,1,1.0,0.0\n' "r,1\n" "p,1,2,2.0,0.0\n"))
-        mapping = meta_map(load_vessel_meta(meta_path))
         for block_rows in (1, 2, 3, 16384):
             with patch.object(io_store, "_BLOCK_ROWS", block_rows):
-                runs, result = load_tracks(track_path, mapping, strict=False)
-            assert [r.run_id for r in runs] == ["p", "r\n1"]
-            assert [r.tracks[0].x.tolist() for r in runs] == [[0.0, 1.0, 2.0], [0.0, 1.0]]
-            assert [(r.line, r.column) for r in result.rejects] == [(6, "t_seconds")]
+                meta = load_vessel_meta(meta_path, strict=False)
+                runs, result = load_tracks(track_path, meta_map(meta), strict=False)
+            assert [(r.line, r.column, r.message) for r in meta.rejects] == [
+                (3, None, "quoted field open at end of line")]
+            assert [r.run_id for r in runs] == ['1"', "p"]
+            assert [r.tracks[0].x.tolist() for r in runs] == [[0.0, 1.0], [0.0, 1.0, 2.0]]
+            assert [(r.line, r.column, r.message) for r in result.rejects] == [
+                (4, None, "quoted field open at end of line"),
+                (7, None, "quoted field open at end of line"),
+                (9, "t_seconds", "missing value")]
+
+    @pytest.mark.parametrize("text", [
+        '"a,1\n', 'a,1,"0,0.0,0.0\n', 'a,1,0,0.0,"0.0', 'a,1,0,0.0,0.0,"note\r\n',
+        'a,"b""c,1,0,0.0,0.0\n', 'a,1,0,"1.0"",0.0\r',
+    ])
+    def test_open_quote_names_its_line(self, tmp_path, text):
+        """Wherever the quote opens, in a required column or not, and on the last line
+        without a line end too."""
+        track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + "\n" + text)
+        with pytest.raises(ParseError, match=r"tracks\.csv:3:None: quoted field open at end"):
+            load_tracks(track_path, {})
+
+    def test_row_with_an_open_quote_claims_no_key(self, tmp_path):
+        """None of its cells is read, so a later row with the same key is no duplicate."""
+        meta_path = write(tmp_path, "meta.csv", META_HEADER + (
+            'a,1,85.0,"12.0,loaded\n' "a,1,85.0,12.0,loaded\n"))
+        meta = load_vessel_meta(meta_path, strict=False)
+        assert [(r.line, r.message) for r in meta.rejects] == [
+            (2, "quoted field open at end of line")]
+        track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + (
+            'a,1,0,0.0,"0.0\n' "a,1,0,0.0,0.0\n" "a,1,1,1.0,0.0\n"))
+        runs, result = load_tracks(track_path, meta_map(meta), strict=False)
+        assert [r.line for r in result.rejects] == [2]
+        assert result.items.tolist() == [3, 4]
+
+    def test_bare_quote_in_an_unquoted_field_is_a_literal(self, tmp_path):
+        """As csv.reader reads it: a '"' that does not open a field is a literal."""
+        meta_path = write(tmp_path, "meta.csv", META_HEADER + (
+            'a"b,1,85.0,12.0,loaded\n' 'ab,1,85.0,12.0,loaded\n'))
+        track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + (
+            'a"b,1,0,0.0,0.0\n' '"a""b",1,1,1.0,0.0\n' '"a"b,1,2,2.0,0.0\n' 'ab,1,3,3.0,0.0\n'))
+        runs, _ = load_tracks(track_path, meta_map(load_vessel_meta(meta_path)))
+        assert [(r.run_id, r.tracks[0].t.tolist()) for r in runs] == [
+            ('a"b', [0, 1]), ("ab", [2, 3])]
 
 
-RUN_NAMES = ("r1", "r2", "9", "10", "b,x", 'q"1', " s")
+RUN_NAMES = ("r1", "r2", "9", "10", "b,x", 'q"1', " s", "r\n1")
 NOISE = ("", "nan", "inf", "-inf", "oops", " 3 ", "1_0", "-0", "1e308", "5e-324", "1.5", "2",
          "\x1c", "2\x1c", "\u0663", "1e999", "9223372036854775807", "-9223372036854775808",
          "99999999999999999999", "9223372036854775808", "-9223372036854775809",
-         "1.0", "\t2\t", " ", "\r")
+         "1.0", "\t2\t", " ", "\r", "x\ny", '"')
+# Lines written as they stand: bare quotes, a quote opening a field, quotes left open.
+RAW_LINES = ('a"b,1,0,1.0,2.0', '"r1"x,1,0,1.0,2.0', '"open,1,0,1.0,2.0', 'r1,1,"0,1.0,2.0',
+             'r1,1,0,1.0,"2.0', '"', '"a""b,1')
 
 
 def small_blocks(data):
@@ -360,19 +417,29 @@ def track_file_text(draw):
         rows.insert(i, rows[i][:3] + ["nan", "0.0"])
     if draw(st.booleans()):  # a blank or whitespace-only line
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([[], [" "]])))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator=draw(st.sampled_from(LINE_ENDS)))
-    writer.writerow(["run_id", "fleet_position", "t_seconds", "x_m", "y_m"])
-    writer.writerows(rows)
-    return out.getvalue()
+    if draw(st.integers(0, 3)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(RAW_LINES)))
+    return csv_text([TRACK_HEADER.strip().split(",")] + rows, draw(st.sampled_from(LINE_ENDS)))
 
 
 LINE_ENDS = ("\r\n", "\n", "\r")
 
 
+def csv_text(rows, end) -> str:
+    """Each list row as csv.writer writes it and each str row as it stands, ending in ``end``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=end)
+    for row in rows:
+        if isinstance(row, str):
+            out.write(row + end)
+        else:
+            writer.writerow(row)
+    return out.getvalue()
+
+
 def noisy_csv(data, header, rows) -> str:
-    """Rows with some cells replaced by noise, some cut short, and a blank or
-    whitespace-only line."""
+    """Rows with some cells replaced by noise, some cut short, a blank or
+    whitespace-only line, and a line with bare or open quotes."""
     for row in rows:
         if data.draw(st.integers(0, 4)) == 0:
             row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.sampled_from(NOISE))
@@ -380,9 +447,9 @@ def noisy_csv(data, header, rows) -> str:
             del row[data.draw(st.integers(0, len(row) - 1)):]
     if rows and data.draw(st.booleans()):
         rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from([[], [" "]])))
-    out = io.StringIO()
-    csv.writer(out, lineterminator=data.draw(st.sampled_from(LINE_ENDS))).writerows([header] + rows)
-    return out.getvalue()
+    if data.draw(st.integers(0, 3)) == 0:
+        rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(RAW_LINES)))
+    return csv_text([header] + rows, data.draw(st.sampled_from(LINE_ENDS)))
 
 
 def assert_same_as_reference(text, load, reference):
@@ -533,6 +600,48 @@ class TestReadColumns:
                          + b"\xff\n")
         with pytest.raises(ParseError, match=r"bad\.csv: not UTF-8 text: byte 0xff"):
             load(path)
+
+
+# Per loader: how it loads (path, strict), its header, valid row i, a bad row and
+# the column that row's reject names.
+LINE_CASES = {
+    "read_columns": (lambda path, strict: read_columns(path, "speed_kmh"), "speed_kmh",
+                     lambda i: f"{i}.5", "abc", "speed_kmh"),
+    "load_vessel_meta": (load_vessel_meta, META_HEADER, lambda i: f"a,{i + 1},85.0,12.0,loaded",
+                         "b,1,oops,12.0,loaded", "length_m"),
+    "load_tracks": (lambda path, strict: load_tracks(path, reference_meta(
+                        [("a", 1, 85.0, 12.0, "loaded")]), strict=strict)[1],
+                    TRACK_HEADER, lambda i: f"a,1,{i},{i}.0,0.0", "a,1,99,oops,0.0", "x_m"),
+    "load_surveillance": (load_surveillance, SURV_HEADER,
+                          lambda i: f"2021-06-01T08:{i:02d}:00,upstream,42,6.0,5,2",
+                          "2021-06-01T09:00:00,upstream,-1,6.0,5,2", "flow_vph"),
+}
+
+
+class TestLineNumbers:
+    @pytest.mark.parametrize("name", sorted(LINE_CASES))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_blank_lines_before_a_bad_row_shift_its_line_by_their_count(self, name, data):
+        """k blank lines anywhere between the header and a bad row: its reject, strict or
+        lenient, names line 2 + (rows before it) + k, at any block size."""
+        load, header, good, bad, column = LINE_CASES[name]
+        rows = [good(i) for i in range(data.draw(st.integers(2, 8), label="rows"))]
+        before = data.draw(st.integers(0, len(rows)), label="rows before the bad row")
+        rows.insert(before, bad)
+        k = data.draw(st.integers(0, 6), label="blank lines")
+        at = data.draw(st.integers(0, before), label="where the blank lines go")
+        end = data.draw(st.sampled_from(LINE_ENDS), label="line end")
+        lines = [header.strip()] + rows[:at] + [""] * k + rows[at:]
+        line = 2 + before + k
+        with tempfile.TemporaryDirectory() as tmp, patch.object(
+                io_store, "_BLOCK_ROWS", data.draw(st.sampled_from([1, 2, 3, 16384]))):
+            path = Path(tmp) / "data.csv"
+            path.write_text("".join(text + end for text in lines), encoding="utf-8")
+            with pytest.raises(ParseError, match=rf"data\.csv:{line}:{column}: "):
+                load(path, True)
+            if name != "read_columns":
+                assert [(r.line, r.column) for r in load(path, False).rejects] == [(line, column)]
 
 
 JSON_VALUES = st.recursive(
