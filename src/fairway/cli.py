@@ -249,7 +249,7 @@ def _cmd_emit_curve(args) -> dict:
 
 
 def _cmd_serve(args) -> dict:
-    from . import service  # http.server is imported only by the command that serves
+    from . import service  # the socket server is imported only by the command that serves
 
     server = service.make_server(io_store.load_model(args.model), args.port, host=args.host)
     with server:  # bound before "serving on": a bad port or host exits 2 with nothing printed

@@ -183,7 +183,9 @@ def _rejects(path, strict: bool, lines: np.ndarray, *errors: dict) -> tuple:
     first = ChainMap(*errors)  # a row's error from the first check that names it
     rejects = tuple(RejectedRow(int(lines[row]), *first[row]) for row in sorted(first))
     if strict and rejects:
-        raise ParseError(f"{path}:{rejects[0].line}:{rejects[0].column}: {rejects[0].message}")
+        first_reject = rejects[0]
+        column = "" if first_reject.column is None else f":{first_reject.column}"
+        raise ParseError(f"{path}:{first_reject.line}{column}: {first_reject.message}")
     kept = np.ones(len(lines), dtype=bool)
     kept[list(first)] = False
     return rejects, kept

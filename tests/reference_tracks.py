@@ -88,7 +88,8 @@ def _parse_rows(path, required, row_fn, strict):
                 items.append(row_fn(dict(zip(header, next(csv.reader([text])))), lineno))
             except _RowError as exc:
                 if strict:
-                    raise ParseError(f"{path}:{exc.line}:{exc.column}: {exc.message}") from None
+                    column = "" if exc.column is None else f":{exc.column}"
+                    raise ParseError(f"{path}:{exc.line}{column}: {exc.message}") from None
                 rejects.append((exc.line, exc.column, exc.message))
     return items, rejects
 

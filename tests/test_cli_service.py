@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import email.utils
 import http.client
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import re
 import socket
+import struct
 import subprocess
 import sys
 import tempfile
@@ -91,10 +93,14 @@ class TestUsage:
         assert captured.out == ""
 
     def test_only_serve_imports_the_http_server(self):
-        result = subprocess.run(
-            [sys.executable, "-c", "import sys, fairway.cli; print('http.server' in sys.modules)"],
-            capture_output=True, text=True, env=src_env(), timeout=20, check=True)
-        assert result.stdout.strip() == "False"
+        """The CLI loads no server code; the service loads neither http.server nor the
+        email parser that http.server runs on every request's headers."""
+        code = ("import sys, fairway.cli; print('socketserver' in sys.modules); "
+                "import fairway.service; print(sorted(set(sys.modules) & "
+                "{'http.server', 'email.parser', 'email.feedparser'}))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=src_env(), timeout=20, check=True)
+        assert result.stdout.split("\n")[:2] == ["False", "[]"]
 
     def test_bare_group_command(self, capsys):
         for group in ("tracks", "fit", "stats", "states", "emit"):
@@ -526,7 +532,7 @@ class TestLinesAfterBlankLines:
         assert cli.main(["stats", "summary", "--input", str(path), "--column", "speed_kmh"]) \
             == cli.EXIT_DATA
         assert capsys.readouterr().err == (
-            f"error: {path}:4:None: quoted field open at end of line\n")
+            f"error: {path}:4: quoted field open at end of line\n")
 
 
 class TestStates:
@@ -1021,18 +1027,27 @@ def convoy_files(tmp_path, rows, meta_rows=(("r1", 1, 85.0, 12.0, "loaded"),
     return tracks, meta
 
 
+@contextlib.contextmanager
+def serving(doc):
+    """``make_server(doc, 0)`` answering in a background thread; yields (host, port)."""
+    server = make_server(doc, 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
 @pytest.fixture(scope="module")
 def server_url():
     doc = ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES),
                         created_utc="2021-06-01T00:00:00+00:00")
-    server = make_server(doc, 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address
-    yield f"http://{host}:{port}", doc
-    server.shutdown()
-    server.server_close()
-    thread.join(timeout=5)
+    with serving(doc) as (host, port):
+        yield f"http://{host}:{port}", doc
 
 
 class TestService:
@@ -1144,9 +1159,13 @@ class TestService:
         (b"GET /health HTTP/2.0", 505),
         (b"BREW", 400),
         (b"HEAD /health HTTP/1.1", 501),
+        (b"GET /health", 400),  # HTTP/0.9: JSON and headers, not a bare body
+        (b"GET /health HTTP/1", 400),
+        (b"GET /health HTTPS/1.1", 400),
+        (b"GET /health HTTP/1.1 extra", 400),
     ])
     def test_rejected_requests_get_json_and_a_close(self, server_url, request_head, status):
-        """http.server's own rejections answer JSON, never its HTML page, then close."""
+        """Requests the service cannot serve answer JSON, never an HTML page, then close."""
         parts = urlsplit(server_url[0])
         with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
             sock.sendall(request_head + b"\r\nHost: x\r\n\r\n")
@@ -1200,3 +1219,200 @@ class TestService:
         object.__setattr__(bands, "boundaries", (5.0, 7.0, float("inf")))
         with pytest.raises(DomainError, match="strict JSON"):
             make_server(ModelDocument(bands=bands), 0)
+
+
+IMF_FIXDATE = re.compile(r"(Mon|Tue|Wed|Thu|Fri|Sat|Sun), \d\d "
+                         r"(Jan|Feb|Mar|Apr|May|Jun|Jul|Aug|Sep|Oct|Nov|Dec) \d{4} "
+                         r"\d\d:\d\d:\d\d GMT")
+PRINTABLE = st.characters(min_codepoint=32, max_codepoint=126)
+
+
+def read_answer(sock):
+    """One answer read off ``sock``: (status line, headers, body).  A ``Connection:
+    close`` answer is read to the end of the stream, so its body is all the server sent;
+    any other body is its first Content-Length bytes."""
+    buf = b""
+    while b"\r\n\r\n" not in buf:
+        chunk = sock.recv(65536)
+        assert chunk, f"the server closed after {buf!r}"
+        buf += chunk
+    head, _, body = buf.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    if headers.get("Connection") == "close":
+        body += b"".join(iter(lambda: sock.recv(65536), b""))
+    else:
+        length = int(headers["Content-Length"])
+        while len(body) < length:
+            chunk = sock.recv(65536)
+            assert chunk, "the server closed inside the body"
+            body += chunk
+        body = body[:length]
+    return status_line, headers, body
+
+
+def exchange(address, request: bytes):
+    """Send ``request`` on a new connection and read its first answer."""
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(request)
+        return read_answer(sock)
+
+
+class TestRequestLoop:
+    """The wire contract of ``fairway serve``'s request loop, one row at a time."""
+
+    CONGESTED = {"speed_kmh": 6.0, "state": "congested", "color": "red"}
+
+    @pytest.fixture(scope="class")
+    def address(self):
+        with serving(ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES))) as address:
+            yield address
+
+    @pytest.mark.parametrize("version, connection, closed", [
+        ("HTTP/1.1", "", False),
+        ("HTTP/1.1", "Connection: close\r\n", True),
+        ("HTTP/1.1", "Connection: keep-alive, Upgrade\r\n", False),
+        ("HTTP/1.0", "", True),
+        ("HTTP/1.0", "Connection: keep-alive\r\n", False),
+        ("HTTP/1.0", "connection: Keep-Alive\r\n", False),
+    ])
+    def test_connection_reuse(self, address, version, connection, closed):
+        request = f"GET /state?flow=42&density=7 {version}\r\nHost: x\r\n{connection}\r\n"
+        with socket.create_connection(address, timeout=5) as sock:
+            sock.sendall(request.encode())
+            status_line, headers, body = read_answer(sock)  # to the end if it closes
+            assert status_line == "HTTP/1.1 200 OK"
+            assert json.loads(body) == self.CONGESTED
+            assert headers.get("Connection") == ("close" if closed else None)
+            if not closed:
+                sock.sendall(b"GET /health HTTP/1.1\r\n\r\n")
+                assert read_answer(sock)[0] == "HTTP/1.1 200 OK"
+
+    def test_leading_double_slash_folds_to_one(self, address):
+        status_line, _, body = exchange(
+            address, b"GET //state?flow=42&density=7 HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert status_line == "HTTP/1.1 200 OK"
+        assert json.loads(body) == self.CONGESTED
+
+    @pytest.mark.parametrize("target, status", [
+        ("http://x/health", 200), ("http://[x/health", 400), ("/health#top", 200)])
+    def test_target_is_read_as_a_url(self, address, target, status):
+        """An absolute-form target is served; one whose host cannot parse gets 400 JSON."""
+        status_line, headers, body = exchange(address, f"GET {target} HTTP/1.1\r\n\r\n".encode())
+        assert status_line.startswith(f"HTTP/1.1 {status} ")
+        assert int(headers["Content-Length"]) == len(body) and json.loads(body)
+
+    def test_empty_lines_before_a_request_are_skipped(self, address):
+        status_line, _, body = exchange(address, b"\r\n\n\r\nGET /health HTTP/1.1\r\n\r\n")
+        assert status_line == "HTTP/1.1 200 OK"
+        assert json.loads(body) == {"status": "ok"}
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        # Each request ends where the server stops reading, so it closes on a drained socket.
+        (b"GET /" + b"a" * service.MAX_LINE, 414),
+        (b"GET /health HTTP/1.1\r\nX: " + b"a" * (service.MAX_LINE - 2), 431),
+        (b"GET /health HTTP/1.1\r\n" + b"X: y\r\n" * (service.MAX_HEADERS + 1), 431),
+    ], ids=["request_line", "header_line", "header_count"])
+    def test_oversized_requests_are_refused(self, address, request_bytes, status):
+        status_line, headers, body = exchange(address, request_bytes)  # to the end
+        assert status_line.startswith(f"HTTP/1.1 {status} ")
+        assert headers["Connection"] == "close"
+        assert int(headers["Content-Length"]) == len(body)
+        assert set(json.loads(body)) == {"error"}
+
+    def test_a_hundred_header_lines_are_read(self, address):
+        request = b"GET /health HTTP/1.1\r\n" + b"X: y\r\n" * service.MAX_HEADERS + b"\r\n"
+        assert exchange(address, request)[0] == "HTTP/1.1 200 OK"
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /health HTTP/1.1\r\n\r\n", b"GET /nothing HTTP/1.1\r\n\r\n",
+        b"GET /health HTTP/1.1 x\r\n\r\n"])
+    def test_every_answer_is_dated(self, address, request_bytes):
+        """RFC 9110 requires Date on 2xx and 4xx answers, in the IMF-fixdate form."""
+        _, headers, _ = exchange(address, request_bytes)
+        date = headers["Date"]
+        assert IMF_FIXDATE.fullmatch(date)
+        sent = email.utils.parsedate_to_datetime(date).timestamp()
+        assert abs(sent - time.time()) < 5
+        assert email.utils.formatdate(sent, usegmt=True) == date
+
+    def test_idle_connection_closes_silently(self, monkeypatch, capsys):
+        monkeypatch.setattr(service, "IDLE_TIMEOUT_S", 0.3)
+        with serving(ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES))) as address:
+            with socket.create_connection(address, timeout=5) as sock:
+                for _ in range(3):
+                    time.sleep(0.05)  # under the timeout: each request is still answered
+                    sock.sendall(b"GET /health HTTP/1.1\r\n\r\n")
+                    assert read_answer(sock)[0] == "HTTP/1.1 200 OK"
+                start = time.perf_counter()
+                assert sock.recv(1) == b""
+                assert 0.2 < time.perf_counter() - start < 3
+        assert capsys.readouterr().err == ""
+
+    def test_reset_connection_ends_silently(self, capsys):
+        with serving(ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES))) as address:
+            before = set(threading.enumerate())
+            sock = socket.create_connection(address, timeout=5)
+            sock.sendall(b"GET /health HTTP/1.1\r\n\r\n")
+            assert read_answer(sock)[0] == "HTTP/1.1 200 OK"
+            # A zero linger time makes close() send a reset instead of a FIN.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+            deadline = time.perf_counter() + 5
+            while set(threading.enumerate()) - before and time.perf_counter() < deadline:
+                time.sleep(0.01)
+            assert not set(threading.enumerate()) - before  # the connection's thread ended
+        assert capsys.readouterr().err == ""
+
+    def test_any_printable_request_gets_a_parseable_answer(self, tmp_path):
+        """Against ``fairway serve`` itself: a status line, the three headers and a strict
+        JSON body of Content-Length bytes (none for HEAD), and nothing on stderr."""
+        model = tmp_path / "bands.json"
+        save_model(ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES)), model)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fairway.cli", "serve", "--model", str(model),
+             "--port", str(port), "--host", "127.0.0.1"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=src_env())
+        try:
+            deadline = time.perf_counter() + 20
+            while True:
+                try:
+                    socket.create_connection(("127.0.0.1", port), timeout=5).close()
+                    break
+                except OSError:
+                    assert proc.poll() is None and time.perf_counter() < deadline
+                    time.sleep(0.02)
+
+            target = st.one_of(
+                st.sampled_from(["/health", "/model", "/state?flow=42&density=7", "//state",
+                                 "/state?flow=nan&density=1", "http://x/health", "a://[x"]),
+                st.text(PRINTABLE, max_size=30))
+            request_line = st.one_of(
+                st.text(PRINTABLE, min_size=1, max_size=80),  # empty lines precede a request
+                st.builds("{} {} {}".format,
+                          st.sampled_from(["GET", "HEAD", "POST", "get", "GET\t"]), target,
+                          st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/0.9",
+                                           "HTTP/1", "HTTP/01.1", "HTTP/1.1 "])))
+
+            @given(line=request_line, extra=st.lists(st.text(PRINTABLE, max_size=40), max_size=3))
+            @settings(max_examples=100, deadline=None)
+            def answers(line, extra):
+                request = "\r\n".join([line, *extra]) + "\r\n\r\n"
+                status_line, headers, body = exchange(("127.0.0.1", port), request.encode())
+                status = int(re.fullmatch(r"HTTP/1\.1 ([2-5]\d\d) [^\r\n]+", status_line)[1])
+                assert headers["Content-Type"] == "application/json"
+                assert IMF_FIXDATE.fullmatch(headers["Date"])
+                if status == 501 and line.split()[0] == "HEAD":
+                    assert body == b""
+                else:
+                    assert int(headers["Content-Length"]) == len(body)
+                    json.loads(body, parse_constant=lambda name: pytest.fail(name))
+
+            answers()
+        finally:
+            proc.terminate()
+            _, err = proc.communicate(timeout=10)
+        assert err == b""

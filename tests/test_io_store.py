@@ -151,6 +151,12 @@ class TestLoadVesselMeta:
         with pytest.raises(ParseError, match=r"meta\.csv:2:length_m: not a finite number"):
             load_vessel_meta(path)
 
+    def test_row_error_without_a_column_names_only_its_line(self, tmp_path):
+        path = write(tmp_path, "meta.csv", META_HEADER + "run_a,1,-85.0,12.0,loaded\n")
+        with pytest.raises(ParseError) as info:
+            load_vessel_meta(path)
+        assert str(info.value) == f"{path}:2: vessel length must be finite and positive, got -85.0"
+
 
 class TestLoadTracks:
     def fixture_paths(self, tmp_path):
@@ -316,7 +322,7 @@ class TestLoadTracks:
         """Wherever the quote opens, in a required column or not, and on the last line
         without a line end too."""
         track_path = write(tmp_path, "tracks.csv", TRACK_HEADER + "\n" + text)
-        with pytest.raises(ParseError, match=r"tracks\.csv:3:None: quoted field open at end"):
+        with pytest.raises(ParseError, match=r"tracks\.csv:3: quoted field open at end"):
             load_tracks(track_path, {})
 
     def test_row_with_an_open_quote_claims_no_key(self, tmp_path):
