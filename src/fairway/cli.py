@@ -9,6 +9,9 @@ the classification HTTP service.
 Analysis parameters come from the flags ``--v-f``, ``--k1``, ``--v-min`` and
 ``--tail`` (published defaults) and from the bin widths and K range below.
 
+Only the batch commands load numpy, each importing its compute modules in its own
+body: ``serve``, ``states classify``, ``--help`` and usage errors start without it.
+
 Exit codes: 0 success, 1 usage error, 2 data or domain error.
 """
 
@@ -20,10 +23,8 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from . import fundamental_diagram as fd
-from . import io_store, regression, trajectory, traffic_state
+from .document import (ALL_FORMS, ModelDocument, classify_flow_density, document_to_dict,
+                       json_text, load_model)
 from .errors import FairwayError, InsufficientDataError
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA = 0, 1, 2
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(run=_cmd_fit_speed_gap)
     p = fit.add_parser("fd", help="fit a fundamental-diagram form")
-    p.add_argument("--form", required=True, choices=fd.ALL_FORMS)
+    p.add_argument("--form", required=True, choices=ALL_FORMS)
     p.add_argument("--input", required=True, help="CSV with density_vpkm,speed_kmh")
     p.add_argument("--v-f", type=float, help="free-flow speed, km/h (default: %(default)s)")
     p.add_argument("--k1", type=float, default=4.0, help="breakpoint, vessels/km (default: %(default)s)")
@@ -116,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_tracks_derive(args) -> dict:
+    from . import io_store, trajectory
     meta = io_store.meta_map(io_store.load_vessel_meta(args.meta))
     runs, _ = io_store.load_tracks(args.tracks, meta)
     out_dir = Path(args.out_dir)
@@ -153,17 +155,20 @@ def _cmd_tracks_derive(args) -> dict:
 
 def _document(**sections) -> dict:
     """A model document of these sections, stamped with the UTC time now, as JSON values."""
-    return io_store.document_to_dict(io_store.ModelDocument(
+    return document_to_dict(ModelDocument(
         **sections, created_utc=datetime.now(timezone.utc).isoformat()))
 
 
-def _points(args, x: np.ndarray, y: np.ndarray, width: float) -> np.ndarray:
-    """x and y as (n, 2) points, binned at ``width`` unless --raw."""
+def _points(args, x, y, width: float):
+    """Arrays x and y as (n, 2) points, binned at ``width`` unless --raw."""
+    import numpy as np
+    from . import regression
     points = np.column_stack((x, y))
     return points if args.raw else np.array(regression.bin_points(points, width)).reshape(-1, 2)
 
 
 def _cmd_fit_speed_gap(args) -> dict:
+    from . import io_store, regression
     gaps, speeds = io_store.read_gaps(args.input, "speed_kmh")
     reports = regression.rank_families(_points(args, gaps, speeds, GAP_BIN_M))
     if not reports:
@@ -176,6 +181,8 @@ def _cmd_fit_speed_gap(args) -> dict:
 
 
 def _cmd_fit_fd(args) -> dict:
+    import numpy as np
+    from . import fundamental_diagram as fd, io_store, trajectory
     columns = io_store.read_columns(args.input, "density_vpkm", "speed_kmh")
     k, v = _points(args, *columns, DENSITY_BIN_VPKM).T
     with np.errstate(over="ignore"):  # the batch rejects a flow that overflows
@@ -193,6 +200,7 @@ def _cmd_fit_fd(args) -> dict:
 
 
 def _cmd_stats_summary(args) -> dict:
+    from . import io_store, trajectory
     (values,) = io_store.read_columns(args.input, args.column)
     stats = trajectory.summary_stats(values)
     print(f"{'p15':>8} {'median':>8} {'p85':>8} {'mean':>8}")
@@ -201,6 +209,7 @@ def _cmd_stats_summary(args) -> dict:
 
 
 def _cmd_economic_speed(args) -> dict:
+    from . import fundamental_diagram as fd, io_store
     (loaded,), (empty,) = (io_store.read_columns(path, "speed_kmh")
                            for path in (args.loaded, args.empty))
     result = fd.economic_speed(loaded, empty)
@@ -211,6 +220,7 @@ def _cmd_economic_speed(args) -> dict:
 
 
 def _cmd_minimums(args) -> dict:
+    from . import fundamental_diagram as fd, io_store
     (speeds,) = io_store.read_columns(args.speeds, "speed_kmh")
     (gaps,) = io_store.read_gaps(args.gaps)
     result = fd.recommend_minimums(speeds, gaps, tail_fraction=args.tail)
@@ -219,6 +229,7 @@ def _cmd_minimums(args) -> dict:
 
 
 def _cmd_states_train(args) -> dict:
+    from . import io_store, traffic_state
     (speeds,) = io_store.read_columns(args.speeds, "speed_kmh")
     selection = traffic_state.select_k(speeds, K_RANGE)
     print("K  silhouette")
@@ -231,16 +242,17 @@ def _cmd_states_train(args) -> dict:
 
 
 def _cmd_states_classify(args) -> dict:
-    doc = io_store.load_model(args.model)
+    doc = load_model(args.model)
     if doc.bands is None:
         raise FairwayError(f"{args.model}: document carries no state bands")
-    speed, state = traffic_state.classify_flow_density(doc.bands, args.flow, args.density)
+    speed, state = classify_flow_density(doc.bands, args.flow, args.density)
     print(f"{state.value} / {state.color}  (speed {_fmt(speed)} km/h)")
     return {"speed_kmh": speed, "state": state.value, "color": state.color}
 
 
 def _cmd_emit_curve(args) -> dict:
-    doc = io_store.load_model(args.model)
+    from . import io_store
+    doc = load_model(args.model)
     if doc.fd is None:
         raise FairwayError(f"{args.model}: document carries no diagram model")
     rows = io_store.emit_curve_samples(doc.fd, (args.k_min, args.k_max), args.step, args.csv_out)
@@ -251,7 +263,7 @@ def _cmd_emit_curve(args) -> dict:
 def _cmd_serve(args) -> dict:
     from . import service  # the socket server is imported only by the command that serves
 
-    server = service.make_server(io_store.load_model(args.model), args.port, host=args.host)
+    server = service.make_server(load_model(args.model), args.port, host=args.host)
     with server:  # bound before "serving on": a bad port or host exits 2 with nothing printed
         print(f"serving on {args.host}:{args.port}")
         server.serve_forever()
@@ -269,7 +281,7 @@ def main(argv=None) -> int:
         payload = args.run(args)
         out = getattr(args, "out", None)
         if out:
-            Path(out).write_text(io_store.json_text(payload, indent=2) + "\n", encoding="utf-8")
+            Path(out).write_text(json_text(payload, indent=2) + "\n", encoding="utf-8")
     except (FairwayError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

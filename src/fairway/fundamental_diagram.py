@@ -2,8 +2,8 @@
 
 Six forms: three classical speed-density curves (linear, logarithmic,
 exponential decay) and their piecewise variants with a free-flow plateau
-at v_f up to a breakpoint density k1.  ``_FORM_SHAPE`` maps each form to
-the shape of its non-free branch, one of three:
+at v_f up to a breakpoint density k1.  ``document._FORM_SHAPE`` maps each form
+to the shape of its non-free branch, one of three:
 
     shape   branch v(k)        regression family  (a, b)    v at k->0+
     linear  v = -c1*k + c2     linear             (-c1, c2)  c2
@@ -23,10 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .document import (ALL_FORMS, CLASSICAL_FORMS, PIECEWISE_FORMS, _FORM_SHAPE,
+                       CharacteristicParams, FdModel, FiniteFields, FitReport, _finite_positive)
 from .errors import (
     DegenerateFitError,
     DomainError,
@@ -34,99 +36,8 @@ from .errors import (
     NoFeasibleDensityError,
 )
 # fit_curve is unused here; perfbench/tracer.py wraps this module's attribute.
-from .regression import FitReport, _columns, _family, _fit_r_squared, _line, fit_curve, predict
-from .trajectory import FiniteFields, FlowSample, FlowSamples
-
-CLASSICAL_FORMS = ("greenshields", "greenberg", "underwood")
-PIECEWISE_FORMS = ("piecewise_linear", "piecewise_log", "piecewise_exp")
-ALL_FORMS = CLASSICAL_FORMS + PIECEWISE_FORMS
-
-
-def _exp(x: float) -> float:
-    """math.exp, with overflow reported as a DomainError."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise DomainError(f"logarithmic closed form overflows: exp({x:.6g})") from None
-
-
-class _Shape(NamedTuple):
-    family: str  # regression family the branch is evaluated and fitted as
-    signs: tuple[int, int]  # (a, b) = (signs[0]*c1, signs[1]*c2), and back
-    v_at_zero: Callable  # (c1, c2) -> v at k -> 0+, None when unbounded
-    k_max: Callable  # (c1, c2, v_min) -> k where v falls to v_min
-    argmax: Callable  # (c1, c2) -> unconstrained argmax of k * v(k)
-
-
-# k_max <= 0 exactly when v_min is at or above the branch speed at k -> 0+; the
-# exp shape floors c1/v at the least subnormal, so an underflow gives ln < 0 too.
-_LINEAR = _Shape("linear", (-1, 1), lambda c1, c2: c2,
-                 lambda c1, c2, v: (c2 - v) / c1, lambda c1, c2: c2 / (2 * c1))
-_LOG = _Shape("logarithmic", (-1, 1), lambda c1, c2: None,
-              lambda c1, c2, v: _exp((c2 - v) / c1), lambda c1, c2: _exp(c2 / c1 - 1))
-_EXP = _Shape("exponential", (1, -1), lambda c1, c2: c1,
-              lambda c1, c2, v: math.log(max(c1 / v, math.ulp(0))) / c2, lambda c1, c2: 1 / c2)
-_FORM_SHAPE = {"greenshields": _LINEAR, "greenberg": _LOG, "underwood": _EXP,
-               "piecewise_linear": _LINEAR, "piecewise_log": _LOG, "piecewise_exp": _EXP}
-
-
-def _finite_positive(value) -> bool:
-    return value is not None and 0 < value < math.inf
-
-
-@dataclass(frozen=True)
-class FdModel:
-    """One fundamental-diagram form with finite positive branch coefficients (c1, c2).
-
-    linear shape:  v = -c1*k + c2
-    log shape:     v = -c1*ln(k) + c2
-    exp shape:     v = c1*e^(-c2*k)
-    Piecewise forms additionally carry the free-flow speed v_f and the
-    breakpoint density k1; v = v_f for k <= k1.
-    """
-
-    form: str
-    c1: float
-    c2: float
-    v_f: Optional[float] = None  # km/h; required for piecewise forms
-    k1: Optional[float] = None  # vessels/km; piecewise only
-
-    def __post_init__(self):
-        if self.form not in ALL_FORMS:
-            raise DomainError(f"unknown model form {self.form!r}")
-        if not self.is_piecewise and self.k1 is not None:
-            raise DomainError("classical forms take no breakpoint")
-        required = ("c1", "c2", "v_f", "k1") if self.is_piecewise else ("c1", "c2")
-        for name in ("c1", "c2", "v_f", "k1"):
-            value = getattr(self, name)
-            if (name in required or value is not None) and not _finite_positive(value):
-                raise DomainError(f"{self.form} needs a finite positive {name}, got {value!r}")
-
-    @property
-    def is_piecewise(self) -> bool:
-        return self.form in PIECEWISE_FORMS
-
-    @property
-    def free_flow_speed(self) -> Optional[float]:
-        """v at k -> 0+: v_f (piecewise), c2 (linear), c1 (exp), unbounded (log -> None)."""
-        if self.is_piecewise:
-            return self.v_f
-        return _FORM_SHAPE[self.form].v_at_zero(self.c1, self.c2)
-
-
-@dataclass(frozen=True)
-class CharacteristicParams(FiniteFields):
-    v_f: Optional[float]  # km/h; None for the logarithmic classical form
-    v_m: float  # km/h
-    k_m: float  # vessels/km
-    q_m: float  # vessels/h
-    k_max: float  # vessels/km
-    v_min: float  # km/h, the input constraint echoed
-
-    def __post_init__(self):
-        super().__post_init__()
-        if abs(self.q_m - self.k_m * self.v_m) > 1e-9 * max(1.0, abs(self.q_m)):
-            raise DomainError("q_m must equal k_m * v_m")
+from .regression import _columns, _family, _fit_r_squared, _line, fit_curve, predict
+from .trajectory import FlowSample, FlowSamples
 
 
 @dataclass(frozen=True)

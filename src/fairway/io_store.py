@@ -1,4 +1,4 @@
-"""CSV reading and writing, model-document persistence, and plot-ready curve export.
+"""CSV reading and writing, and plot-ready curve export.
 
 All inputs are UTF-8 comma-separated files with a mandatory header row, and
 every row is one line.  Loaders never silently drop rows: every data row is
@@ -9,37 +9,32 @@ its own line.  Each block of lines is read on its own: by one np.loadtxt call
 when its lines are printable ASCII without '"' and that yields the same values
 with no reject, else by csv.reader line by line and a per-cell cast that names
 each reject.  ``write_rows`` is the one CSV writer: csv quotes the key cells,
-and each value is written as its repr.
-Model documents are strict JSON with full-precision numbers, so save/load
-round-trips are bit-identical.  No value may be true or false and an integer
-must fit in 64 bits: a document breaking that is refused when built and when loaded.
+and each value is written as its repr.  Model documents are read and written by
+``document``; ``load_model`` and the other document functions import from here too.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import re
 import sys
 import warnings
 from collections import ChainMap
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime
 from itertools import chain, compress, islice
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ParseError, SchemaVersionError
-from .fundamental_diagram import ALL_FORMS, CharacteristicParams, FdModel, speed_at_density
-from .regression import FAMILIES, FitReport
-from .traffic_state import StateBands
+from .document import (FdModel, ModelDocument, document_from_dict, document_to_dict,
+                       json_text, load_model, save_model, serialize_document)
+from .errors import DomainError, ParseError
+from .fundamental_diagram import speed_at_density
 from .trajectory import FleetRun, VesselMeta, VesselTrack
 
-SCHEMA_VERSION = 1
 _BLOCK_ROWS = 16384  # lines of a CSV file held as text at once
 MAX_CURVE_ROWS = 1_000_000  # rows emit_curve_samples writes at most
 _DTYPES = {float: np.float64, int: np.int64}
@@ -311,112 +306,6 @@ def load_surveillance(path, strict: bool = True) -> LoadResult:
     rows = zip(start, way, flow.tolist(), speed.tolist(), loaded.tolist(), empty.tolist())
     return LoadResult(items=tuple(SurveillanceRow(*row) for row in compress(rows, kept)),
                       rejects=rejects)
-
-
-@dataclass(frozen=True)
-class ModelDocument:
-    """Persisted bundle: fitted diagram, characteristics, state bands, metadata."""
-
-    fd: Optional[FdModel] = None
-    v_min: Optional[float] = None
-    characteristics: Optional[CharacteristicParams] = None
-    bands: Optional[StateBands] = None
-    fit: Optional[FitReport] = None
-    created_utc: Optional[str] = None
-
-    def __post_init__(self):
-        if self.fd is None and self.bands is None:
-            raise DomainError("a model document needs a diagram model or state bands")
-        if self.v_min is not None and not 0 < self.v_min < math.inf:
-            raise DomainError(f"v_min must be a finite positive number, got {self.v_min!r}")
-        if self.fit is not None and self.fit.family not in FAMILIES + ALL_FORMS:
-            raise DomainError(f"unknown fit family {self.fit.family!r}")
-        if fault := _json_fault(document_to_dict(self)):  # what load_model would refuse
-            raise DomainError(fault)
-
-
-# Each JSON section of a model document: its ModelDocument field, and the
-# dataclass the section is read into (None for a plain value).
-_SECTIONS = {"model": ("fd", FdModel), "v_min": ("v_min", None),
-             "characteristics": ("characteristics", CharacteristicParams),
-             "bands": ("bands", StateBands), "fit": ("fit", FitReport),
-             "created_utc": ("created_utc", None)}
-
-
-def document_to_dict(doc: ModelDocument) -> dict:
-    out: dict = {"schema_version": SCHEMA_VERSION}
-    for key, (name, kind) in _SECTIONS.items():
-        if (part := getattr(doc, name)) is not None:
-            out[key] = part if kind is None else {
-                k: list(v) if isinstance(v, tuple) else v for k, v in asdict(part).items()}
-    return out
-
-
-def _json_fault(raw: dict) -> Optional[str]:
-    """What breaks a JSON-level rule of a model document, or None.
-
-    No value is true or false (no field is boolean), every integer fits in the
-    64 bits a CSV integer cell must fit in, and created_utc, when present, is a string.
-    """
-    values = [raw]
-    while values:
-        value = values.pop()
-        if isinstance(value, bool):
-            return "no field of a model document takes true or false"
-        if isinstance(value, int) and not -2 ** 63 <= value < 2 ** 63:
-            return "no field of a model document takes an integer outside 64 bits"
-        if isinstance(value, (dict, list)):
-            values += value.values() if isinstance(value, dict) else value
-    if not isinstance(raw.get("created_utc", ""), str):
-        return f"created_utc must be a string, got {raw['created_utc']!r}"
-
-
-def document_from_dict(raw: dict) -> ModelDocument:
-    """The document's sections, each read as ``_SECTIONS`` says.
-
-    TypeError on what ``_json_fault`` names, an unknown key at any level, or a
-    section that is not an object or lacks a field.
-    """
-    if fault := _json_fault(raw):
-        raise TypeError(fault)
-    if (version := raw.get("schema_version")) != SCHEMA_VERSION:
-        raise SchemaVersionError(
-            f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION}")
-    if unknown := sorted(raw.keys() - _SECTIONS.keys() - {"schema_version"}):
-        raise TypeError(f"unknown top-level key(s) {unknown}")
-    parts = {name: raw[key] if kind is None else kind(**raw[key])
-             for key, (name, kind) in _SECTIONS.items() if key in raw}
-    return ModelDocument(**parts)
-
-
-def json_text(payload, **layout) -> str:
-    """Strict JSON text with sorted keys; a NaN or an infinity raises DomainError."""
-    try:
-        return json.dumps(payload, sort_keys=True, allow_nan=False, **layout)
-    except ValueError as exc:
-        raise DomainError(f"not strict JSON: {exc}") from None
-
-
-def serialize_document(doc: ModelDocument) -> str:
-    """Deterministic JSON text: sorted keys, repr-precision floats."""
-    return json_text(document_to_dict(doc), indent=2) + "\n"
-
-
-def save_model(doc: ModelDocument, path) -> None:
-    Path(path).write_text(serialize_document(doc), encoding="utf-8")
-
-
-def load_model(path) -> ModelDocument:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # also text that is not UTF-8, and an integer past 4,300 digits
-        raise ParseError(f"{path}: malformed model document: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: model document must be a JSON object")
-    try:
-        return document_from_dict(raw)
-    except TypeError as exc:
-        raise ParseError(f"{path}: malformed model document: {exc}") from exc
 
 
 def write_rows(handle, key: Sequence, *columns) -> int:

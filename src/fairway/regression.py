@@ -19,18 +19,15 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .document import FAMILIES, FitReport
 from .errors import DegenerateFitError, DomainError
 
 log = logging.getLogger(__name__)
-
-# Tie-break order when ranking by R^2.
-FAMILIES = ("logarithmic", "power", "linear", "exponential")
 
 
 class _Family(NamedTuple):
@@ -57,21 +54,6 @@ def _family(name: str) -> _Family:
         return _FAMILIES[name]
     except KeyError:
         raise DomainError(f"unknown curve family {name!r}") from None
-
-
-@dataclass(frozen=True)
-class FitReport:
-    family: str  # a curve family, or the diagram form fit_fd fitted
-    a: float
-    b: float
-    r_squared: float
-    n_points: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n_points, int) and self.n_points >= 2):
-            raise DegenerateFitError(f"a fit needs integer n_points >= 2, got {self.n_points!r}")
-        if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.r_squared)):
-            raise DegenerateFitError("non-finite fit result")
 
 
 class BinnedPoint(NamedTuple):

@@ -14,8 +14,10 @@ Content-Length, Date, JSON body) leaves in one send.  A request it cannot serve
 ``HTTP/<digits>.<digits>``: 400; HTTP 2 or later: 505; lines over 65,536
 bytes: 414 or 431; over 100 header lines: 431) gets an ``{"error": …}`` body
 and ``Connection: close``, and the connection closes.  A connection idle for
-``IDLE_TIMEOUT_S``, or reset by the client, closes silently.  A keep-alive
-answer's median on the benchmark's serve workload is ~0.3 ms (2-vCPU Linux VM).
+``IDLE_TIMEOUT_S``, or reset by the client, closes silently.  On the benchmark's
+serve workload (2-vCPU Linux VM) a keep-alive answer's median is ~0.3 ms, and a
+spawned server answers /health after ~0.11 s with a peak RSS of ~17 MB: beyond
+the standard library it imports only ``document`` and ``errors``, never numpy.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ import time
 from http import HTTPStatus
 from urllib.parse import parse_qs, urlparse
 
+from .document import ModelDocument, StateBands, classify_flow_density, document_to_dict, json_text
 from .errors import DomainError
-from .io_store import ModelDocument, document_to_dict, json_text
-from .traffic_state import StateBands, classify_flow_density
 
 IDLE_TIMEOUT_S = 30.0  # a connection with no request for this long is closed
 MAX_LINE = 65536  # bytes in the request line or in one header line

@@ -1,49 +1,19 @@
 """K-means speed clustering, silhouette-based K selection, and state bands.
 
 Exact 1-D k-means (dynamic programming), a silhouette sweep to pick the
-cluster count, midpoint boundaries between adjacent centers, and the
-four-way congestion classification used by the navigation endpoint.
+cluster count, and midpoint boundaries between adjacent centers: the state
+bands that ``document.classify_flow_density`` classifies by.
 """
 
 from __future__ import annotations
 
-import enum
-import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .document import StateBands, TrafficState, classify_flow_density, classify_speed
 from .errors import DegenerateClusteringError, DomainError
-
-
-class TrafficState(enum.Enum):
-    """Four congestion levels ordered from worst to best."""
-
-    SEVERELY_CONGESTED = "severely_congested"
-    CONGESTED = "congested"
-    SLOW = "slow"
-    SMOOTH = "smooth"
-
-    @property
-    def severity(self) -> int:
-        """3 = severely congested ... 0 = smooth."""
-        return 3 - _STATES.index(self)
-
-    @property
-    def color(self) -> str:
-        return _STATE_COLORS[self]
-
-
-_STATES = tuple(TrafficState)  # worst to best, in definition order
-
-_STATE_COLORS = {
-    TrafficState.SEVERELY_CONGESTED: "dark_red",
-    TrafficState.CONGESTED: "red",
-    TrafficState.SLOW: "yellow",
-    TrafficState.SMOOTH: "green",
-}
 
 
 @dataclass(frozen=True)
@@ -58,18 +28,6 @@ class ClusterModel:
             raise DomainError("centers must be strictly increasing")
         if self.objective < 0:
             raise DomainError("objective must be non-negative")
-
-
-@dataclass(frozen=True)
-class StateBands:
-    """Three ascending speed thresholds in (0, inf) partitioning it into four states."""
-
-    boundaries: tuple[float, float, float]  # km/h; any sequence is stored as a tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "boundaries", b := tuple(self.boundaries))
-        if len(b) != 3 or not (0 < b[0] < b[1] < b[2] < math.inf):
-            raise DomainError(f"boundaries must be 3 ascending values in (0, inf), got {b}")
 
 
 def assign_points(points: Sequence[float], centers: Sequence[float]) -> np.ndarray:
@@ -274,22 +232,3 @@ def bands_from_clusters(model: ClusterModel) -> StateBands:
         raise DomainError(f"state bands need exactly 4 clusters, got {len(model.centers)}")
     c = model.centers
     return StateBands(boundaries=tuple((a + b) / 2 for a, b in zip(c, c[1:])))
-
-
-def classify_speed(bands: StateBands, v: float) -> TrafficState:
-    """Map a positive speed to its band; upper bounds inclusive except smooth."""
-    if not 0 < v < math.inf:
-        raise DomainError(f"speed must be positive and finite, got {v}")
-    return _STATES[bisect_left(bands.boundaries, v)]
-
-
-def classify_flow_density(
-    bands: StateBands, flow: float, density: float
-) -> tuple[float, TrafficState]:
-    """Estimate speed as flow/density and classify it."""
-    if not 0 < density < math.inf:
-        raise DomainError(f"density must be positive and finite, got {density}")
-    if not 0 <= flow < math.inf:
-        raise DomainError(f"flow must be finite and non-negative, got {flow}")
-    v = flow / density
-    return v, classify_speed(bands, v)  # also rejects a quotient that overflows

@@ -12,13 +12,14 @@ boundary (exact factors 3.6 and 1000).
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .document import FiniteFields
 from .errors import DomainError, MalformedTrackError
 
 MS_TO_KMH = 3.6
@@ -156,14 +157,6 @@ class GapSamples:
     def __iter__(self):
         return map(GapSample._make, zip(*(c.tolist() for c in (self.t, self.gap_m,
                                                               self.overlap_flagged))))
-
-
-class FiniteFields:
-    """Dataclass base: every field must be None or a finite number, else DomainError."""
-
-    def __post_init__(self):
-        if not all(v is None or math.isfinite(v) for v in astuple(self)):
-            raise DomainError(f"every field must be finite, got {self}")
 
 
 @dataclass(frozen=True)

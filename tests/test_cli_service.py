@@ -657,6 +657,40 @@ class TestBadFitSection:
         assert not (tmp_path / "curve.csv").exists()
 
 
+class TestDeeplyNestedDocument:
+    """Nesting past the recursion limit is a malformed document, not a traceback: in the
+    JSON text itself, or in a section that parses but recurses as it is checked."""
+
+    COMMANDS = {
+        "states_classify": ["states", "classify", "--flow", "42", "--density", "7"],
+        # A port no server can bind: a document that loaded would still exit 2, not serve.
+        "serve": ["serve", "--port", "-1", "--host", "127.0.0.1"],
+    }
+
+    @staticmethod
+    def nested_section() -> str:
+        raw = document_to_dict(ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES)))
+        raw["characteristics"] = dict.fromkeys(("v_m", "k_m", "q_m", "k_max", "v_min"), 1.0)
+        raw["characteristics"]["v_f"] = "NESTED"
+        text = json.dumps(raw).replace('"NESTED"', "[" * 600 + "1" + "]" * 600)
+        json.loads(text)  # within the parser's depth: only the section check recurses
+        return text
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"a":' * 100000 + "1" + "}" * 100000,
+        "SECTION",
+    ], ids=["arrays", "objects", "section"])
+    def test_exits_with_data_error(self, tmp_path, capsys, command, text):
+        path = tmp_path / "deep.json"
+        path.write_text(self.nested_section() if text == "SECTION" else text)
+        assert cli.main(self.COMMANDS[command] + ["--model", str(path)]) == cli.EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == "" and "malformed model document" in captured.err
+        assert "Traceback" not in captured.err
+
+
 class TestServe:
     @pytest.mark.parametrize("port", ["70000", "-1"])
     def test_port_out_of_range_exits_with_data_error(self, tmp_path, capsys, port):
