@@ -14,8 +14,9 @@ from __future__ import annotations
 import enum
 import json
 import math
+import reprlib
 from bisect import bisect_left
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -24,11 +25,17 @@ from .errors import DegenerateFitError, DomainError, ParseError, SchemaVersionEr
 SCHEMA_VERSION = 1
 
 
+def brief(value) -> str:
+    """``f"{value}"`` cut to 80 characters for an error text; ``reprlib`` walks only a few items."""
+    text = value if isinstance(value, str) else reprlib.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 class FiniteFields:
     """Dataclass base: every field must be None or a finite number, else DomainError."""
 
     def __post_init__(self):
-        if not all(v is None or math.isfinite(v) for v in astuple(self)):
+        if not all((v := getattr(self, f.name)) is None or math.isfinite(v) for f in fields(self)):
             raise DomainError(f"every field must be finite, got {self}")
 
 
@@ -46,7 +53,7 @@ class FitReport:
 
     def __post_init__(self):
         if not (isinstance(self.n_points, int) and self.n_points >= 2):
-            raise DegenerateFitError(f"a fit needs integer n_points >= 2, got {self.n_points!r}")
+            raise DegenerateFitError(f"n_points must be an int >= 2, got {brief(self.n_points)}")
         if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.r_squared)):
             raise DegenerateFitError("non-finite fit result")
 
@@ -107,7 +114,7 @@ class FdModel:
 
     def __post_init__(self):
         if self.form not in ALL_FORMS:
-            raise DomainError(f"unknown model form {self.form!r}")
+            raise DomainError(f"unknown model form {brief(self.form)!r}")
         if not self.is_piecewise and self.k1 is not None:
             raise DomainError("classical forms take no breakpoint")
         required = ("c1", "c2", "v_f", "k1") if self.is_piecewise else ("c1", "c2")
@@ -180,7 +187,7 @@ class StateBands:
     def __post_init__(self):
         object.__setattr__(self, "boundaries", b := tuple(self.boundaries))
         if len(b) != 3 or not (0 < b[0] < b[1] < b[2] < math.inf):
-            raise DomainError(f"boundaries must be 3 ascending values in (0, inf), got {b}")
+            raise DomainError(f"boundaries must be 3 ascending values in (0, inf), got {brief(b)}")
 
 
 def classify_speed(bands: StateBands, v: float) -> TrafficState:
@@ -219,7 +226,7 @@ class ModelDocument:
         if self.v_min is not None and not 0 < self.v_min < math.inf:
             raise DomainError(f"v_min must be a finite positive number, got {self.v_min!r}")
         if self.fit is not None and self.fit.family not in FAMILIES + ALL_FORMS:
-            raise DomainError(f"unknown fit family {self.fit.family!r}")
+            raise DomainError(f"unknown fit family {brief(self.fit.family)!r}")
         if fault := _json_fault(document_to_dict(self)):  # what load_model would refuse
             raise DomainError(fault)
 
@@ -257,7 +264,7 @@ def _json_fault(raw: dict) -> Optional[str]:
         if isinstance(value, (dict, list)):
             values += value.values() if isinstance(value, dict) else value
     if not isinstance(raw.get("created_utc", ""), str):
-        return f"created_utc must be a string, got {raw['created_utc']!r}"
+        return f"created_utc must be a string, got {brief(raw['created_utc'])}"
 
 
 def document_from_dict(raw: dict) -> ModelDocument:
@@ -304,5 +311,5 @@ def load_model(path) -> ModelDocument:
         raise ParseError(f"{path}: model document must be a JSON object")
     try:
         return document_from_dict(raw)
-    except (TypeError, RecursionError) as exc:  # RecursionError: astuple of a deep section
+    except (TypeError, RecursionError) as exc:  # RecursionError: a guard for a deep section
         raise ParseError(f"{path}: malformed model document: {exc}") from exc

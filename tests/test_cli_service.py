@@ -1217,28 +1217,32 @@ class TestService:
             error = json.loads(body, parse_constant=lambda name: pytest.fail(name))["error"]
             assert isinstance(error, str) and error
 
-    @pytest.mark.parametrize("path, query, status, body", [
-        ("/health", {}, 200, {"status": "ok"}),
-        ("/state", {"flow": ["42"], "density": ["7"]}, 200,
+    @pytest.mark.parametrize("target, status, body", [
+        ("/health", 200, {"status": "ok"}),
+        ("/state?flow=42&density=7", 200,
          {"speed_kmh": 6.0, "state": "congested", "color": "red"}),
-        ("/state", {"flow": ["30"]}, 400, {"error": "missing query parameter 'density'"}),
-        ("/state", {"flow": ["many"], "density": ["3"]}, 400,
-         {"error": "invalid value for 'flow': 'many'"}),
-        ("/state", {"flow": ["30"], "density": ["0"]}, 422,
+        ("/state?flow=30", 400, {"error": "missing query parameter 'density'"}),
+        ("/state?flow=many&density=3", 400, {"error": "invalid value for 'flow': 'many'"}),
+        ("/state?flow=30&density=0", 422,
          {"error": "density must be positive and finite, got 0.0"}),
-        ("/nothing", {}, 404, {"error": "unknown path /nothing"}),
+        ("/nothing", 404, {"error": "unknown path /nothing"}),
     ])
-    def test_answer_is_a_pure_router(self, path, query, status, body):
-        assert service.answer(StateBands(STATE_BOUNDARIES), path, query) == (status, body)
+    def test_respond_is_a_pure_router(self, target, status, body):
+        request = f"GET {target} HTTP/1.1\r\n\r\n".encode()
+        answer, keep_open = service.respond(StateBands(STATE_BOUNDARIES), b"{}",
+                                            io.BytesIO(request).readline)
+        assert answer.startswith(f"HTTP/1.1 {status} ".encode()) and keep_open
+        assert json.loads(answer.partition(b"\r\n\r\n")[2]) == body
 
-    def test_answer_classifies_through_the_module_attribute(self, monkeypatch):
+    def test_respond_classifies_through_the_module_attribute(self, monkeypatch):
         """A wrapper set on service.classify_flow_density sees every /state query."""
         calls = []
         classify = service.classify_flow_density
         monkeypatch.setattr(service, "classify_flow_density",
                             lambda *args: calls.append(args) or classify(*args))
         bands = StateBands(STATE_BOUNDARIES)
-        assert service.answer(bands, "/state", {"flow": ["42"], "density": ["7"]})[0] == 200
+        request = io.BytesIO(b"GET /state?flow=42&density=7 HTTP/1.1\r\n\r\n")
+        assert service.respond(bands, b"{}", request.readline)[0].startswith(b"HTTP/1.1 200 ")
         assert calls == [(bands, 42.0, 7.0)]
 
     def test_requires_bands(self):
@@ -1450,3 +1454,87 @@ class TestRequestLoop:
             proc.terminate()
             _, err = proc.communicate(timeout=10)
         assert err == b""
+
+
+# The request lines of test_any_printable_request_gets_a_parseable_answer, and lines at
+# the MAX_LINE limit: for the in-process property on service.respond below.
+TARGET = st.one_of(
+    st.sampled_from(["/health", "/model", "/state?flow=42&density=7", "//state",
+                     "/state?flow=nan&density=1", "http://x/health", "a://[x"]),
+    st.text(PRINTABLE, max_size=30))
+REQUEST_LINE = st.one_of(
+    st.text(PRINTABLE, min_size=1, max_size=80),
+    st.builds("{} {} {}".format,
+              st.sampled_from(["GET", "HEAD", "POST", "get", "GET\t"]), TARGET,
+              st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/0.9",
+                               "HTTP/1", "HTTP/01.1", "HTTP/1.1 "])))
+AT_THE_LIMIT = st.integers(service.MAX_LINE - 8, service.MAX_LINE + 2)
+
+
+def bytes_read_to_decide(lines: list[bytes]) -> int:
+    """How much of a request (``lines``, each ending in CRLF) the service reads to decide
+    its answer: up to a request line that is not three words ending in a version below 2,
+    an over-long line (of which MAX_LINE + 1 bytes), the 101st header line or the empty line."""
+    read = 0
+    for i, line in enumerate(lines):
+        if len(line) > service.MAX_LINE:
+            return read + service.MAX_LINE + 1
+        read += len(line)
+        if i == 0:
+            words = line.split()
+            version = len(words) == 3 and re.fullmatch(rb"HTTP/(\d{1,10})\.\d{1,10}", words[2])
+            if not version or int(version[1]) >= 2:
+                return read
+        elif line == b"\r\n" or i > service.MAX_HEADERS:
+            return read
+    raise AssertionError("a request ends with an empty line")
+
+
+class TestRespond:
+    """``service.respond`` in process: the wire contract without a socket."""
+
+    BANDS = StateBands(STATE_BOUNDARIES)
+
+    @given(line=st.one_of(REQUEST_LINE, AT_THE_LIMIT.map(lambda n: "GET /" + "a" * n)),
+           extra=st.lists(st.one_of(st.text(PRINTABLE, max_size=40),
+                                    AT_THE_LIMIT.map(lambda n: "X: " + "a" * n)), max_size=3),
+           filler=st.sampled_from([0, service.MAX_HEADERS - 2, service.MAX_HEADERS + 1]))
+    @settings(max_examples=500, deadline=None)
+    def test_any_printable_request_is_framed_and_read_no_further(self, line, extra, filler):
+        """The framing of test_any_printable_request_gets_a_parseable_answer, and no byte
+        read past the line that decided the answer: a pipelined request stays unread."""
+        lines = [f"{text}\r\n".encode() for text in [line, *["X: y"] * filler, *extra, ""]]
+        stream = io.BytesIO(b"".join(lines) + b"GET /health HTTP/1.1\r\n\r\n")
+        answer, keep_open = service.respond(self.BANDS, b"{}", stream.readline)
+        assert stream.tell() == bytes_read_to_decide(lines)
+        head, _, body = answer.partition(b"\r\n\r\n")
+        status_line, *header_lines = head.decode("latin-1").split("\r\n")
+        headers = dict(header.split(": ", 1) for header in header_lines)
+        status = int(re.fullmatch(r"HTTP/1\.1 ([2-5]\d\d) [^\r\n]+", status_line)[1])
+        assert headers["Content-Type"] == "application/json"
+        assert IMF_FIXDATE.fullmatch(headers["Date"])
+        assert keep_open == (headers.get("Connection") != "close")
+        if status == 501 and line.split()[0] == "HEAD":
+            assert body == b""
+        else:
+            assert int(headers["Content-Length"]) == len(body)
+            json.loads(body, parse_constant=lambda name: pytest.fail(name))
+
+    @pytest.mark.parametrize("request_bytes", [b"", b"\r\n", b"\r\n\n\r\n"])
+    def test_a_client_that_closes_first_gets_no_answer(self, request_bytes):
+        stream = io.BytesIO(request_bytes)
+        assert service.respond(self.BANDS, b"{}", stream.readline) is None
+        assert stream.tell() == len(request_bytes)
+
+    @pytest.mark.parametrize("request_line, start", [
+        (b"GET /state?flow=" + b"9" * 60_000 + b"x&density=1 HTTP/1.1",
+         "invalid value for 'flow': '999"),
+        (b"GET /" + b"a" * 60_000 + b" HTTP/1.1", "unknown path /aaa"),
+        (b"P" * 60_000 + b" / HTTP/1.1", "unsupported method 'PPP"),
+        (b"GET " * 15_000, "bad request line 'GET GET"),
+    ], ids=["query_value", "path", "method", "request_line"])
+    def test_an_echoed_input_is_cut_to_80_characters(self, request_line, start):
+        stream = io.BytesIO(request_line + b"\r\n\r\n")
+        answer, _ = service.respond(self.BANDS, b"{}", stream.readline)
+        error = json.loads(answer.partition(b"\r\n\r\n")[2])["error"]
+        assert error.startswith(start) and len(error) < 120

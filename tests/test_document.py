@@ -24,7 +24,7 @@ MOVED = {
     traffic_state: ("TrafficState", "StateBands", "classify_speed", "classify_flow_density"),
     io_store: ("ModelDocument", "document_to_dict", "document_from_dict", "json_text",
                "serialize_document", "save_model", "load_model", "FdModel"),
-    service: ("ModelDocument", "StateBands", "classify_flow_density", "document_to_dict",
+    service: ("ModelDocument", "StateBands", "brief", "classify_flow_density", "document_to_dict",
               "json_text"),
 }
 
@@ -88,3 +88,43 @@ def test_help_and_usage_errors_load_no_numpy(argv, status):
                 if line.startswith("import time:")]
     assert "fairway.document" in imported
     assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+
+def nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: document.StateBands(list(range(50_000))), document.DomainError),
+    (lambda: document.StateBands(nested(900)), document.DomainError),
+    (lambda: document.FitReport("linear", 1.0, 1.0, 0.5, nested(900)),
+     document.DegenerateFitError),
+    (lambda: document.FdModel(form="x" * 100_000, c1=1.0, c2=1.0), document.DomainError),
+    (lambda: document.ModelDocument(bands=document.StateBands((1.0, 2.0, 3.0)),
+                                    created_utc=["x" * 100_000]), document.DomainError),
+    (lambda: document.document_from_dict({"schema_version": 1, "created_utc": ["x" * 100_000]}),
+     TypeError),
+], ids=["long_boundaries", "deep_boundaries", "deep_n_points", "long_form", "created_utc",
+        "created_utc_loaded"])
+def test_an_echoed_input_is_cut_to_80_characters(build, error):
+    with pytest.raises(error) as raised:
+        build()
+    assert len(str(raised.value)) < 160
+
+
+@pytest.mark.parametrize("value", [nested(900), nested(100_000), "5"])
+def test_finite_fields_are_checked_flat(value):
+    """A field that is no number is refused, however deep; astuple deep-copied it first."""
+    with pytest.raises((TypeError, document.DomainError)):
+        document.CharacteristicParams(v_f=1.0, v_m=value, k_m=1.0, q_m=1.0, k_max=2.0, v_min=0.5)
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("/nothing", "/nothing"), ((5.0, 7.0, float("inf")), "(5.0, 7.0, inf)"), (40.0, "40.0"),
+    ("a" * 81, "a" * 77 + "..."), (["a" * 100], "['aaaaaaaaaaaa...aaaaaaaaaaaaa']"),
+], ids=["path", "tuple", "float", "long_text", "list"])
+def test_brief_shows_a_value_as_an_f_string_does_up_to_80_characters(value, shown):
+    assert document.brief(value) == shown
