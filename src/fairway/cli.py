@@ -18,9 +18,12 @@ Exit codes: 0 success, 1 usage error, 2 data or domain error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict
 from datetime import datetime, timezone
+from itertools import accumulate
 from pathlib import Path
 
 from .document import (ALL_FORMS, ModelDocument, classify_flow_density, document_to_dict,
@@ -116,41 +119,104 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_tracks_derive(args) -> dict:
+def _derive_runs(runs, sh, gh, fh) -> dict:
+    """Derive each run's speeds, gaps and flow samples, write them, and count them."""
     from . import io_store, trajectory
+    counts = dict.fromkeys(("speeds", "gaps", "flow_samples", "stationary"), 0)
+    for run in runs:
+        # Each series is derived once, written, and reused for the flow samples.
+        speeds = [trajectory.speed_series(track) for track in run.tracks]
+        for track, (t, v) in zip(run.tracks, speeds):
+            counts["speeds"] += io_store.write_rows(
+                sh, [run.run_id, track.meta.fleet_position], t, v)
+        gaps = [trajectory.derive_gap(leader, follower)
+                for leader, follower in zip(run.tracks, run.tracks[1:])]
+        for follower, g in zip(run.tracks[1:], gaps):
+            counts["gaps"] += io_store.write_rows(
+                gh, [run.run_id, follower.meta.fleet_position],
+                g.t, g.gap_m, g.overlap_flagged.astype(int))
+        s = trajectory.fleet_flow_samples(run, speeds, gaps)
+        counts["flow_samples"] += io_store.write_rows(
+            fh, [run.run_id], s.t, s.density, s.mean_speed, s.flow)
+        counts["stationary"] += s.stationary
+    return counts
+
+
+def _chunks(runs) -> list:
+    """Contiguous chunks of runs, at most one per usable CPU, split at middle fixes."""
+    n = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1, len(runs))
+    fixes = [sum(len(track.t) for track in run.tracks) for run in runs]
+    total = 2 * sum(fixes)  # in half fixes, so that a run's middle is a whole number
+    share = [(2 * end - f) * n // total for end, f in zip(accumulate(fixes), fixes)]
+    return [[run for i, run in zip(share, runs) if i == c] for c in sorted(set(share))] or [runs]
+
+
+def _derive_child(runs, parts, pipe: int):
+    """A forked child: derive into ``parts``, pickle the counts or error into ``pipe``, exit."""
+    import pickle
+    try:
+        try:
+            result = _derive_runs(runs, *parts)
+        except BaseException as exc:  # the parent raises it after this chunk's rows so far
+            result = exc
+        for part in parts:
+            part.flush()
+        os.write(pipe, pickle.dumps(result))
+    finally:
+        os._exit(0)
+
+
+def _cmd_tracks_derive(args) -> dict:
+    import pickle
+    import shutil
+    import signal
+    import tempfile
+    from . import io_store
     meta = io_store.meta_map(io_store.load_vessel_meta(args.meta))
     runs, _ = io_store.load_tracks(args.tracks, meta)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    counts = {"runs": len(runs), "speeds": 0, "gaps": 0, "flow_samples": 0, "stationary": 0}
+    # Chunk 0 is written here, into the final files; each other chunk by a forked child
+    # into unnamed parts, appended in chunk order: one process's bytes, also on an error.
+    chunks, children = _chunks(runs), []  # (pid, pipe, parts) per forked chunk
     with open(out_dir / "speeds.csv", "w", newline="", encoding="utf-8") as sh, \
          open(out_dir / "gaps.csv", "w", newline="", encoding="utf-8") as gh, \
-         open(out_dir / "flow_samples.csv", "w", newline="", encoding="utf-8") as fh:
+         open(out_dir / "flow_samples.csv", "w", newline="", encoding="utf-8") as fh, \
+         ExitStack() as stack:
         sh.write("run_id,fleet_position,t_seconds,speed_kmh\r\n")
         gh.write("run_id,follower_position,t_seconds,gap_m,overlap_flagged\r\n")
         fh.write("run_id,t_seconds,density_vpkm,speed_kmh,flow_vph\r\n")
-        for run in runs:
-            # Each series is derived once, written, and reused for the flow samples.
-            speeds = [trajectory.speed_series(track) for track in run.tracks]
-            for track, (t, v) in zip(run.tracks, speeds):
-                counts["speeds"] += io_store.write_rows(
-                    sh, [run.run_id, track.meta.fleet_position], t, v)
-            gaps = [trajectory.derive_gap(leader, follower)
-                    for leader, follower in zip(run.tracks, run.tracks[1:])]
-            for follower, g in zip(run.tracks[1:], gaps):
-                counts["gaps"] += io_store.write_rows(
-                    gh, [run.run_id, follower.meta.fleet_position],
-                    g.t, g.gap_m, g.overlap_flagged.astype(int))
-            s = trajectory.fleet_flow_samples(run, speeds, gaps)
-            counts["flow_samples"] += io_store.write_rows(
-                fh, [run.run_id], s.t, s.density, s.mean_speed, s.flow)
-            counts["stationary"] += s.stationary
+        try:
+            for chunk in chunks[1:]:
+                parts = [stack.enter_context(tempfile.TemporaryFile(
+                    "w+", newline="", encoding="utf-8", dir=out_dir)) for _ in range(3)]
+                read, write = os.pipe()
+                if not (pid := os.fork()):
+                    _derive_child(chunk, parts, write)
+                os.close(write)
+                children.append((pid, stack.enter_context(open(read, "rb")), parts))
+            counts = _derive_runs(chunks[0], sh, gh, fh)
+            for _, pipe, parts in children:
+                report = pipe.read()
+                result = pickle.loads(report) if report else ChildProcessError(
+                    "a worker ended unreported")
+                for final, part in zip((sh, gh, fh), parts):
+                    final.flush()
+                    part.seek(0)
+                    shutil.copyfileobj(part.buffer, final.buffer)
+                if isinstance(result, BaseException):
+                    raise result
+                counts = {key: n + result[key] for key, n in counts.items()}
+        finally:  # a child that has reported is past its last write; the kill ends any other
+            for pid, *_ in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
-    print(f"runs {counts['runs']}  speeds {counts['speeds']}  "
+    print(f"runs {len(runs)}  speeds {counts['speeds']}  "
           f"gaps {counts['gaps']}  flow samples {counts['flow_samples']}  "
           f"stationary timestamps skipped {counts['stationary']}")
-    return counts
+    return {"runs": len(runs), **counts}
 
 
 def _document(**sections) -> dict:

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .document import (FdModel, ModelDocument, document_from_dict, document_to_dict,
+from .document import (FdModel, ModelDocument, brief, document_from_dict, document_to_dict,
                        json_text, load_model, save_model, serialize_document)
 from .errors import DomainError, ParseError
 from .fundamental_diagram import speed_at_density
@@ -92,11 +92,11 @@ def _typed_column(cells: list, column: str, cast, first_row: int) -> tuple:
             try:
                 value = cast(raw)
             except ValueError:
-                raise ValueError(f"cannot parse {raw!r}") from None
+                raise ValueError(f"cannot parse {brief(repr(raw))}") from None
             if cast is float and not math.isfinite(value):
-                raise ValueError(f"not a finite number: {raw!r}")
+                raise ValueError(f"not a finite number: {brief(repr(raw))}")
             if cast is int and not -2 ** 63 <= value < 2 ** 63:
-                raise ValueError(f"outside the 64-bit integer range: {raw!r}")
+                raise ValueError(f"outside the 64-bit integer range: {brief(repr(raw))}")
             values.append(value)
         except ValueError as exc:
             values.append(cast("0"))
@@ -294,8 +294,8 @@ def load_surveillance(path, strict: bool = True) -> LoadResult:
         try:
             datetime.fromisoformat(text)
         except ValueError:
-            not_iso[row] = ("interval_start", f"not ISO-8601: {text!r}")
-    unknown_way = {r: ("direction", f"must be one of {DIRECTIONS}, got {w!r}")
+            not_iso[row] = ("interval_start", f"not ISO-8601: {brief(repr(text))}")
+    unknown_way = {r: ("direction", f"must be one of {DIRECTIONS}, got {brief(repr(w))}")
                    for r, w in enumerate(way) if w not in DIRECTIONS}
     negative = {r: ("flow_vph", "flow must be >= 0") for r in np.flatnonzero(flow < 0).tolist()}
     still = {r: ("mean_speed_kmh", "speed must be positive when flow > 0")

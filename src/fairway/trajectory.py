@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .document import FiniteFields
+from .document import FiniteFields, brief
 from .errors import DomainError, MalformedTrackError
 
 MS_TO_KMH = 3.6
@@ -43,7 +43,7 @@ class VesselMeta:
         if not 0 <= self.locator_offset < math.inf:
             raise DomainError(f"locator_offset must be finite and >= 0, got {self.locator_offset}")
         if self.load_state not in LOAD_STATES:
-            raise DomainError(f"load_state must be one of {LOAD_STATES}, got {self.load_state!r}")
+            raise DomainError(f"load_state must be one of {LOAD_STATES}, got {brief(repr(self.load_state))}")
 
 
 @dataclass(frozen=True, eq=False)

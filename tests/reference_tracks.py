@@ -27,6 +27,12 @@ MS_TO_KMH = 3.6
 M_PER_KM = 1000.0
 
 
+def _echo(raw):
+    """A cell as error messages quote it: its repr, cut to 77 characters and "..." past 80."""
+    text = repr(raw)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 class _RowError(Exception):
     def __init__(self, line, column, message):
         super().__init__(message)
@@ -40,11 +46,11 @@ def _field(row, lineno, column, cast):
     try:
         value = cast(raw)
     except (TypeError, ValueError):
-        raise _RowError(lineno, column, f"cannot parse {raw!r}") from None
+        raise _RowError(lineno, column, f"cannot parse {_echo(raw)}") from None
     if cast is float and not math.isfinite(value):
-        raise _RowError(lineno, column, f"not a finite number: {raw!r}")
+        raise _RowError(lineno, column, f"not a finite number: {_echo(raw)}")
     if cast is int and not -2 ** 63 <= value < 2 ** 63:
-        raise _RowError(lineno, column, f"outside the 64-bit integer range: {raw!r}")
+        raise _RowError(lineno, column, f"outside the 64-bit integer range: {_echo(raw)}")
     return value
 
 
@@ -119,11 +125,11 @@ def reference_load_surveillance(path, strict=True):
         try:
             datetime.fromisoformat(start)
         except ValueError:
-            raise _RowError(lineno, "interval_start", f"not ISO-8601: {start!r}") from None
+            raise _RowError(lineno, "interval_start", f"not ISO-8601: {_echo(start)}") from None
         direction = _field(row, lineno, "direction", str)
         if direction not in ("upstream", "downstream"):
             raise _RowError(lineno, "direction",
-                            f"must be one of ('upstream', 'downstream'), got {direction!r}")
+                            f"must be one of ('upstream', 'downstream'), got {_echo(direction)}")
         flow = _field(row, lineno, "flow_vph", float)
         speed = _field(row, lineno, "mean_speed_kmh", float)
         if flow < 0:

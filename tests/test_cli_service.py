@@ -416,6 +416,14 @@ class TestStatsAndScalars:
                          "--column", "speed_kmh"]) == cli.EXIT_DATA
         assert "v.csv:3:speed_kmh" in capsys.readouterr().err
 
+    def test_long_cell_is_echoed_cut(self, tmp_path, capsys):
+        """A 100,000-character cell is quoted in its error cut to 80 characters."""
+        path = write_csv(tmp_path / "v.csv", ["speed_kmh"], [(1.0,), ("x" * 100_000,)])
+        assert cli.main(["stats", "summary", "--input", path,
+                         "--column", "speed_kmh"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 200 and "v.csv:3:speed_kmh: cannot parse 'xxx" in err
+
     def test_stats_out_of_range_result_exits_with_data_error(self, tmp_path, capsys):
         path = write_csv(tmp_path / "v.csv", ["speed_kmh"], [(1e308,), (-1e308,)])
         out = tmp_path / "stats.json"
@@ -864,7 +872,7 @@ class TestTracksDerive:
     def test_matches_per_fix_reference_byte_for_byte(self, data):
         """Any run ids, holes, spacings, stationary seconds and row order: the same three files."""
         run_ids = data.draw(st.lists(st.sampled_from(["r1", "9", "10", "b,x", 'q"1', "p%s"]),
-                                     min_size=1, max_size=2, unique=True))
+                                     min_size=1, max_size=4, unique=True))
         rows, meta_rows = [], []
         for run_id in run_ids:
             for pos in range(1, data.draw(st.integers(1, 3)) + 1):
@@ -893,6 +901,65 @@ class TestTracksDerive:
             if want == cli.EXIT_OK:
                 for name in ("speeds.csv", "gaps.csv", "flow_samples.csv"):
                     assert (tmp / "got" / name).read_bytes() == (tmp / "want" / name).read_bytes()
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_any_cpu_count_gives_the_one_process_result(self, data):
+        """Runs split over 1-4 processes, a failing run in any chunk or none: the exit code,
+        stdout, stderr and files of one process, no child left and no part file left."""
+        n_runs = data.draw(st.integers(1, 6))
+        fault = data.draw(st.sampled_from([None, "dropped fix", "no shared timestamp"]))
+        faulty_run = data.draw(st.integers(0, n_runs - 1))
+        rows, meta_rows = [], []
+        for r in range(n_runs):
+            vessels, fixes = data.draw(st.integers(2, 3)), data.draw(st.integers(4, 30))
+            for pos in range(1, vessels + 1):
+                meta_rows.append((f"r{r}", pos, 80.0, 10.0, "loaded"))
+                times = list(range(fixes))
+                if r == faulty_run and pos == vessels and fault == "dropped fix":
+                    del times[1]
+                elif r == faulty_run and pos == vessels and fault == "no shared timestamp":
+                    times = [t + fixes for t in times]
+                rows += [(f"r{r}", pos, t, 1000.0 - 150.0 * pos + 2.5 * t, 0.0) for t in times]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            tracks, meta = convoy_files(tmp, rows, meta_rows)
+
+            def derive(cpus):
+                out_dir, stdout, stderr = tmp / f"cpus{cpus}", io.StringIO(), io.StringIO()
+                with pytest.MonkeyPatch.context() as patch, \
+                     contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    if cpus is None:  # a platform without sched_getaffinity runs one process
+                        patch.delattr(os, "sched_getaffinity", raising=False)
+                    else:
+                        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                    code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                                     "--out-dir", str(out_dir)])
+                files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+                return code, stdout.getvalue(), stderr.getvalue(), files
+
+            got = derive(data.draw(st.sampled_from([None, 2, 3, 4])))
+            assert got == derive(1)
+            assert sorted(got[3]) == ["flow_samples.csv", "gaps.csv", "speeds.csv"]
+            assert got[0] == (cli.EXIT_OK if fault is None else cli.EXIT_DATA)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_a_worker_that_dies_unreported_is_a_data_error(self, tmp_path, capsys, monkeypatch):
+        rows = [(run, pos, t, 1000.0 - 150.0 * pos + 2.5 * t, 0.0)
+                for run in ("r1", "r2") for pos in (1, 2) for t in range(5)]
+        tracks, meta = convoy_files(tmp_path, rows, [(run, pos, 80.0, 10.0, "loaded")
+                                                     for run in ("r1", "r2") for pos in (1, 2)])
+        parent, derive_runs = os.getpid(), cli._derive_runs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "_derive_runs", lambda *args: derive_runs(*args)
+                            if os.getpid() == parent else os._exit(0))
+        code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == "error: a worker ended unreported\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)

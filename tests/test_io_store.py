@@ -97,6 +97,19 @@ class TestLoadVesselMeta:
         with pytest.raises(ParseError, match=r"meta\.csv:3:length_m"):
             load_vessel_meta(path)
 
+    @pytest.mark.parametrize("cells, message", [
+        ("2,{long},10.0,empty", "cannot parse 'xxx"),
+        ("2,1{digits},10.0,empty", "not a finite number: '111"),
+        ("1{digits},85.0,10.0,empty", "outside the 64-bit integer range: '111"),
+        ("2,85.0,10.0,{long}", "load_state must be one of ('loaded', 'empty'), got 'xxx"),
+    ])
+    def test_long_cell_is_echoed_cut(self, tmp_path, cells, message):
+        path = write(tmp_path, "meta.csv", META_HEADER + "run_a,1,85.0,12.0,loaded\nrun_a,"
+                     + cells.format(long="x" * 100_000, digits="1" * 400) + "\n")
+        (reject,) = load_vessel_meta(path, strict=False).rejects
+        assert reject.message.startswith(message) and reject.message.endswith("...")
+        assert len(reject.message) < 140
+
     def test_lenient_collects_rejects_with_line_numbers(self, tmp_path):
         path = write(tmp_path, "meta.csv", META_HEADER + (
             "run_a,1,85.0,12.0,loaded\n"
@@ -539,6 +552,19 @@ class TestLoadSurveillance:
         assert [(r.column, r.message) for r in result.rejects] == [
             ("mean_speed_kmh", "cannot parse 'oops'"), ("flow_vph", "flow must be >= 0"),
             ("interval_start", "not ISO-8601: 'noon'")]
+
+    @pytest.mark.parametrize("row, column, message", [
+        ("{long},upstream,1,1,1,1", "interval_start", "not ISO-8601: 'xxx"),
+        ("2021-06-01T08:00:00,{long},1,1,1,1", "direction",
+         "must be one of ('upstream', 'downstream'), got 'xxx"),
+        ("2021-06-01T08:00:00,upstream,{long},1,1,1", "flow_vph", "cannot parse 'xxx"),
+        ("2021-06-01T08:00:00,upstream,1,1,1{long},1", "loaded_count", "cannot parse '1xx"),
+    ])
+    def test_long_cell_is_echoed_cut(self, tmp_path, row, column, message):
+        path = write(tmp_path, "surv.csv", SURV_HEADER + row.format(long="x" * 100_000) + "\n")
+        (reject,) = load_surveillance(path, strict=False).rejects
+        assert (reject.column, reject.message[:len(message)]) == (column, message)
+        assert len(reject.message) < 140 and reject.message.endswith("...")
 
     def test_non_finite_flow_rejected(self, tmp_path):
         path = write(tmp_path, "surv.csv", SURV_HEADER + (
