@@ -151,21 +151,6 @@ def _chunks(runs) -> list:
     return [[run for i, run in zip(share, runs) if i == c] for c in sorted(set(share))] or [runs]
 
 
-def _derive_child(runs, parts, pipe: int):
-    """A forked child: derive into ``parts``, pickle the counts or error into ``pipe``, exit."""
-    import pickle
-    try:
-        try:
-            result = _derive_runs(runs, *parts)
-        except BaseException as exc:  # the parent raises it after this chunk's rows so far
-            result = exc
-        for part in parts:
-            part.flush()
-        os.write(pipe, pickle.dumps(result))
-    finally:
-        os._exit(0)
-
-
 def _cmd_tracks_derive(args) -> dict:
     import pickle
     import shutil
@@ -179,7 +164,10 @@ def _cmd_tracks_derive(args) -> dict:
 
     # Chunk 0 is written here, into the final files; each other chunk by a forked child
     # into unnamed parts, appended in chunk order: one process's bytes, also on an error.
-    chunks, children = _chunks(runs), []  # (pid, pipe, parts) per forked chunk
+    # The stack owns every part, report pipe and child, which it kills (a reported child has
+    # written all) and reaps. A child that cannot start (a descriptor or process limit)
+    # closes the stack early, and this process then derives every run.
+    chunks, children = _chunks(runs), []  # (report pipe, parts) per forked chunk
     with open(out_dir / "speeds.csv", "w", newline="", encoding="utf-8") as sh, \
          open(out_dir / "gaps.csv", "w", newline="", encoding="utf-8") as gh, \
          open(out_dir / "flow_samples.csv", "w", newline="", encoding="utf-8") as fh, \
@@ -192,26 +180,36 @@ def _cmd_tracks_derive(args) -> dict:
                 parts = [stack.enter_context(tempfile.TemporaryFile(
                     "w+", newline="", encoding="utf-8", dir=out_dir)) for _ in range(3)]
                 read, write = os.pipe()
-                if not (pid := os.fork()):
-                    _derive_child(chunk, parts, write)
-                os.close(write)
-                children.append((pid, stack.enter_context(open(read, "rb")), parts))
-            counts = _derive_runs(chunks[0], sh, gh, fh)
-            for _, pipe, parts in children:
-                report = pipe.read()
-                result = pickle.loads(report) if report else ChildProcessError(
-                    "a worker ended unreported")
-                for final, part in zip((sh, gh, fh), parts):
-                    final.flush()
-                    part.seek(0)
-                    shutil.copyfileobj(part.buffer, final.buffer)
-                if isinstance(result, BaseException):
-                    raise result
-                counts = {key: n + result[key] for key, n in counts.items()}
-        finally:  # a child that has reported is past its last write; the kill ends any other
-            for pid, *_ in children:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+                children.append((stack.enter_context(open(read, "rb")), parts))
+                with open(write, "wb", buffering=0) as report:
+                    if not (pid := os.fork()):  # the child never returns into the caller
+                        try:
+                            try:
+                                result = _derive_runs(chunk, *parts)
+                            except BaseException as exc:  # the parent raises it in turn
+                                result = exc
+                            for part in parts:
+                                part.flush()
+                            report.write(pickle.dumps(result))
+                        finally:
+                            os._exit(0)
+                stack.callback(os.waitpid, pid, 0)
+                stack.callback(os.kill, pid, signal.SIGKILL)  # runs first
+        except OSError:
+            stack.close()
+            chunks, children = [runs], []
+        counts = _derive_runs(chunks[0], sh, gh, fh)
+        for pipe, parts in children:
+            report = pipe.read()
+            result = pickle.loads(report) if report else ChildProcessError(
+                "a worker ended unreported")
+            for final, part in zip((sh, gh, fh), parts):
+                final.flush()
+                part.seek(0)
+                shutil.copyfileobj(part.buffer, final.buffer)
+            if isinstance(result, BaseException):
+                raise result
+            counts = {key: n + result[key] for key, n in counts.items()}
 
     print(f"runs {len(runs)}  speeds {counts['speeds']}  "
           f"gaps {counts['gaps']}  flow samples {counts['flow_samples']}  "

@@ -142,7 +142,7 @@ def _read_columns(path, required: Sequence[str], casts: Sequence) -> tuple:
                 raise ParseError(f"{path}: empty file, header row required")
             header = next(csv.reader([first]))
             if missing := [c for c in required if c not in header]:
-                raise ParseError(f"{path}: missing required column(s) {missing}")
+                raise ParseError(f"{path}: missing required column(s) {brief(repr(missing))}")
             picks = [max(i for i, name in enumerate(header) if name == c) for c in required]
             # An empty first block gives each column its type, even in a file without rows.
             blocks = [[_typed_column([], c, cast, 0) for c, cast in zip(required, casts)]]
@@ -223,7 +223,7 @@ def load_vessel_meta(path, strict: bool = True) -> LoadResult:
     for row, (run_id, p, *fields) in enumerate(rows):
         if row not in run_err and row not in pos_err:
             if (run_id, p) in seen:
-                dup_err[row] = ("fleet_position", f"duplicate key {(run_id, p)}")
+                dup_err[row] = ("fleet_position", f"duplicate key {brief(repr((run_id, p)))}")
             seen.add((run_id, p))
         try:
             items[row] = (run_id, VesselMeta(p, *fields))
@@ -263,7 +263,7 @@ def load_tracks(
     order = order[keyed[order]]
     later, earlier = order[1:], order[:-1]
     dups = later[(run[later] == run[earlier]) & (p[later] == p[earlier]) & (t[later] == t[earlier])]
-    dup_err = {r: ("t_seconds", f"duplicate key {(run_ids[r], int(p[r]), int(t[r]))}")
+    dup_err = {r: ("t_seconds", f"duplicate key {brief(repr((run_ids[r], int(p[r]), int(t[r]))))}")
                for r in dups.tolist()}
     rejects, accepted = _rejects(path, strict, lines, unread, run_err, p_err, t_err, dup_err,
                                  x_err, y_err)
@@ -277,7 +277,8 @@ def load_tracks(
     for a, b in zip(starts, starts[1:] + [len(order)]):
         key = (names[run[a]], int(p[a]))
         if key not in meta:
-            raise ParseError(f"{path}: no vessel metadata for run {key[0]!r} position {key[1]}")
+            raise ParseError(
+                f"{path}: no vessel metadata for run {brief(repr(key[0]))} position {key[1]}")
         tracks.append(VesselTrack(meta=meta[key], t=t[a:b], x=x[a:b], y=y[a:b]))
         if b == len(order) or run[b] != run[a]:
             runs.append(FleetRun(run_id=key[0], tracks=tuple(tracks)))

@@ -84,7 +84,7 @@ def _parse_rows(path, required, row_fn, strict):
         header = next(csv.reader([first]))
         missing = [c for c in required if c not in header]
         if missing:
-            raise ParseError(f"{path}: missing required column(s) {missing}")
+            raise ParseError(f"{path}: missing required column(s) {_echo(missing)}")
         for lineno, text in enumerate(handle, start=2):
             if text in ("\n", "\r\n", "\r"):
                 continue
@@ -107,7 +107,7 @@ def reference_load_vessel_meta(path, strict=True):
         run_id = _field(row, lineno, "run_id", str)
         pos = _field(row, lineno, "fleet_position", int)
         if (run_id, pos) in seen:
-            raise _RowError(lineno, "fleet_position", f"duplicate key {(run_id, pos)}")
+            raise _RowError(lineno, "fleet_position", f"duplicate key {_echo((run_id, pos))}")
         seen.add((run_id, pos))
         try:
             return run_id, VesselMeta(pos, _field(row, lineno, "length_m", float),
@@ -154,7 +154,7 @@ def reference_load_tracks(path, meta, strict=True):
         pos = _field(row, lineno, "fleet_position", int)
         t = _field(row, lineno, "t_seconds", int)
         if (run_id, pos, t) in seen:
-            raise _RowError(lineno, "t_seconds", f"duplicate key {(run_id, pos, t)}")
+            raise _RowError(lineno, "t_seconds", f"duplicate key {_echo((run_id, pos, t))}")
         seen.add((run_id, pos, t))
         return run_id, pos, (t, _field(row, lineno, "x_m", float), _field(row, lineno, "y_m", float))
 
@@ -168,7 +168,7 @@ def reference_load_tracks(path, meta, strict=True):
         for pos in sorted(grouped[run_id]):
             if (run_id, pos) not in meta:
                 raise ParseError(
-                    f"{path}: no vessel metadata for run {run_id!r} position {pos}")
+                    f"{path}: no vessel metadata for run {_echo(run_id)} position {pos}")
             fixes = sorted(grouped[run_id][pos])
             if len(fixes) < 2:
                 raise MalformedTrackError("a track needs at least 2 fixes")

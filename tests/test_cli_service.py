@@ -1,12 +1,15 @@
 import contextlib
 import csv
 import email.utils
+import errno
 import http.client
 import io
+import itertools
 import json
 import math
 import os
 import re
+import resource
 import socket
 import struct
 import subprocess
@@ -423,6 +426,14 @@ class TestStatsAndScalars:
                          "--column", "speed_kmh"]) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert len(err.encode()) < 200 and "v.csv:3:speed_kmh: cannot parse 'xxx" in err
+
+    def test_long_missing_column_is_echoed_cut(self, tmp_path, capsys):
+        """A 100,000-character --column comes back in its error cut, under 1 KB of stderr."""
+        path = write_csv(tmp_path / "v.csv", ["speed_kmh"], [(1.0,)])
+        assert cli.main(["stats", "summary", "--input", path,
+                         "--column", "c" * 100_000]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024 and "missing required column(s) ['ccc" in err
 
     def test_stats_out_of_range_result_exits_with_data_error(self, tmp_path, capsys):
         path = write_csv(tmp_path / "v.csv", ["speed_kmh"], [(1e308,), (-1e308,)])
@@ -905,11 +916,16 @@ class TestTracksDerive:
     @given(st.data())
     @settings(max_examples=40, deadline=None)
     def test_any_cpu_count_gives_the_one_process_result(self, data):
-        """Runs split over 1-4 processes, a failing run in any chunk or none: the exit code,
-        stdout, stderr and files of one process, no child left and no part file left."""
+        """Runs split over 1-8 processes, a failing run in any chunk or none, and a descriptor
+        limit or a refused fork that stops a child from starting: the exit code, stdout,
+        stderr and files of one process, no child left and no part file left."""
         n_runs = data.draw(st.integers(1, 6))
         fault = data.draw(st.sampled_from([None, "dropped fix", "no shared timestamp"]))
         faulty_run = data.draw(st.integers(0, n_runs - 1))
+        cpus = data.draw(st.sampled_from([None, *range(2, 9)]))
+        limit = data.draw(st.sampled_from([None, "descriptors", "fork"]))
+        # descriptors: free numbers above the highest open one; fork: the call that fails
+        at = data.draw(st.integers(3, 24) if limit == "descriptors" else st.integers(1, 7))
         rows, meta_rows = [], []
         for r in range(n_runs):
             vessels, fixes = data.draw(st.integers(2, 3)), data.draw(st.integers(4, 30))
@@ -925,20 +941,36 @@ class TestTracksDerive:
             tmp = Path(tmp)
             tracks, meta = convoy_files(tmp, rows, meta_rows)
 
-            def derive(cpus):
+            def derive(cpus, limit=None):
                 out_dir, stdout, stderr = tmp / f"cpus{cpus}", io.StringIO(), io.StringIO()
+                soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+                fork, forks = os.fork, itertools.count(1)
+
+                def refused_fork():
+                    if next(forks) == at:
+                        raise BlockingIOError(errno.EAGAIN, "fork refused")
+                    return fork()
+
                 with pytest.MonkeyPatch.context() as patch, \
                      contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                     if cpus is None:  # a platform without sched_getaffinity runs one process
                         patch.delattr(os, "sched_getaffinity", raising=False)
                     else:
                         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-                    code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
-                                     "--out-dir", str(out_dir)])
+                    if limit == "fork":
+                        patch.setattr(os, "fork", refused_fork)
+                    try:
+                        if limit == "descriptors":
+                            highest = max(map(int, os.listdir("/dev/fd")))
+                            resource.setrlimit(resource.RLIMIT_NOFILE, (highest + 1 + at, hard))
+                        code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                                         "--out-dir", str(out_dir)])
+                    finally:
+                        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
                 files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
                 return code, stdout.getvalue(), stderr.getvalue(), files
 
-            got = derive(data.draw(st.sampled_from([None, 2, 3, 4])))
+            got = derive(cpus, limit)
             assert got == derive(1)
             assert sorted(got[3]) == ["flow_samples.csv", "gaps.csv", "speeds.csv"]
             assert got[0] == (cli.EXIT_OK if fault is None else cli.EXIT_DATA)
@@ -960,6 +992,83 @@ class TestTracksDerive:
         assert capsys.readouterr().err == "error: a worker ended unreported\n"
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
+    def test_no_process_outlives_a_killed_parent(self, tmp_path):
+        """SIGKILL the command while its children derive: within 10 s no live process of its
+        session is left, so no worker waits for work from a parent that is gone."""
+        runs = ("r1", "r2")
+        tracks, meta = convoy_files(
+            tmp_path, [(run, pos, t, 1000.0 - 150.0 * pos + 2.5 * t, 0.0)
+                       for run in runs for pos in (1, 2) for t in range(5)],
+            [(run, pos, 80.0, 10.0, "loaded") for run in runs for pos in (1, 2)])
+        started = tmp_path / "started"
+        started.mkdir()
+        script = """if True:
+            import os, sys, time
+            from pathlib import Path
+            from fairway import cli
+            derive_runs = cli._derive_runs
+            def slow_derive_runs(*args):
+                Path(sys.argv[1], str(os.getpid())).touch()
+                time.sleep(2)
+                return derive_runs(*args)
+            cli._derive_runs = slow_derive_runs
+            os.sched_getaffinity = lambda pid: {0, 1}
+            cli.main(["tracks", "derive", "--tracks", sys.argv[2], "--meta", sys.argv[3],
+                      "--out-dir", sys.argv[4]])
+        """
+        command = subprocess.Popen(
+            [sys.executable, "-c", script, str(started), tracks, meta, str(tmp_path / "out")],
+            env=src_env(), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+        def live():  # pids of the session's processes that are neither zombie nor dead
+            pids = []
+            for stat in Path("/proc").glob("[0-9]*/stat"):
+                try:
+                    state, _, _, session = stat.read_text().rsplit(")", 1)[1].split()[:4]
+                except OSError:  # ended while listed
+                    continue
+                if int(session) == command.pid and state not in "ZXx":
+                    pids.append(stat.parent.name)
+            return pids
+
+        try:
+            deadline = time.monotonic() + 20
+            while len(list(started.iterdir())) < 2:  # the parent's chunk and the child's
+                assert command.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            command.kill()
+            command.wait()
+        deadline = time.monotonic() + 10
+        while left := live():
+            assert time.monotonic() < deadline, f"processes left: {left}"
+            time.sleep(0.05)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("meta duplicate key", "duplicate key ('rrr"),
+        ("track duplicate key", "duplicate key ('rrr"),
+        ("no vessel metadata", "no vessel metadata for run 'rrr"),
+    ])
+    def test_long_run_id_is_echoed_cut(self, tmp_path, capsys, fault, message):
+        """A 100,000-character run id comes back in its error cut, under 1 KB of stderr."""
+        run = "r" * 100_000
+        rows = [(run, pos, t, 1000.0 - 150.0 * pos + 2.5 * t, 0.0)
+                for pos in (1, 2) for t in range(5)]
+        meta_rows = [(run if fault != "no vessel metadata" else "r1", pos, 80.0, 10.0, "loaded")
+                     for pos in (1, 2)]
+        if fault == "meta duplicate key":
+            meta_rows.append(meta_rows[0])
+        elif fault == "track duplicate key":
+            rows.append(rows[0])
+        tracks, meta = convoy_files(tmp_path, rows, meta_rows)
+        code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                         "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert len(err.encode()) < 1024 and message in err
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
