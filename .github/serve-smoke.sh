@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke test of an installed `fairway serve`, with the `fairway`, `python` and `curl` on PATH:
-# /health answers 200, a state query 200 JSON naming its state, and a POST 501 JSON with an
-# error; the server is then killed and waited for, so that nothing is left running.
+# /health answers 200, each state query 200 JSON naming its state (sent verbatim, so that the
+# escapes, the params and the absolute form reach the server as written), and a POST 501 JSON
+# with an error; the server is then killed and waited for, so that nothing is left running.
 # Usage: bash .github/serve-smoke.sh [PORT]   (default 8765, on 127.0.0.1)
 set -euo pipefail
 port="${1:-8765}"
@@ -16,9 +17,13 @@ for _ in $(seq 100); do
 done
 test "$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:$port/health")" = 200
 url="http://127.0.0.1:$port/state?flow=42&density=7"
-test "$(curl -s -o "$dir/state.json" -w '%{http_code}' "$url")" = 200
-python -c 'import json, sys; assert json.load(open(sys.argv[1]))["state"] == "congested"' \
-  "$dir/state.json"
+for target in "/state?flow=42&density=7" "/state?flow=4%32&density=7" \
+              "/state?flow=42&density=+7" "/state;v=1?flow=42&density=7" "$url"; do
+  test "$(curl -s -o "$dir/state.json" -w '%{http_code}' --request-target "$target" \
+          "http://127.0.0.1:$port/")" = 200
+  python -c 'import json, sys; assert json.load(open(sys.argv[1]))["state"] == "congested"' \
+    "$dir/state.json"
+done
 test "$(curl -s -o "$dir/post.json" -w '%{http_code}' -X POST "$url")" = 501
 python -c 'import json, sys; assert json.load(open(sys.argv[1]))["error"]' "$dir/post.json"
 kill "$server"

@@ -119,11 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _derive_runs(runs, sh, gh, fh) -> dict:
-    """Derive each run's speeds, gaps and flow samples, write them, and count them."""
+def _derive_runs(runs, sh, gh, fh, parent: int | None = None) -> dict:
+    """Derive each run's speeds, gaps and flow samples, write them, and count them.
+
+    A forked child passes the ``parent`` it was forked from and ends before the next run
+    once that process is gone: no one would read what it writes."""
     from . import io_store, trajectory
     counts = dict.fromkeys(("speeds", "gaps", "flow_samples", "stationary"), 0)
     for run in runs:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
         # Each series is derived once, written, and reused for the flow samples.
         speeds = [trajectory.speed_series(track) for track in run.tracks]
         for track, (t, v) in zip(run.tracks, speeds):
@@ -167,7 +172,7 @@ def _cmd_tracks_derive(args) -> dict:
     # The stack owns every part, report pipe and child, which it kills (a reported child has
     # written all) and reaps. A child that cannot start (a descriptor or process limit)
     # closes the stack early, and this process then derives every run.
-    chunks, children = _chunks(runs), []  # (report pipe, parts) per forked chunk
+    chunks, children, parent = _chunks(runs), [], os.getpid()  # (report pipe, parts) per child
     with open(out_dir / "speeds.csv", "w", newline="", encoding="utf-8") as sh, \
          open(out_dir / "gaps.csv", "w", newline="", encoding="utf-8") as gh, \
          open(out_dir / "flow_samples.csv", "w", newline="", encoding="utf-8") as fh, \
@@ -185,7 +190,7 @@ def _cmd_tracks_derive(args) -> dict:
                     if not (pid := os.fork()):  # the child never returns into the caller
                         try:
                             try:
-                                result = _derive_runs(chunk, *parts)
+                                result = _derive_runs(chunk, *parts, parent)
                             except BaseException as exc:  # the parent raises it in turn
                                 result = exc
                             for part in parts:

@@ -131,8 +131,8 @@ def _fast_columns(lines: list, picks: list, casts: Sequence) -> Optional[list]:
 
 def _read_columns(path, required: Sequence[str], casts: Sequence) -> tuple:
     """The physical line of each data row, {row: (None, message)} of the rows left
-    unread (a quoted field open at the end of the line: its cells read as ""), then
-    each required column as ``_typed_column`` returns it.
+    unread (a quoted field open at the end of the line, or any line csv refuses: its
+    cells read as ""), then each required column as ``_typed_column`` returns it.
 
     A short row reads "" for the cells it lacks; a repeated column name, its last one.
     """
@@ -140,7 +140,10 @@ def _read_columns(path, required: Sequence[str], casts: Sequence) -> tuple:
         with open(path, newline="", encoding="utf-8") as handle:
             if not (first := handle.readline()):
                 raise ParseError(f"{path}: empty file, header row required")
-            header = next(csv.reader([first]))
+            try:
+                header = next(csv.reader([first]))
+            except csv.Error as exc:  # such as a name past csv's field size limit
+                raise ParseError(f"{path}:1: {brief(str(exc))}") from None
             if missing := [c for c in required if c not in header]:
                 raise ParseError(f"{path}: missing required column(s) {brief(repr(missing))}")
             picks = [max(i for i, name in enumerate(header) if name == c) for c in required]
@@ -153,11 +156,16 @@ def _read_columns(path, required: Sequence[str], casts: Sequence) -> tuple:
                 flags.append(keep)
                 typed = _PLAIN("".join(lines)) and _fast_columns(lines, picks, casts)
                 if not typed:
-                    rows = [next(csv.reader([text.rstrip("\r\n") + "\n"])) for text in lines]
-                    for row, cells in enumerate(rows, n):
-                        if cells[-1].endswith("\n"):  # only a quoted field keeps the newline
-                            unread[row] = (None, "quoted field open at end of line")
-                            cells.clear()
+                    rows = []
+                    for row, text in enumerate(lines, n):
+                        try:
+                            cells = next(csv.reader([text.rstrip("\r\n") + "\n"]))
+                        except csv.Error as exc:  # a field past csv's size limit; NUL on 3.10
+                            cells, unread[row] = [], (None, brief(str(exc)))
+                        else:
+                            if cells[-1].endswith("\n"):  # only a quoted field keeps the newline
+                                cells, unread[row] = [], (None, "quoted field open at end of line")
+                        rows.append(cells)
                     typed = [_typed_column([row[i] if i < len(row) else "" for row in rows],
                                            column, cast, n)
                              for i, column, cast in zip(picks, required, casts)]

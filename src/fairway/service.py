@@ -5,9 +5,9 @@ locking; retraining happens offline, then a restart.  ``respond`` is the one pla
 wire contract is decided, with no socket; a thread per connection reads requests through it
 and sends each answer in one send, and an idle (``IDLE_TIMEOUT_S``) or reset connection
 closes silently.  An error text echoes at most 80 characters of any input (``document.brief``).
-On the benchmark's serve workload (2-vCPU Linux VM) a keep-alive answer's median is ~0.15 ms
-and a spawned server answers /health after ~0.05 s at a peak RSS of ~17 MB: beyond the
-standard library it imports only ``document`` and ``errors``, never numpy.
+A "/state?" target without "#" is split by hand, exactly as ``urlparse`` splits it, and
+every other target by ``urlparse``; README gives the answer times measured on the benchmark.
+Beyond the standard library it imports only ``document`` and ``errors``, never numpy.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import re
 import socketserver
 import time
 from http import HTTPStatus
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import unquote, urlparse
 
-from .document import (ModelDocument, StateBands, brief, classify_flow_density, document_to_dict,
-                       json_text)
+from .document import (ModelDocument, StateBands, TrafficState, brief, classify_flow_density,
+                       document_to_dict, json_text)
 from .errors import DomainError
 
 IDLE_TIMEOUT_S = 30.0  # a connection with no request for this long is closed
@@ -31,6 +31,11 @@ _REQUEST_LINE = re.compile(r"\s*(\S+)\s+(\S+)\s+HTTP/(\d{1,10})\.(\d{1,10})\s*",
 _DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
 _MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 _to_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+_HEADS = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\nContent-Type: application/json\r\n"
+                   f"Content-Length: ".encode() for s in HTTPStatus}
+# A /state body after its speed, which the encoder writes as repr(float) when finite.
+_STATE_TAILS = {s: b"," + _to_json({"state": s.value, "color": s.color})[1:].encode()
+                for s in TrafficState}
 
 
 @functools.lru_cache(maxsize=1)  # one date a second, whatever the request rate
@@ -46,11 +51,20 @@ def _frame(status: int, body, close: bool = True, head_only: bool = False) -> by
     """Status line, headers and JSON body; ``body`` is encoded JSON or an object to encode."""
     if not isinstance(body, bytes):
         body = _to_json(body).encode()
-    head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\nContent-Type: "
-            f"application/json\r\nContent-Length: {len(body)}\r\n").encode()
-    head += _date_line(int(time.time()))
-    head += b"Connection: close\r\n\r\n" if close else b"\r\n"
+    head = b"%s%d\r\n%s%s" % (_HEADS[status], len(body), _date_line(int(time.time())),
+                               b"Connection: close\r\n\r\n" if close else b"\r\n")
     return head if head_only else head + body
+
+
+def _first_values(query: str) -> dict:
+    """``parse_qs(query)`` with each name's first value only: fields split on "&", then
+    on the first "=", those with an empty value skipped, "+" and %XX decoded (UTF-8)."""
+    values = {}
+    for field in query.split("&"):
+        name, _, value = field.partition("=")
+        if value:
+            values.setdefault(unquote(name.replace("+", " ")), unquote(value.replace("+", " ")))
+    return values
 
 
 def respond(bands: StateBands, model_body: bytes, readline) -> tuple[bytes, bool] | None:
@@ -87,32 +101,37 @@ def respond(bands: StateBands, model_body: bytes, readline) -> tuple[bytes, bool
     if method != "GET":
         error = {"error": f"unsupported method {brief(method)!r}"}
         return _frame(501, error, head_only=method == "HEAD"), False
-    if target.startswith("//"):  # a path, not a network path (gh-87389)
-        target = "/" + target.lstrip("/")
-    try:
-        url = urlparse(target)
-    except ValueError:  # such as an unclosed "[" in a host
-        return _frame(400, {"error": f"bad request target {brief(target)!r}"}, close), not close
-    if url.path == "/model":
+    if target.startswith("/state?") and "#" not in target:
+        path, query = "/state", target[7:]  # as urlparse splits it: no scheme, host or ";"
+    else:
+        if target.startswith("//"):  # a path, not a network path (gh-87389)
+            target = "/" + target.lstrip("/")
+        try:
+            url = urlparse(target)
+        except ValueError:  # such as an unclosed "[" in a host
+            error = {"error": f"bad request target {brief(target)!r}"}
+            return _frame(400, error, close), not close
+        path, query = url.path, url.query
+    if path == "/model":
         return _frame(200, model_body, close), not close
-    if url.path == "/health":
+    if path == "/health":
         return _frame(200, {"status": "ok"}, close), not close
-    if url.path != "/state":
-        return _frame(404, {"error": f"unknown path {brief(url.path)}"}, close), not close
-    query, values = parse_qs(url.query), []
+    if path != "/state":
+        return _frame(404, {"error": f"unknown path {brief(path)}"}, close), not close
+    query, values = _first_values(query), []
     try:
         for name in ("flow", "density"):
-            values.append(float(query[name][0]))
+            values.append(float(query[name]))
     except KeyError:
         return _frame(400, {"error": f"missing query parameter {name!r}"}, close), not close
     except ValueError:
-        error = {"error": f"invalid value for {name!r}: {brief(query[name][0])!r}"}
+        error = {"error": f"invalid value for {name!r}: {brief(query[name])!r}"}
         return _frame(400, error, close), not close
     try:
         speed, state = classify_flow_density(bands, *values)
     except DomainError as exc:
         return _frame(422, {"error": str(exc)}, close), not close
-    body = {"speed_kmh": speed, "state": state.value, "color": state.color}
+    body = b'{"speed_kmh":' + repr(speed).encode() + _STATE_TAILS[state]
     return _frame(200, body, close), not close
 
 

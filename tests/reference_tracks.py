@@ -27,10 +27,14 @@ MS_TO_KMH = 3.6
 M_PER_KM = 1000.0
 
 
-def _echo(raw):
-    """A cell as error messages quote it: its repr, cut to 77 characters and "..." past 80."""
-    text = repr(raw)
+def _cut(text):
+    """Text as error messages echo it: cut to 77 characters and "..." past 80."""
     return text if len(text) <= 80 else text[:77] + "..."
+
+
+def _echo(raw):
+    """A cell as error messages quote it: its repr, cut as ``_cut`` cuts it."""
+    return _cut(repr(raw))
 
 
 class _RowError(Exception):
@@ -81,7 +85,10 @@ def _parse_rows(path, required, row_fn, strict):
         first = handle.readline()
         if not first:
             raise ParseError(f"{path}: empty file, header row required")
-        header = next(csv.reader([first]))
+        try:
+            header = next(csv.reader([first]))
+        except csv.Error as exc:
+            raise ParseError(f"{path}:1: {_cut(str(exc))}") from None
         missing = [c for c in required if c not in header]
         if missing:
             raise ParseError(f"{path}: missing required column(s) {_echo(missing)}")
@@ -89,9 +96,13 @@ def _parse_rows(path, required, row_fn, strict):
             if text in ("\n", "\r\n", "\r"):
                 continue
             try:
+                try:
+                    cells = next(csv.reader([text]))
+                except csv.Error as exc:  # such as a field past csv's size limit
+                    raise _RowError(lineno, None, _cut(str(exc))) from None
                 if _ends_in_open_quote(text):
                     raise _RowError(lineno, None, "quoted field open at end of line")
-                items.append(row_fn(dict(zip(header, next(csv.reader([text])))), lineno))
+                items.append(row_fn(dict(zip(header, cells)), lineno))
             except _RowError as exc:
                 if strict:
                     column = "" if exc.column is None else f":{exc.column}"

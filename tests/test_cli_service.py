@@ -42,6 +42,7 @@ from fairway.service import make_server
 from fairway.traffic_state import StateBands
 
 from reference_data import STATE_BOUNDARIES, V_MIN
+from reference_service import reference_respond
 from reference_tracks import reference_meta, reference_tracks_derive
 
 GREENSHIELDS = FdModel(form="greenshields", c1=0.7634, c2=11.817)
@@ -426,6 +427,19 @@ class TestStatsAndScalars:
                          "--column", "speed_kmh"]) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert len(err.encode()) < 200 and "v.csv:3:speed_kmh: cannot parse 'xxx" in err
+
+    @pytest.mark.parametrize("header, rows, message", [
+        ("speed_kmh", ["1.0", "x" * 200_000], "v.csv:3: field larger than field limit"),
+        ("speed_kmh," + "h" * 200_000, ["1.0,2"], "v.csv:1: field larger than field limit"),
+    ], ids=["cell", "header"])
+    def test_field_past_the_csv_limit_exits_2(self, tmp_path, capsys, header, rows, message):
+        """A field longer than csv reads is a reject of its line, never a traceback."""
+        path = tmp_path / "v.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        assert cli.main(["stats", "summary", "--input", str(path),
+                         "--column", "speed_kmh"]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024 and message in err and "Traceback" not in err
 
     def test_long_missing_column_is_echoed_cut(self, tmp_path, capsys):
         """A 100,000-character --column comes back in its error cut, under 1 KB of stderr."""
@@ -1023,17 +1037,6 @@ class TestTracksDerive:
             env=src_env(), start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 
-        def live():  # pids of the session's processes that are neither zombie nor dead
-            pids = []
-            for stat in Path("/proc").glob("[0-9]*/stat"):
-                try:
-                    state, _, _, session = stat.read_text().rsplit(")", 1)[1].split()[:4]
-                except OSError:  # ended while listed
-                    continue
-                if int(session) == command.pid and state not in "ZXx":
-                    pids.append(stat.parent.name)
-            return pids
-
         try:
             deadline = time.monotonic() + 20
             while len(list(started.iterdir())) < 2:  # the parent's chunk and the child's
@@ -1043,9 +1046,59 @@ class TestTracksDerive:
             command.kill()
             command.wait()
         deadline = time.monotonic() + 10
-        while left := live():
+        while left := live_in_session(command.pid):
             assert time.monotonic() < deadline, f"processes left: {left}"
             time.sleep(0.05)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc/<pid>/stat")
+    def test_a_child_starts_no_run_after_its_parent_is_killed(self, tmp_path):
+        """A child holding two runs, in its first when the command is SIGKILLed, ends
+        without starting its second: each run starts by asking for its parent."""
+        runs = ("r1", "r2", "r3", "r4")  # two CPUs: r3 and r4 are the child's chunk
+        tracks, meta = convoy_files(
+            tmp_path, [(run, pos, 100 * i + t, 1000.0 - 150.0 * pos + 2.5 * t, 0.0)
+                       for i, run in enumerate(runs) for pos in (1, 2) for t in range(5)],
+            [(run, pos, 80.0, 10.0, "loaded") for run in runs for pos in (1, 2)])
+        started = tmp_path / "started"
+        started.mkdir()
+        script = """if True:
+            import os, sys, time
+            from pathlib import Path
+            from fairway import cli, trajectory
+            speed_series = trajectory.speed_series
+            def slow_speed_series(track):  # a file per track: pid, run number, position
+                run, position = track.t[0] // 100, track.meta.fleet_position
+                Path(sys.argv[1], f"{os.getpid()}-{run}-{position}").touch()
+                time.sleep(1)
+                return speed_series(track)
+            trajectory.speed_series = slow_speed_series
+            os.sched_getaffinity = lambda pid: {0, 1}
+            cli.main(["tracks", "derive", "--tracks", sys.argv[2], "--meta", sys.argv[3],
+                      "--out-dir", sys.argv[4]])
+        """
+        command = subprocess.Popen(
+            [sys.executable, "-c", script, str(started), tracks, meta, str(tmp_path / "out")],
+            env=src_env(), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+        def child_runs():  # the runs whose derivation the child has started
+            names = [path.name.split("-") for path in started.iterdir()]
+            return {run for pid, run, _ in names if int(pid) != command.pid}
+
+        try:
+            deadline = time.monotonic() + 20
+            while not child_runs():
+                assert command.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            command.kill()
+            command.wait()
+        assert child_runs() == {"2"}  # in r3 when the command was killed
+        deadline = time.monotonic() + 10
+        while left := live_in_session(command.pid):
+            assert time.monotonic() < deadline, f"processes left: {left}"
+            time.sleep(0.05)
+        assert child_runs() == {"2"}
 
     @pytest.mark.parametrize("fault, message", [
         ("meta duplicate key", "duplicate key ('rrr"),
@@ -1069,6 +1122,19 @@ class TestTracksDerive:
         err = capsys.readouterr().err
         assert code == cli.EXIT_DATA
         assert len(err.encode()) < 1024 and message in err
+
+    def test_coordinate_past_the_csv_limit_exits_2(self, tmp_path, capsys):
+        """A 200,000-digit x_m cell is a reject of its line, never a traceback."""
+        rows = [("r1", pos, t, 1000.0 - 150.0 * pos + 2.5 * t, 0.0)
+                for pos in (1, 2) for t in range(5)]
+        rows[3] = ("r1", 1, 3, "1" * 200_000, 0.0)
+        tracks, meta = convoy_files(tmp_path, rows)
+        code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                         "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_DATA
+        assert len(err.encode()) < 1024 and "Traceback" not in err
+        assert "tracks.csv:5: field larger than field limit" in err
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -1237,6 +1303,19 @@ def convoy_files(tmp_path, rows, meta_rows=(("r1", 1, 85.0, 12.0, "loaded"),
     return tracks, meta
 
 
+def live_in_session(session: int) -> list:
+    """Pids of the session's processes that are neither zombie nor dead (Linux /proc)."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, _, sid = stat.read_text().rsplit(")", 1)[1].split()[:4]
+        except OSError:  # ended while listed
+            continue
+        if int(sid) == session and state not in "ZXx":
+            pids.append(stat.parent.name)
+    return pids
+
+
 @contextlib.contextmanager
 def serving(doc):
     """``make_server(doc, 0)`` answering in a background thread; yields (host, port)."""
@@ -1402,6 +1481,17 @@ class TestService:
         ("/state?flow=30&density=0", 422,
          {"error": "density must be positive and finite, got 0.0"}),
         ("/nothing", 404, {"error": "unknown path /nothing"}),
+        # Targets that the "/state?" split must decode exactly or leave to urlparse.
+        ("/state?flow=4%32&density=7", 200,
+         {"speed_kmh": 6.0, "state": "congested", "color": "red"}),
+        ("/state?flow=42&density=+7", 200,
+         {"speed_kmh": 6.0, "state": "congested", "color": "red"}),
+        ("/state;v=1?flow=42&density=7", 200,
+         {"speed_kmh": 6.0, "state": "congested", "color": "red"}),
+        ("http://127.0.0.1:8765/state?flow=42&density=7", 200,
+         {"speed_kmh": 6.0, "state": "congested", "color": "red"}),
+        ("/state?flow=42&density=7#x&density=1", 200,
+         {"speed_kmh": 6.0, "state": "congested", "color": "red"}),
     ])
     def test_respond_is_a_pure_router(self, target, status, body):
         request = f"GET {target} HTTP/1.1\r\n\r\n".encode()
@@ -1645,6 +1735,21 @@ REQUEST_LINE = st.one_of(
               st.sampled_from(["HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/0.9",
                                "HTTP/1", "HTTP/01.1", "HTTP/1.1 "])))
 AT_THE_LIMIT = st.integers(service.MAX_LINE - 8, service.MAX_LINE + 2)
+# /state targets from the pieces that decide how a target splits and a query decodes:
+# separators, "+" and percent escapes (one not valid UTF-8), non-ASCII letters, empty and
+# repeated names, params, fragments, and the network-path and absolute forms.
+STATE_TARGET = st.builds(
+    lambda start, pieces, joint: start + joint.join(pieces),
+    st.sampled_from(["/state?"] * 4 + ["/state", "//state?", "/state;v=1?", "/state/?",
+                                       "/State?", "http://host/state?",
+                                       "http://host:80/state;p?", "/state#?"]),
+    st.lists(st.sampled_from(["flow", "density", "flow=42", "density=7", "flow=+4%32",
+                              "%66low=42", "dens%69ty=+7", "density=7#x", "flow=", "density=3",
+                              "=", "&", "+", "%", "%41", "%FF", "%C3%A9", "%2B", "%26", ";",
+                              "#", "?", "//", "é", "ß", "42", "7", "1e3", "inf", "nan", "0",
+                              "-1"]),
+             max_size=10),
+    st.sampled_from(["", "&"]))
 
 
 def bytes_read_to_decide(lines: list[bytes]) -> int:
@@ -1695,6 +1800,24 @@ class TestRespond:
         else:
             assert int(headers["Content-Length"]) == len(body)
             json.loads(body, parse_constant=lambda name: pytest.fail(name))
+
+    @given(line=st.one_of(
+               REQUEST_LINE,
+               st.builds("GET {} {}".format, STATE_TARGET,
+                         st.sampled_from(["HTTP/1.1", "HTTP/1.0"]))),
+           headers=st.lists(st.sampled_from(["Host: x", "Connection: close",
+                                             "Connection: keep-alive", "X: é"]), max_size=2))
+    @settings(max_examples=2000, deadline=None)
+    def test_answers_equal_the_reference(self, line, headers):
+        """Any request gets the bytes, apart from Date, and the keep-open flag of the
+        urlparse, parse_qs and JSON-encoder path, with the same bytes read."""
+        request = "\r\n".join([line, *headers, "", ""]).encode()
+        answers = []
+        for respond in (service.respond, reference_respond):
+            stream = io.BytesIO(request)
+            answer, keep_open = respond(self.BANDS, b'{"m":1}', stream.readline)
+            answers.append((re.sub(rb"\r\nDate: [^\r]*", b"", answer), keep_open, stream.tell()))
+        assert answers[0] == answers[1]
 
     @pytest.mark.parametrize("request_bytes", [b"", b"\r\n", b"\r\n\n\r\n"])
     def test_a_client_that_closes_first_gets_no_answer(self, request_bytes):

@@ -351,6 +351,19 @@ class TestLoadTracks:
         assert [r.line for r in result.rejects] == [2]
         assert result.items.tolist() == [3, 4]
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("text", [
+        META_HEADER + "a,1,85.0,12.0,loaded\n" + "b," + "9" * 200_000 + ",85.0,12.0,loaded\n"
+        + '"c,1,85.0,12.0,loaded\n' + "d,1,85.0,12.0,loaded\n",
+        META_HEADER.strip() + "," + "h" * 200_000 + "\na,1,85.0,12.0,loaded,x\n",
+    ], ids=["cell", "header"])
+    def test_line_csv_refuses_is_a_reject_of_that_line(self, text, strict):
+        """A field past csv's size limit rejects its line, like a quote left open,
+        as the per-line loader does; in the header it refuses the file."""
+        assert_same_as_reference(
+            text, lambda path: load_vessel_meta(path, strict=strict),
+            lambda path: reference_load_vessel_meta(path, strict=strict))
+
     def test_bare_quote_in_an_unquoted_field_is_a_literal(self, tmp_path):
         """As csv.reader reads it: a '"' that does not open a field is a literal."""
         meta_path = write(tmp_path, "meta.csv", META_HEADER + (
