@@ -8,6 +8,7 @@ bands that ``document.classify_flow_density`` classifies by.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +43,14 @@ def _exponent(values: np.ndarray) -> int:
     return int(np.frexp(np.abs(values).max())[1])
 
 
+def _cluster_counts(ks) -> list[int]:
+    """The distinct counts in ks, ascending; a bool, float, str or other non-integer fails."""
+    ks = list(ks)
+    if bad := [k for k in ks if isinstance(k, bool) or not isinstance(k, Integral)]:
+        raise DomainError(f"cluster counts must be integers, not {type(bad[0]).__name__}")
+    return sorted(set(map(int, ks)))
+
+
 def _optimal_splits(pts: np.ndarray, k_max: int):
     """Exact 1-D k-means for every K <= k_max by dynamic programming.
 
@@ -52,9 +61,15 @@ def _optimal_splits(pts: np.ndarray, k_max: int):
     Ckmeans.1d.dp), so equal values are never split.  Returns y, their
     counts, e and each K's cluster starts, read back from one row per K >= 2
     giving, for each prefix of j values, where the last of its K optimal
-    clusters starts.  Those starts are monotone in j, so a leftmost-argmin
-    divide and conquer fills each row in O(n log n) (Gronlund et al. 2017,
-    arXiv:1701.07204).
+    clusters starts.  The leftmost such start never falls as j grows
+    (Gronlund et al. 2017, arXiv:1701.07204) nor as K grows (Yao 1980,
+    "Efficient dynamic programming using quadrangle inequalities"), so row K
+    solves j = m first, then j = K-1 + s times each odd number as the stride
+    s halves from 2**ceil(log2 m) to 1: each j searches from row K-1's start
+    at j, and its solved neighbours j-s and j+s bound it, in O(m log m) per
+    row.  Both rows' starts are non-decreasing in j by construction, so that
+    lower bound never passes the upper one, whatever the rounding.  Nothing
+    reads row k_max back but at m, so it solves only m.
     """
     if not np.isfinite(pts).all():
         raise DomainError("points must be finite")
@@ -71,28 +86,28 @@ def _optimal_splits(pts: np.ndarray, k_max: int):
         s = s1[j] - s1[i]
         return s2[j] - s2[i] - s * s / (w[j] - w[i])
 
+    def solve(j, lo, hi):  # leftmost argmin over [lo, hi] for each j, at or past row K-1's
+        lo = np.maximum(lo, bound[j])
+        span = hi - lo + 1
+        start = np.cumsum(span) - span
+        i = np.arange(span.sum()) + np.repeat(lo - start, span)
+        total = prev[i] + cost(i, np.repeat(j, span))
+        best[j] = np.minimum.reduceat(total, start)
+        hits = np.flatnonzero(total == np.repeat(best[j], span))
+        split[j] = i[hits[np.searchsorted(hits, start)]]
+
     best = np.full(m + 1, np.inf)
     best[1:] = cost(0, np.arange(1, m + 1))
-    table = []
+    split, table = np.zeros(m + 1, dtype=int), []  # row 1: its one cluster starts at 0
     for k in range(2, k_max + 1):
         prev, best = best, np.full(m + 1, np.inf)
-        split = np.zeros(m + 1, dtype=int)
-        # Each level fills the middle j of every range [lo, hi] whose split
-        # is known to lie in [first, last], then halves the ranges.
-        lo, hi, first, last = (np.array([v]) for v in (k, m, k - 1, m - 1))
-        while lo.size:
-            mid = (lo + hi) // 2
-            span = np.minimum(last, mid - 1) - first + 1
-            start = np.cumsum(span) - span
-            i = np.arange(span.sum()) + np.repeat(first - start, span)
-            total = prev[i] + cost(i, np.repeat(mid, span))
-            best[mid] = np.minimum.reduceat(total, start)
-            hits = np.flatnonzero(total == np.repeat(best[mid], span))
-            split[mid] = arg = i[hits[np.searchsorted(hits, start)]]
-            left, right = lo < mid, mid < hi
-            lo, hi, first, last = (np.concatenate(pair) for pair in (
-                (lo[left], mid[right] + 1), (mid[left] - 1, hi[right]),
-                (first[left], arg[right]), (arg[left], last[right])))
+        bound, split = split, np.full(m + 1, k - 1)  # split[k - 1] = k - 1 bounds j = k
+        solve(np.array([m]), k - 1, m - 1)
+        s = 1 << (m - 1).bit_length()
+        while k < k_max and s:  # j = k - 1 + s * odd sits between two solved neighbours
+            j = np.arange(k - 1 + s, m, 2 * s)
+            solve(j, split[j - s], np.minimum(split[np.minimum(j + s, m)], j - 1))
+            s //= 2
         table.append(split)
     starts = {}
     for k in range(1, k_max + 1):
@@ -148,6 +163,7 @@ def kmeans(points: Sequence[float], k: int, seed: int = 0) -> ClusterModel:
     compatibility and ignored.
     """
     pts = np.asarray(points, dtype=float)
+    (k,) = _cluster_counts([k])
     if k < 1:
         raise DomainError("k must be >= 1")
     if pts.size < k:
@@ -217,7 +233,7 @@ def select_k(points: Sequence[float], k_range: Sequence[int], seed: int = 0) -> 
     from the same pass.  ``seed`` is accepted for compatibility and ignored.
     """
     pts = np.asarray(points, dtype=float)
-    ks = sorted(set(int(k) for k in k_range))
+    ks = _cluster_counts(k_range)
     if not ks or ks[0] < 2 or ks[-1] > pts.size - 1:
         raise DomainError(f"k_range must lie within [2, {pts.size - 1}]")
     y, counts, e, starts = _optimal_splits(pts, ks[-1])

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -10,6 +12,7 @@ from fairway.traffic_state import (
     ClusterModel,
     StateBands,
     TrafficState,
+    _optimal_splits,
     assign_points,
     bands_from_clusters,
     classify_flow_density,
@@ -19,6 +22,7 @@ from fairway.traffic_state import (
     silhouette,
 )
 
+import reference_kmeans
 from reference_data import STATE_BOUNDARIES
 
 BANDS = StateBands(boundaries=STATE_BOUNDARIES)
@@ -85,6 +89,46 @@ def reference_silhouette(points, assignments):
         )
     scores = np.where(n_own == 1, 0.0, scores)
     return float(scores.mean())
+
+
+def spaced(rng, step):
+    """Equally spaced values, each repeated the same or a random number of times."""
+    values = np.arange(int(rng.integers(1, 50)) + 1) * step
+    return np.repeat(values, rng.integers(1, 4, values.size if rng.random() < 0.5 else 1))
+
+
+def exact_objective(points, starts):
+    """Within-cluster sum of squares of the runs of sorted distinct points from starts, exactly."""
+    values = [Fraction(v) for v in points]
+    distinct = sorted(set(values))
+    edges = [distinct[i] for i in starts[1:]]
+    total = Fraction(0)
+    for c in range(len(starts)):
+        run = [v for v in values if bisect_right(edges, v) == c]
+        mean = sum(run) / len(run)
+        total += sum((v - mean) ** 2 for v in run)
+    return total
+
+
+DP_KINDS = ("few integers", "equally spaced", "tight clusters", "near the float limit")
+
+
+def dp_input(kind, seed):
+    """Points that stress the DP's tie-breaking and its rounding, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 150))
+    if kind == "few integers":  # many duplicates of each value
+        return rng.integers(0, rng.integers(2, 12), n).astype(float)
+    if kind == "equally spaced":  # splits one step apart often cost exactly the same
+        return spaced(rng, rng.choice([1.0, 0.5, 3.0, 2.0 ** -20]))
+    scale = rng.uniform(1, 100)
+    modes = rng.uniform(0, scale, int(rng.integers(1, 9)))
+    if kind == "tight clusters":  # spreads down to 1e-5 of the scale
+        return rng.choice(modes, n) + rng.normal(0, scale * 10 ** rng.uniform(-5, -1), n)
+    pts = rng.choice(modes, n) + rng.normal(0, rng.uniform(0.01, 3), n)
+    # Exact power-of-two scaling: the largest magnitude lands near 1.8e308 or among subnormals.
+    top = int(rng.choice([1024, -1000, -1060]))
+    return np.ldexp(pts, top - int(np.frexp(np.abs(pts).max())[1]))
 
 
 class TestKmeans:
@@ -181,6 +225,51 @@ class TestKmeans:
             select_k(pts, [2])
         with pytest.raises(DomainError):
             silhouette(pts, [0, 0, 1, 1, 1])
+
+    @pytest.mark.parametrize("fit, count", [
+        (kmeans, 2.5), (kmeans, True), (select_k, [2.9, 3.7]), (select_k, ["2", "3"])])
+    def test_cluster_count_that_is_not_an_integer_is_refused(self, fit, count):
+        with pytest.raises(DomainError, match="must be integers"):
+            fit([1.0, 2.0, 3.0, 10.0, 11.0, 12.0], count)
+
+    def test_numpy_integer_cluster_counts_are_accepted(self):
+        pts = [1.0, 2.0, 3.0, 10.0, 11.0, 12.0]
+        assert kmeans(pts, np.int64(2)) == kmeans(pts, 2)
+        assert select_k(pts, np.arange(2, 4)) == select_k(pts, [2, 3])
+
+    @given(st.sampled_from(DP_KINDS), st.integers(0, 2**32 - 1), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_same_partitions_as_the_frozen_dp(self, kind, seed, k_max):
+        """Every K's starts, models and silhouettes are the range-partition DP's, bit for bit."""
+        pts = dp_input(kind, seed)
+        k_max = min(k_max, np.unique(pts).size)
+        ours = _optimal_splits(pts, k_max)[3]
+        theirs = reference_kmeans.optimal_splits(pts, k_max)[3]
+        for k in range(1, k_max + 1):
+            assert ours[k].tolist() == theirs[k].tolist()
+            assert kmeans(pts, k) == reference_kmeans.kmeans(pts, k)
+        if 2 <= k_max < pts.size:
+            ks = range(2, k_max + 1)
+            assert select_k(pts, ks) == reference_kmeans.select_k(pts, ks)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    @example(37, 7)  # 0, 0.1, ..., 0.8 three times each: at K = 7 the frozen DP pairs 0.4
+    # with 0.5, this one 0.3 with 0.4
+    def test_decimal_spacing_departs_from_the_frozen_dp_only_to_exact_ties(self, seed, k_max):
+        """Steps of 0.1 give partitions that tie exactly but whose rounded costs may not.
+
+        Row K-1 may then start its last cluster one value later than a split
+        that row K finds tied with it, and row K's bound skips that split: the
+        starts differ from the frozen DP's, and both partitions are optimal.
+        """
+        pts = spaced(np.random.default_rng(seed), 0.1)
+        k_max = min(k_max, np.unique(pts).size)
+        ours = _optimal_splits(pts, k_max)[3]
+        theirs = reference_kmeans.optimal_splits(pts, k_max)[3]
+        for k in range(1, k_max + 1):
+            if ours[k].tolist() != theirs[k].tolist():
+                assert exact_objective(pts, ours[k]) == exact_objective(pts, theirs[k])
 
 
 class TestSilhouette:
