@@ -13,6 +13,9 @@ to the shape of its non-free branch, one of three:
 plus the closed forms of k_max (where v falls to v_min) and of the
 unconstrained argmax of k*v(k).  Branches are evaluated and fitted through
 the regression family, with the signs mapping (c1, c2) to (a, b).
+``fit_fd`` fits a form in one loop over its splits and reads a FlowSample
+list, like a FlowSamples batch, as a density and a speed column;
+``estimate_breakpoint`` is the k1 it picks.
 Characteristic parameters are derived under a minimum-speed constraint:
 the maximum density k_max is where speed falls to v_min, and the
 throughput optimum is taken over (0, k_max] (closed-form interior optimum
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +40,7 @@ from .errors import (
     NoFeasibleDensityError,
 )
 # fit_curve is unused here; perfbench/tracer.py wraps this module's attribute.
-from .regression import _columns, _family, _fit_r_squared, _line, fit_curve, predict
+from .regression import _family, _fit_r_squared, _line, fit_curve, predict
 from .trajectory import FlowSample, FlowSamples
 
 
@@ -121,30 +125,49 @@ def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams
     )
 
 
-@np.errstate(all="ignore")  # a candidate whose fit or error sum is not finite is skipped
-def _fit_splits(form: str, samples, v_f, k1, candidates) -> tuple:
-    """(k1, c1, c2, v, speeds) of the best split, each split fitted once.
+@np.errstate(all="ignore")  # a scanned split whose fit or error sum is not finite is skipped
+def fit_fd(
+    form: str,
+    samples: FlowSamples | Sequence[FlowSample],
+    v_f: Optional[float] = None,
+    k1: Optional[float] = None,
+    k1_candidates: Optional[Sequence[float]] = None,
+) -> tuple[FdModel, FitReport]:
+    """Fit one model form to (density, mean_speed) samples in one loop over its splits.
 
-    The splits are none for a classical form, the given k1, or else each
-    sorted candidate.  Each split's branch line gives v over all samples and
-    the squared speed error in km/h.  A given split raises its own error; the
-    candidate scan skips such splits and those whose error is not finite.
+    The splits are none for a classical form, the given k1, or each sorted
+    k1_candidates value; a piecewise split holds v_f up to it and fits the
+    branch beyond it.  A given split raises its own error; the scan skips
+    failing splits and non-finite squared speed errors and keeps the first
+    least error's fit, not refitted.  A given v_f or k1 that is not finite
+    and positive is refused before any fit.  Every form reports family=form,
+    a=c1, b=c2 and R^2 = 1 - SSE/SST of the speeds in km/h over all samples.
     """
+    if form not in ALL_FORMS:
+        raise DomainError(f"unknown model form {form!r}")
+    for name, value in (("v_f", v_f), ("k1", k1)):
+        if value is not None and not _finite_positive(value):
+            raise DomainError(f"{form} needs a finite positive {name}, got {value!r}")
+    if len(samples) < 3:
+        raise InsufficientDataError("fitting needs at least 3 samples")
     scan = form in PIECEWISE_FORMS and k1 is None
-    if form in PIECEWISE_FORMS and not _finite_positive(v_f):
-        raise DomainError(f"piecewise fitting requires a finite v_f > 0, got {v_f}")
-    if scan and (candidates is None or not len(candidates)
-                 or not all(map(_finite_positive, candidates))):
+    if form in CLASSICAL_FORMS:
+        v_f = k1 = None
+    elif v_f is None:
+        raise DomainError("piecewise fitting requires a finite v_f > 0, got None")
+    elif scan and (k1_candidates is None or not len(k1_candidates)
+                   or not all(map(_finite_positive, k1_candidates))):
         raise DomainError("piecewise fitting needs k1 or non-empty, finite and positive candidates")
     if isinstance(samples, FlowSamples):
         ks, vs = np.asarray(samples.density, dtype=float), np.asarray(samples.mean_speed, dtype=float)
     else:
-        ks, vs = _columns([(s.density, s.mean_speed) for s in samples])
+        ks, vs = (np.fromiter(map(attrgetter(name), samples), float, len(samples))
+                  for name in ("density", "mean_speed"))
     shape = _FORM_SHAPE[form]
     spec = _family(shape.family)
     fx, fy = spec.transform(ks, vs)
     best = None
-    for split in sorted(map(float, candidates)) if scan else (k1,):
+    for split in sorted(map(float, k1_candidates)) if scan else (k1,):
         beyond = slice(None) if split is None else ks > split
         bx, by = fx[beyond], fy[beyond]
         try:
@@ -173,38 +196,10 @@ def _fit_splits(form: str, samples, v_f, k1, candidates) -> tuple:
             "no candidate leaves at least 2 samples in the non-free branch "
             "with a fit whose squared error is finite"
         )
-    return (*best[1:], vs)
-
-
-def fit_fd(
-    form: str,
-    samples: FlowSamples | Sequence[FlowSample],
-    v_f: Optional[float] = None,
-    k1: Optional[float] = None,
-    k1_candidates: Optional[Sequence[float]] = None,
-) -> tuple[FdModel, FitReport]:
-    """Fit one model form to (density, mean_speed) samples.
-
-    Classical forms fit one line to all samples.  Piecewise forms fix the
-    free branch at v_f and fit the branch to the samples beyond k1: the given
-    one, or the winner of one scan of k1_candidates, kept rather than
-    refitted.  A given v_f or k1 that is not finite and positive is refused
-    before any fit.  Every form reports family=form, a=c1, b=c2 and
-    R^2 = 1 - SSE/SST of the speeds in km/h over all samples.
-    """
-    if form not in ALL_FORMS:
-        raise DomainError(f"unknown model form {form!r}")
-    for name, value in (("v_f", v_f), ("k1", k1)):
-        if value is not None and not _finite_positive(value):
-            raise DomainError(f"{form} needs a finite positive {name}, got {value!r}")
-    if len(samples) < 3:
-        raise InsufficientDataError("fitting needs at least 3 samples")
-    if form in CLASSICAL_FORMS:
-        v_f = k1 = None
-    k1, c1, c2, v, vs = _fit_splits(form, samples, v_f, k1, k1_candidates)
-    model = FdModel(form=form, c1=c1, c2=c2, v_f=v_f, k1=k1)
+    _, k1, c1, c2, v = best
     r2 = _fit_r_squared(vs, v)
-    return model, FitReport(family=form, a=c1, b=c2, r_squared=r2, n_points=len(vs))
+    return (FdModel(form=form, c1=c1, c2=c2, v_f=v_f, k1=k1),
+            FitReport(family=form, a=c1, b=c2, r_squared=r2, n_points=len(vs)))
 
 
 def estimate_breakpoint(
@@ -213,18 +208,10 @@ def estimate_breakpoint(
     candidates: Sequence[float],
     form: str = "piecewise_exp",
 ) -> float:
-    """Pick the breakpoint minimizing total squared error of the piecewise fit.
-
-    The scan ``fit_fd`` runs without a k1: each candidate is scored as a flat
-    v_f up to it plus the branch fitted once beyond it, over all samples at
-    once, in O(n) array work.  Ties go to the smaller candidate.  Candidates
-    leaving fewer than 2 samples in the branch, whose branch fit is
-    degenerate or out of domain, or whose squared error is not finite, are
-    skipped; InsufficientDataError when none is left.
-    """
+    """The k1 ``fit_fd`` picks from the candidates, or its error (fewer than 3 samples, say)."""
     if form not in PIECEWISE_FORMS:
         raise DomainError(f"estimate_breakpoint needs a piecewise form, got {form!r}")
-    return _fit_splits(form, samples, v_f, None, candidates)[0]
+    return fit_fd(form, samples, v_f=v_f, k1_candidates=candidates)[0].k1
 
 
 @np.errstate(all="ignore")  # EconomicSpeed rejects a result that overflows

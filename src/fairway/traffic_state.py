@@ -157,10 +157,12 @@ def _run_silhouette(y: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> fl
 
 
 def kmeans(points: Sequence[float], k: int, seed: int = 0) -> ClusterModel:
-    """Globally optimal k-means clustering of 1-D values.
+    """Globally optimal k-means clustering of 1-D values, up to rounding.
 
-    The result is exact and deterministic; ``seed`` is accepted for
-    compatibility and ignored.
+    The result is deterministic; ``seed`` is accepted for compatibility and
+    ignored.  The DP's costs are differences of prefix sums, which cancel
+    for clusters tighter than about 1e-7 of the data's range: there the
+    partition can be worse than optimal (README "Limits").
     """
     pts = np.asarray(points, dtype=float)
     (k,) = _cluster_counts([k])
@@ -230,7 +232,8 @@ def select_k(points: Sequence[float], k_range: Sequence[int], seed: int = 0) -> 
     One dynamic-programming pass up to the largest K gives the optimal
     clustering for every K, as runs of the m sorted distinct values; each
     K's silhouette is read from its runs in O(m), and the selected K's model
-    from the same pass.  ``seed`` is accepted for compatibility and ignored.
+    from the same pass, with ``kmeans``' limit for very tight clusters.
+    ``seed`` is accepted for compatibility and ignored.
     """
     pts = np.asarray(points, dtype=float)
     ks = _cluster_counts(k_range)

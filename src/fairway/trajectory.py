@@ -90,14 +90,15 @@ class FleetRun:
 
 @np.errstate(all="ignore")
 def _check_flow(density, mean_speed, flow) -> None:
-    """Finite density > 0, mean_speed >= 0, flow = density * mean_speed; scalars or a batch."""
+    """Finite density > 0 and speed >= 0 whose finite product is the flow; scalars or a batch."""
     k, v, q = (np.asarray(a, dtype=float) for a in (density, mean_speed, flow))
-    for rule, ok, got in (("density must be finite and positive", (k > 0) & (k < math.inf), k),
-                          ("mean_speed must be finite and >= 0", (v >= 0) & (v < math.inf), v),
-                          ("flow must equal density*speed",
+    for rule, ok, got in (("density must be finite and positive, got", (k > 0) & (k < math.inf), k),
+                          ("mean_speed must be finite and >= 0, got", (v >= 0) & (v < math.inf), v),
+                          ("density*speed overflows at density", k * v < math.inf, k),
+                          ("flow must equal density*speed, got",
                            np.abs(q - k * v) <= 1e-9 * np.maximum(1.0, np.abs(k * v)), q)):
         if not np.all(ok):
-            raise DomainError(f"{rule}, got {got[~ok].flat[0]}")
+            raise DomainError(f"{rule} {got[~ok].flat[0]}")
 
 
 @dataclass(frozen=True)

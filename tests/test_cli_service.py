@@ -249,6 +249,14 @@ class TestFitFd:
         assert code == cli.EXIT_DATA
         assert "overflows" in capsys.readouterr().err
 
+    def test_flow_that_overflows_is_blamed_on_density_times_speed(self, tmp_path, capsys):
+        """The command computes each flow itself, so a flow past the float range is an overflow."""
+        path = write_csv(tmp_path / "kv.csv", ["density_vpkm", "speed_kmh"],
+                         [(1, 10.5), (1e200, 1e200), (5, 7), (8, 5)])
+        code = cli.main(["fit", "fd", "--form", "greenshields", "--raw", "--input", path])
+        assert code == cli.EXIT_DATA
+        assert capsys.readouterr().err == "error: density*speed overflows at density 1e+200\n"
+
     @pytest.mark.parametrize("form", ALL_FORMS)
     def test_density_whose_square_overflows_exits_with_data_error(self, tmp_path, capsys, form):
         """A density near 1.4e154 bins, but the line fit's x-variance overflows: no warning."""

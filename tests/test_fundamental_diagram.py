@@ -39,6 +39,7 @@ from reference_data import (
 )
 
 K_GRID = [0.5 + 0.5 * i for i in range(20)]  # 0.5 .. 10.0
+NOT_FINITE_POSITIVE = (math.nan, math.inf, -math.inf, 0.0, -1.0)
 
 
 def make_model(form, c1, c2):
@@ -522,8 +523,64 @@ class TestEstimateBreakpoint:
     @pytest.mark.parametrize("v_f", [math.nan, math.inf])
     def test_non_finite_v_f_rejected(self, v_f):
         truth = FdModel("piecewise_exp", 13.62, 0.115, v_f=10.5, k1=4.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"finite positive v_f, got {v_f!r}"):
             estimate_breakpoint(samples_from(truth, K_GRID), v_f, [3.0, 4.0])
+
+    @given(seed=st.integers(0, 2**32 - 1), form=st.sampled_from(PIECEWISE), batch=st.booleans(),
+           n=st.integers(0, 40), n_candidates=st.integers(0, 12),
+           bad=st.sampled_from((None,) + NOT_FINITE_POSITIVE),
+           v_f=st.sampled_from(("generator", None, 1e308) + NOT_FINITE_POSITIVE))
+    @example(seed=0, form="piecewise_exp", batch=True, n=2, n_candidates=3, bad=math.nan,
+             v_f="generator")  # fewer than 3 samples and a bad candidate
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_k1_fit_fd_picks(self, seed, form, batch, n, n_candidates, bad, v_f):
+        """The breakpoint of a batch or a FlowSample list is fit_fd's k1, or the same error."""
+        rng = np.random.default_rng(seed)
+        c1, c2 = random_branch(rng, form)
+        true_k1 = rng.uniform(1.0, 5.0)
+        branch_at_k1 = reference_speed(form, c1, c2, 0.0, 0.0, true_k1)
+        true_v_f = max(branch_at_k1, 1.0) * rng.uniform(1.0, 1.3)
+        ks = np.sort(rng.uniform(0.2, 12.0, n))
+        vs = np.clip(reference_speed(form, c1, c2, true_v_f, true_k1, ks)
+                     + rng.normal(0.0, rng.uniform(0.05, 1.0), n), 0.05, None)
+        if batch:
+            samples = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)
+        else:
+            samples = [FlowSample.from_density_speed(k, v) for k, v in zip(ks.tolist(), vs.tolist())]
+        candidates = [float(rng.choice(ks)) if n and rng.random() < 0.5
+                      else float(rng.uniform(0.1, 12.0)) for _ in range(n_candidates)]
+        if bad is not None and candidates:
+            candidates[rng.integers(len(candidates))] = bad
+        v_f = float(true_v_f) if v_f == "generator" else v_f
+        assert outcome(estimate_breakpoint, samples, v_f, candidates, form=form) == \
+            outcome(lambda: fit_fd(form, samples, v_f=v_f, k1_candidates=candidates)[0].k1)
+
+    def test_fewer_than_3_samples_are_refused_before_the_candidates(self):
+        """fit_fd's sample count comes first: the frozen scan returned 0.5 and refused nan."""
+        samples = [FlowSample.from_density_speed(1.0, 10.0), FlowSample.from_density_speed(2.0, 9.0)]
+        for candidates, frozen in (([0.5], "0.5"), ([math.nan], "DomainError")):
+            assert outcome(reference_fd.estimate_breakpoint, samples, 10.5, candidates,
+                           form="piecewise_linear") == frozen
+            with pytest.raises(InsufficientDataError, match="at least 3 samples"):
+                estimate_breakpoint(samples, 10.5, candidates, form="piecewise_linear")
+
+    @pytest.mark.parametrize("form, v_f, speeds, error", [
+        # Plateau speeds of 1e200 on an exact branch: the error sum is finite, the variance sum not.
+        ("piecewise_exp", 1e200, lambda k: np.where(k <= 1.5, 1e200, 13.62 * np.exp(-0.115 * k)),
+         DomainError),
+        # Speeds an ulp apart under a plateau of 1e150: SSE / SST passes the float range.
+        ("piecewise_linear", 1e150, lambda k: 1.0 - 2.0 ** -52 * k, DegenerateFitError),
+    ])
+    def test_winning_split_without_an_r_squared_is_an_error(self, form, v_f, speeds, error):
+        """The frozen scan returned the winner's k1 without computing its R^2."""
+        ks = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+        samples = [FlowSample.from_density_speed(k, v)
+                   for k, v in zip(ks.tolist(), speeds(ks).tolist())]
+        assert reference_fd.estimate_breakpoint(samples, v_f, [1.5], form=form) == 1.5
+        with pytest.raises(error):
+            estimate_breakpoint(samples, v_f, [1.5], form=form)
+        with pytest.raises(error):
+            fit_fd(form, samples, v_f=v_f, k1_candidates=[1.5])
 
     def test_never_evaluates_one_sample_at_a_time(self, monkeypatch):
         """Candidates are scored on whole columns, with no model fit or prediction call."""
@@ -595,9 +652,6 @@ class TestFlowSamplesBatch:
         batch = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)
         assert batch.t is None and len(batch) == len(K_GRID)
         assert fit_fd("greenshields", batch) == fit_fd("greenshields", samples_from(truth, K_GRID))
-
-
-NOT_FINITE_POSITIVE = (math.nan, math.inf, -math.inf, 0.0, -1.0)
 
 
 def outcome(fn, *args, **kwargs) -> str:

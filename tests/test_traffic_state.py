@@ -191,6 +191,21 @@ class TestKmeans:
         assert scaled.centers == pytest.approx([factor * c for c in base.centers], rel=1e-12)
         assert selected == pytest.approx(select_k(pts, range(2, 5)).silhouette_by_k, rel=1e-9)
 
+    @pytest.mark.parametrize("sigma, suboptimal", [(1e-9, True), (1e-5, False)])
+    def test_clusters_tighter_than_the_prefix_sums_resolve(self, sigma, suboptimal):
+        """The DP's costs are differences of prefix sums, which cancel inside very tight
+        clusters: with spreads of 1e-9 some partitions are worse than the plain DP's, and
+        with 1e-5 none of these are (README "Limits")."""
+        ratios = []
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, k = int(rng.integers(20, 61)), int(rng.integers(2, 7))
+            modes = rng.choice([3, 4.5, 6.5, 8.3, 10.5, 12], int(rng.integers(1, k)), replace=False)
+            pts = 10 * (rng.choice(modes, n) + rng.normal(0, sigma, n))
+            ratios.append(kmeans(pts, k).objective / reference_dp(pts, k))
+        assert (max(ratios) > 1.1) == suboptimal
+        assert min(ratios) > 1 - 1e-9
+
     def test_speeds_near_the_float_limit(self):
         speeds = np.random.default_rng(3).uniform(1e307, 1.75e308, 11)
         small = speeds * 2.0 ** -1000  # exact, so the same partition bit for bit
