@@ -250,12 +250,10 @@ def _cmd_fit_speed_gap(args) -> dict:
 
 
 def _cmd_fit_fd(args) -> dict:
-    import numpy as np
     from . import fundamental_diagram as fd, io_store, trajectory
     columns = io_store.read_columns(args.input, "density_vpkm", "speed_kmh")
     k, v = _points(args, *columns, DENSITY_BIN_VPKM).T
-    with np.errstate(over="ignore"):  # the batch rejects a flow that overflows
-        samples = trajectory.FlowSamples(density=k, mean_speed=v, flow=k * v)
+    samples = trajectory.FlowSamples(density=k, mean_speed=v)
     model, report = fd.fit_fd(args.form, samples, v_f=args.v_f, k1=args.k1)
     chars = fd.derive_characteristics(model, args.v_min)
 

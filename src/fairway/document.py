@@ -304,7 +304,7 @@ def save_model(doc: ModelDocument, path) -> None:
 
 def load_model(path) -> ModelDocument:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))  # a leading BOM is skipped
     except (ValueError, RecursionError) as exc:  # not UTF-8, 4,300-digit integers, deep nesting
         raise ParseError(f"{path}: malformed model document: {exc}") from exc
     if not isinstance(raw, dict):

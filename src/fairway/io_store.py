@@ -1,16 +1,16 @@
 """CSV reading and writing, and plot-ready curve export.
 
-All inputs are UTF-8 comma-separated files with a mandatory header row, and
-every row is one line.  Loaders never silently drop rows: every data row is
-accepted or recorded as a reject naming its physical line, blank lines counted
-(strict mode raises on the first reject).  A float cell must hold a finite
-number, an integer cell must fit in 64 bits, and a quoted field must close on
-its own line.  Each block of lines is read on its own: by one np.loadtxt call
-when its lines are printable ASCII without '"' and that yields the same values
-with no reject, else by csv.reader line by line and a per-cell cast that names
-each reject.  ``write_rows`` is the one CSV writer: csv quotes the key cells,
-and each value is written as its repr.  Model documents are read and written by
-``document``; ``load_model`` and the other document functions import from here too.
+All inputs are UTF-8 comma-separated files (a leading byte-order mark is skipped)
+with a mandatory header row, and every row is one line.  Loaders never silently
+drop rows: every data row is accepted or recorded as a reject naming its physical
+line, blank lines counted (strict mode raises on the first reject).  A float cell
+must hold a finite number, an integer cell must fit in 64 bits, and a quoted field
+must close on its own line.  Each block of lines is read on its own: by one
+np.loadtxt call when its lines are printable ASCII without '"' and that yields the
+same values with no reject, else by csv.reader line by line and a per-cell cast
+that names each reject.  ``write_rows`` is the one CSV writer: csv quotes the key
+cells, and each value is written as its repr.  Model documents are read and written
+by ``document``; ``load_model`` and the other document functions import from here too.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def _read_columns(path, required: Sequence[str], casts: Sequence) -> tuple:
     A short row reads "" for the cells it lacks; a repeated column name, its last one.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             if not (first := handle.readline()):
                 raise ParseError(f"{path}: empty file, header row required")
             try:

@@ -19,6 +19,7 @@ import socketserver
 import time
 from http import HTTPStatus
 from urllib.parse import unquote, urlparse
+from wsgiref.handlers import format_date_time
 
 from .document import (ModelDocument, StateBands, TrafficState, brief, classify_flow_density,
                        document_to_dict, json_text)
@@ -28,8 +29,6 @@ IDLE_TIMEOUT_S = 30.0  # a connection with no request for this long is closed
 MAX_LINE = 65536  # bytes in the request line or in one header line
 MAX_HEADERS = 100
 _REQUEST_LINE = re.compile(r"\s*(\S+)\s+(\S+)\s+HTTP/(\d{1,10})\.(\d{1,10})\s*", re.ASCII)
-_DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
-_MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 _to_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 _HEADS = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\nContent-Type: application/json\r\n"
                    f"Content-Length: ".encode() for s in HTTPStatus}
@@ -41,10 +40,7 @@ _STATE_TAILS = {s: b"," + _to_json({"state": s.value, "color": s.color})[1:].enc
 @functools.lru_cache(maxsize=1)  # one date a second, whatever the request rate
 def _date_line(second: int) -> bytes:
     """The Date header line of ``second``: an IMF-fixdate (RFC 9110 §5.6.7), in any locale."""
-    t = time.gmtime(second)
-    text = (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year} "
-            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
-    return f"Date: {text}\r\n".encode()
+    return f"Date: {format_date_time(second)}\r\n".encode()
 
 
 def _frame(status: int, body, close: bool = True, head_only: bool = False) -> bytes:

@@ -12,7 +12,7 @@ boundary (exact factors 3.6 and 1000).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial, reduce
 from operator import add
 from typing import NamedTuple, Optional, Sequence
@@ -89,50 +89,50 @@ class FleetRun:
 
 
 @np.errstate(all="ignore")
-def _check_flow(density, mean_speed, flow) -> None:
-    """Finite density > 0 and speed >= 0 whose finite product is the flow; scalars or a batch."""
-    k, v, q = (np.asarray(a, dtype=float) for a in (density, mean_speed, flow))
+def _check_flow(density, mean_speed) -> None:
+    """Finite density > 0 and speed >= 0 whose product is finite; scalars or a batch."""
+    k, v = np.asarray(density, dtype=float), np.asarray(mean_speed, dtype=float)
     for rule, ok, got in (("density must be finite and positive, got", (k > 0) & (k < math.inf), k),
                           ("mean_speed must be finite and >= 0, got", (v >= 0) & (v < math.inf), v),
-                          ("density*speed overflows at density", k * v < math.inf, k),
-                          ("flow must equal density*speed, got",
-                           np.abs(q - k * v) <= 1e-9 * np.maximum(1.0, np.abs(k * v)), q)):
+                          ("density*speed overflows at density", k * v < math.inf, k)):
         if not np.all(ok):
             raise DomainError(f"{rule} {got[~ok].flat[0]}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FlowSample:
-    """One macroscopic observation; flow must equal density * mean_speed."""
+    """One macroscopic observation; its flow is density * mean_speed, never an input."""
 
     density: float  # vessels/km
     mean_speed: float  # km/h
-    flow: float  # vessels/h
+    flow: float = field(init=False)  # vessels/h
     t: Optional[int] = None  # absent for surveillance intervals
 
     def __post_init__(self):
-        _check_flow(self.density, self.mean_speed, self.flow)
+        _check_flow(self.density, self.mean_speed)
+        object.__setattr__(self, "flow", self.density * self.mean_speed)
 
     @classmethod
     def from_density_speed(cls, density, mean_speed, t=None):
-        return cls(density=density, mean_speed=mean_speed, flow=density * mean_speed, t=t)
+        return cls(density=density, mean_speed=mean_speed, t=t)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class FlowSamples:
-    """Flow samples as columns, such as one run's, checked as one batch.
+    """Flow samples as columns, such as one run's, checked as one batch; flow is density * speed.
 
     ``stationary`` counts the timestamps left out because a vessel stood still.
     """
 
     density: np.ndarray  # vessels/km
     mean_speed: np.ndarray  # km/h
-    flow: np.ndarray  # vessels/h
+    flow: np.ndarray = field(init=False)  # vessels/h
     t: Optional[np.ndarray] = None  # s; None for samples without timestamps, as in fit fd
     stationary: int = 0
 
     def __post_init__(self):
-        _check_flow(self.density, self.mean_speed, self.flow)
+        _check_flow(self.density, self.mean_speed)
+        object.__setattr__(self, "flow", np.multiply(self.density, self.mean_speed))
 
     def __len__(self) -> int:
         return len(self.density)
@@ -215,18 +215,19 @@ def derive_gap(leader: VesselTrack, follower: VesselTrack) -> GapSamples:
     return GapSamples(t=t, gap_m=_require_finite("gap overflows", t, gap), overlap_flagged=gap <= 0)
 
 
-@np.errstate(divide="ignore", over="ignore")
+@np.errstate(all="ignore")
 def harmonic_mean_speed(speeds):
-    """Space-mean speed n / sum(1/v_i) over axis 0 (per column of vessels x times)."""
+    """Space-mean speed n / sum(1/v_i) of finite v_i > 0, over axis 0 (vessels x times)."""
     v = np.asarray(speeds, dtype=float)
     if not len(v):
         raise DomainError("harmonic mean of an empty list is undefined")
-    if np.any(v <= 0):
-        raise DomainError("harmonic mean undefined for non-positive speeds")
-    return len(v) / reduce(add, 1.0 / v)  # row by row, left to right, as sum() adds
+    mean = len(v) / reduce(add, 1.0 / v)  # row by row, left to right, as sum() adds
+    if not np.all((v > 0) & (v < math.inf)) or not np.all((mean > 0) & (mean < math.inf)):
+        raise DomainError("harmonic mean undefined: speeds and their mean must be finite and > 0")
+    return mean
 
 
-@np.errstate(divide="ignore", over="ignore")
+@np.errstate(all="ignore")
 def fleet_density(gaps, follower_lengths):
     """Vessels per km occupied by m followers: m / (sum of gap+length, in km), over axis 0."""
     g, lengths = np.asarray(gaps, dtype=float), np.asarray(follower_lengths, dtype=float)
@@ -234,18 +235,19 @@ def fleet_density(gaps, follower_lengths):
         raise DomainError("gaps and follower_lengths must be equal-length and non-empty")
     if np.any(lengths <= 0):
         raise DomainError("vessel lengths must be positive")
-    return len(g) / (reduce(add, g + lengths.reshape((-1,) + (1,) * (g.ndim - 1))) / M_PER_KM)
+    density = len(g) / (reduce(add, g + lengths.reshape((-1,) + (1,) * (g.ndim - 1))) / M_PER_KM)
+    if not np.all((density != 0) & (np.abs(density) < math.inf)):  # any non-finite term is caught
+        raise DomainError("density undefined: the occupied length must be finite and non-zero")
+    return density
 
 
-def fleet_flow_samples(run: FleetRun, speeds=None, gaps=None) -> FlowSamples:
+def fleet_flow_samples(run: FleetRun, speeds, gaps) -> FlowSamples:
     """Per-timestamp (density, space-mean speed, flow) for a fleet run.
 
-    Timestamps where any member speed or gap is unavailable are skipped, and
-    so are those where a vessel stood still.  ``speeds`` and ``gaps`` (the
-    run's speed_series per track, derive_gap per pair) are derived unless given.
+    ``speeds`` and ``gaps`` are the run's series already derived: speed_series per
+    track and derive_gap per leader/follower pair.  Timestamps where any member
+    speed or gap is unavailable are skipped, and so are those where a vessel stood still.
     """
-    speeds = speeds or [speed_series(tr) for tr in run.tracks]
-    gaps = gaps or [derive_gap(a, b) for a, b in zip(run.tracks, run.tracks[1:])]
     series = list(speeds) + [(g.t, g.gap_m) for g in gaps]
     common = reduce(partial(np.intersect1d, assume_unique=True), [t for t, _ in series])
     at_common = [values[np.searchsorted(t, common)] for t, values in series]
@@ -254,14 +256,14 @@ def fleet_flow_samples(run: FleetRun, speeds=None, gaps=None) -> FlowSamples:
     moving = np.all(v > 0, axis=0)
     v_bar = harmonic_mean_speed(v[:, moving])
     k = fleet_density(g[:, moving], [tr.meta.length for tr in run.tracks[1:]])
-    return FlowSamples(t=common[moving], density=k, mean_speed=v_bar, flow=k * v_bar,
+    return FlowSamples(t=common[moving], density=k, mean_speed=v_bar,
                        stationary=int(np.count_nonzero(~moving)))
 
 
 def density_from_flow_speed(flow: float, speed: float) -> float:
-    """k = q / v (vessels/km); undefined for non-positive speed."""
-    if speed <= 0:
-        raise DomainError(f"density undefined for speed {speed} <= 0")
+    """k = q / v (vessels/km) for a finite flow >= 0 and a finite speed > 0; k must be finite."""
+    if not (0 <= flow < math.inf and 0 < speed < math.inf and flow / speed < math.inf):
+        raise DomainError(f"density undefined for flow {flow} and speed {speed}")
     return flow / speed
 
 

@@ -71,7 +71,7 @@ def fit_fd(
     elif k1 is None:
         if not k1_candidates:
             raise DomainError("piecewise fitting requires k1 or k1_candidates")
-        batch = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)  # converted once
+        batch = FlowSamples(density=ks, mean_speed=vs)  # converted once
         k1 = estimate_breakpoint(batch, v_f, k1_candidates, form=form)
     fx, fy = _family(_FORM_SHAPE[form].family).transform(ks, vs)
     c1, c2 = _fit_branch(form, fx, fy, slice(None) if k1 is None else ks > k1)

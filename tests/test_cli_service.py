@@ -27,8 +27,8 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairway import cli, service
-from fairway.errors import FairwayError
+from fairway import cli, fundamental_diagram as fd, regression, service, traffic_state, trajectory
+from fairway.errors import DegenerateFitError, DomainError, FairwayError
 from fairway.fundamental_diagram import ALL_FORMS, FdModel, derive_characteristics, speed_at_density
 from fairway.io_store import (
     ModelDocument,
@@ -39,7 +39,8 @@ from fairway.io_store import (
 )
 from fairway.regression import FitReport
 from fairway.service import make_server
-from fairway.traffic_state import StateBands
+from fairway.traffic_state import ClusterModel, StateBands
+from fairway.trajectory import FlowSamples
 
 from reference_data import STATE_BOUNDARIES, V_MIN
 from reference_service import reference_respond
@@ -826,6 +827,59 @@ class TestEmitCurve:
         assert result.returncode == cli.EXIT_DATA, result.stderr
         assert "finite" in result.stderr
         assert not out.exists()
+
+
+def emit_curve_of_bands(tmp_path) -> int:
+    model_path = tmp_path / "bands.json"
+    save_model(ModelDocument(bands=StateBands(boundaries=STATE_BOUNDARIES)), model_path)
+    return cli.main(["emit", "curve", "--model", str(model_path), "--k-min", "1",
+                     "--k-max", "2", "--step", "1", "--out", str(tmp_path / "curve.csv")])
+
+
+FLOW_BATCH = FlowSamples(density=np.array([1.0, 5.0, 8.0]), mean_speed=np.array([10.5, 7.0, 5.0]))
+
+
+# Guards that no other test reaches: each call and the error class it raises, or for the
+# command, its exit code.
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(emit_curve_of_bands, cli.EXIT_DATA, id="emit curve of a bands-only document"),
+    pytest.param(lambda _: fd.fit_fd("cubic", FLOW_BATCH), DomainError, id="fit_fd unknown form"),
+    pytest.param(lambda _: fd.estimate_breakpoint(FLOW_BATCH, 10.5, [4.0], form="greenshields"),
+                 DomainError, id="estimate_breakpoint classical form"),
+    pytest.param(lambda _: fd.recommend_minimums([], [10.0]), DomainError,
+                 id="recommend_minimums empty"),
+    pytest.param(lambda _: regression.predict("cubic", 1.0, 1.0, 2.0), DomainError,
+                 id="predict unknown family"),
+    pytest.param(lambda _: regression.bin_points([(1.0, 2.0)], 0.0), DomainError,
+                 id="bin_points width 0"),
+    pytest.param(lambda _: regression.r_squared([1.0, 2.0], [1.0, 2.0, 3.0]), DomainError,
+                 id="r_squared unequal lengths"),
+    pytest.param(lambda _: regression.fit_curve("linear", [(1.0, 2.0)]), DegenerateFitError,
+                 id="fit_curve one point"),
+    pytest.param(lambda _: ClusterModel(centers=(), objective=0.0), DomainError,
+                 id="ClusterModel no centers"),
+    pytest.param(lambda _: ClusterModel(centers=(2.0, 1.0), objective=0.0), DomainError,
+                 id="ClusterModel unsorted centers"),
+    pytest.param(lambda _: ClusterModel(centers=(1.0,), objective=-1.0), DomainError,
+                 id="ClusterModel negative objective"),
+    pytest.param(lambda _: traffic_state.kmeans([1.0, 2.0, 3.0], 0), DomainError, id="kmeans 0"),
+    pytest.param(lambda _: traffic_state.silhouette([1.0, 2.0, 3.0], [0, 1]), DomainError,
+                 id="silhouette unequal lengths"),
+    pytest.param(lambda _: traffic_state.select_k([1.0, 2.0, 3.0, 4.0], [2, 4]), DomainError,
+                 id="select_k K above n - 1"),
+    pytest.param(lambda _: trajectory.harmonic_mean_speed([]), DomainError,
+                 id="harmonic_mean_speed empty"),
+    pytest.param(lambda _: trajectory.fleet_density([10.0], [0.0]), DomainError,
+                 id="fleet_density zero length"),
+])
+def test_unreached_guard_refuses_with_its_class(tmp_path, capsys, call, expected):
+    if isinstance(expected, int):
+        assert call(tmp_path) == expected
+        assert "carries no diagram model" in capsys.readouterr().err
+        return
+    with pytest.raises(expected) as info:
+        call(tmp_path)
+    assert type(info.value) is expected
 
 
 class TestTracksDerive:

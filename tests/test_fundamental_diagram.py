@@ -544,7 +544,7 @@ class TestEstimateBreakpoint:
         vs = np.clip(reference_speed(form, c1, c2, true_v_f, true_k1, ks)
                      + rng.normal(0.0, rng.uniform(0.05, 1.0), n), 0.05, None)
         if batch:
-            samples = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)
+            samples = FlowSamples(density=ks, mean_speed=vs)
         else:
             samples = [FlowSample.from_density_speed(k, v) for k, v in zip(ks.tolist(), vs.tolist())]
         candidates = [float(rng.choice(ks)) if n and rng.random() < 0.5
@@ -626,7 +626,7 @@ class TestFlowSamplesBatch:
         ks = np.sort(rng.uniform(0.2, 12.0, rng.integers(3, 60)))
         vs = np.clip(reference_speed(form, c1, c2, v_f, k1, ks)
                      + rng.normal(0.0, rng.uniform(0.05, 1.0), ks.size), 0.05, None)
-        batch = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)
+        batch = FlowSamples(density=ks, mean_speed=vs)
         listed = [FlowSample.from_density_speed(k, v) for k, v in zip(ks.tolist(), vs.tolist())]
         candidates = sorted(rng.uniform(0.5, 8.0, 6).tolist())
 
@@ -649,7 +649,7 @@ class TestFlowSamplesBatch:
         truth = FdModel("greenshields", 0.7634, 11.817)
         ks = np.array(K_GRID)
         vs = speed_at_density(truth, ks)
-        batch = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)
+        batch = FlowSamples(density=ks, mean_speed=vs)
         assert batch.t is None and len(batch) == len(K_GRID)
         assert fit_fd("greenshields", batch) == fit_fd("greenshields", samples_from(truth, K_GRID))
 
@@ -704,7 +704,7 @@ class TestOneScan:
         if branch == "zero speed":  # ln 0 in every exp-shape split below the median density
             vs[ks.size // 2] = 0.0
         if batch:
-            samples = FlowSamples(density=ks, mean_speed=vs, flow=ks * vs)
+            samples = FlowSamples(density=ks, mean_speed=vs)
         else:
             samples = [FlowSample.from_density_speed(k, v) for k, v in zip(ks.tolist(), vs.tolist())]
         # Half the candidates sit exactly on a sample density.
@@ -850,7 +850,7 @@ def noisy_fit(rng, name, v_f=None, noise=(0.05, 3.0)):
                  + rng.normal(0.0, sd, ks.size), 0.05, None)
     kwargs = {"v_f": v_f, "k1_candidates": sorted(rng.uniform(0.5, 8.0, 6).tolist())} \
         if name in PIECEWISE else {}
-    model, report = fit_fd(name, FlowSamples(density=ks, mean_speed=vs, flow=ks * vs), **kwargs)
+    model, report = fit_fd(name, FlowSamples(density=ks, mean_speed=vs), **kwargs)
     return vs, reference_speed(name, model.c1, model.c2, model.v_f, model.k1, ks), report
 
 
@@ -885,8 +885,8 @@ class TestOneRSquared:
         rng = np.random.default_rng(0)
         ks = rng.uniform(0.2, 14.0, 3000)
         vs = np.clip(11.8 - 0.76 * ks + rng.normal(0.0, 0.5, ks.size), 0.05, None)
-        model, report = fit_fd("piecewise_exp", FlowSamples(density=ks, mean_speed=vs,
-                                                             flow=ks * vs), v_f=12.0, k1=4.0)
+        model, report = fit_fd("piecewise_exp", FlowSamples(density=ks, mean_speed=vs),
+                               v_f=12.0, k1=4.0)
         est = speed_at_density(model, ks)
         assert r_squared(vs, est) > 1.5
         assert report.r_squared == pytest.approx(reference_r_squared(vs, est), rel=1e-12)

@@ -42,7 +42,7 @@ from fairway.io_store import (
 )
 from fairway.regression import FAMILIES, FitReport
 from fairway.traffic_state import StateBands
-from fairway.trajectory import fleet_flow_samples
+from fairway.trajectory import derive_gap, fleet_flow_samples, speed_series
 
 from reference_data import STATE_BOUNDARIES, V_MIN
 from reference_tracks import (
@@ -197,7 +197,8 @@ class TestLoadTracks:
         assert run.tracks[1].x.tolist() == [50.0, 53.0, 56.0, 59.0]
         assert result.items.tolist() == [2, 3, 4, 5, 6, 7, 8, 9]  # accepted line numbers
         # steady 3 m/s convoy: usable downstream of the loaders
-        samples = fleet_flow_samples(run)
+        samples = fleet_flow_samples(run, [speed_series(tr) for tr in run.tracks],
+                                     [derive_gap(*run.tracks)])
         assert len(samples) == 3
         assert samples.mean_speed[0] == pytest.approx(10.8)
 
@@ -688,6 +689,27 @@ class TestLineNumbers:
             if name != "read_columns":
                 assert [(r.line, r.column) for r in load(path, False).rejects] == [(line, column)]
 
+    @pytest.mark.parametrize("name", sorted(LINE_CASES))
+    def test_byte_order_mark_is_skipped(self, tmp_path, name):
+        """A spreadsheet's "CSV UTF-8" export starts with a BOM: the rows load, and a bad
+        row is refused on its line, as in the same file without it."""
+        load, header, good, bad, _ = LINE_CASES[name]
+        path = tmp_path / "data.csv"
+
+        def loaded(bom, rows):
+            path.write_text(bom + "".join(f"{text.strip()}\n" for text in [header, *rows]),
+                            encoding="utf-8")
+            result = load(path, False)
+            if isinstance(result, tuple):  # read_columns' arrays
+                return [column.tolist() for column in result]
+            items = result.items
+            return items.tolist() if isinstance(items, np.ndarray) else items, result.rejects
+
+        valid = [good(0), good(1)]
+        assert loaded("\ufeff", valid) == loaded("", valid)
+        rows = [good(0), bad, good(1)]
+        assert _outcome(lambda: loaded("\ufeff", rows)) == _outcome(lambda: loaded("", rows))
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
@@ -898,6 +920,11 @@ class TestModelDocument:
         path = write(tmp_path, "model.json", json.dumps(raw))
         with pytest.raises(SchemaVersionError, match="99"):
             load_model(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        doc = make_document()
+        path = write(tmp_path, "model.json", "\ufeff" + serialize_document(doc))
+        assert load_model(path) == doc
 
     def test_malformed_json(self, tmp_path):
         path = write(tmp_path, "model.json", "{not json")

@@ -292,10 +292,17 @@ def build_run(n_vessels=8, step=2.5, gap=100.0, length=40.0, duration=5):
     return FleetRun(run_id="r1", tracks=tuple(tracks))
 
 
+def run_flow_samples(run):
+    """The run's flow samples from its series, derived once as tracks derive does."""
+    speeds = [speed_series(tr) for tr in run.tracks]
+    gaps = [derive_gap(a, b) for a, b in zip(run.tracks, run.tracks[1:])]
+    return fleet_flow_samples(run, speeds, gaps)
+
+
 class TestFleetFlowSamples:
     def test_uniform_column(self):
         run = build_run(step=10 / 3.6)
-        samples = fleet_flow_samples(run)
+        samples = run_flow_samples(run)
         assert len(samples) == 4
         assert samples.mean_speed[0] == pytest.approx(10.0)
         assert samples.density[0] == pytest.approx(7 / 0.98, abs=1e-3)
@@ -310,18 +317,18 @@ class TestFleetFlowSamples:
             position=8, t0=2,
         )
         run = FleetRun("r1", run.tracks[:7] + (short,))
-        assert fleet_flow_samples(run).t.tolist() == [2, 3, 4]
+        assert run_flow_samples(run).t.tolist() == [2, 3, 4]
 
     def test_single_timestamp(self):
         run = build_run(duration=2)
-        assert len(fleet_flow_samples(run)) == 1
+        assert len(run_flow_samples(run)) == 1
 
     @given(st.integers(0, 10))
     @settings(max_examples=20)
     def test_flow_identity_invariant(self, seed):
         rng = np.random.default_rng(seed)
         run = build_run(step=float(rng.uniform(0.5, 5)), gap=float(rng.uniform(20, 300)))
-        s = fleet_flow_samples(run)
+        s = run_flow_samples(run)
         assert np.all(np.abs(s.flow - s.density * s.mean_speed) <= 1e-9 * np.abs(s.flow))
 
     def test_stationary_second_is_skipped_not_fatal(self):
@@ -331,22 +338,13 @@ class TestFleetFlowSamples:
                           position=1, length=40.0)
         run = FleetRun("r1", (held,) + run.tracks[1:])
         assert speed_series(held)[1][2] == 0.0
-        samples = fleet_flow_samples(run)
+        samples = run_flow_samples(run)
         assert samples.t.tolist() == [0, 1, 3]
         assert samples.stationary == 1
 
-    def test_reuses_given_series(self):
-        run = build_run(n_vessels=3)
-        speeds = [speed_series(tr) for tr in run.tracks]
-        gaps = [derive_gap(a, b) for a, b in zip(run.tracks, run.tracks[1:])]
-        given_series = fleet_flow_samples(run, speeds, gaps)
-        derived = fleet_flow_samples(run)
-        for column in ("t", "density", "mean_speed", "flow"):
-            assert np.array_equal(getattr(given_series, column), getattr(derived, column))
-
     def test_single_vessel_has_no_density(self):
         with pytest.raises(DomainError, match="non-empty"):
-            fleet_flow_samples(build_run(n_vessels=1))
+            run_flow_samples(build_run(n_vessels=1))
 
     @given(st.integers(2, 4), st.lists(st.integers(0, 3), min_size=1, max_size=12),
            st.integers(0, 2 ** 32 - 1))
@@ -366,7 +364,7 @@ class TestFleetFlowSamples:
                                      offset=round(float(rng.uniform(0, 10)), 2)))
         run = FleetRun("r", tuple(tracks))
         expected, stationary = reference_flow_samples(("r", [as_reference(tr) for tr in tracks]))
-        s = fleet_flow_samples(run)
+        s = run_flow_samples(run)
         got = list(zip(s.t.tolist(), s.density.tolist(), s.mean_speed.tolist(), s.flow.tolist()))
         assert got == expected
         assert s.stationary == stationary
@@ -385,6 +383,47 @@ class TestDensityFromFlowSpeed:
     def test_zero_speed_errors(self):
         with pytest.raises(DomainError):
             density_from_flow_speed(30, 0)
+
+
+# Floats as hypothesis draws them, with the edges of the float range made likely.
+ANY_FLOAT = st.floats() | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                                           1e-308, 1e308, 1.7976931348623157e308])
+
+
+class TestNoSilentNonFinite:
+    @pytest.mark.parametrize("call", [
+        lambda: density_from_flow_speed(1.0, math.nan),
+        lambda: density_from_flow_speed(math.inf, 2.0),
+        lambda: density_from_flow_speed(-5.0, 2.0),
+        lambda: density_from_flow_speed(1e308, 1e-308),
+        lambda: harmonic_mean_speed([math.inf, 5.0]),
+        lambda: harmonic_mean_speed([math.nan, 5.0]),
+        lambda: harmonic_mean_speed([1.7976931348623157e308] * 3),
+        lambda: fleet_density([math.inf], [40.0]),
+        lambda: fleet_density([math.nan], [40.0]),
+        lambda: fleet_density([1e308, 1e308], [40.0, 40.0]),
+        lambda: fleet_density([-40.0], [40.0]),
+    ], ids=["q/nan", "inf/v", "negative q", "q/v past the float range", "inf speed",
+            "nan speed", "mean past the float range", "inf gap", "nan gap",
+            "occupied length past the float range", "no occupied length"])
+    def test_refused(self, call):
+        with pytest.raises(DomainError):
+            call()
+
+    @given(st.lists(ANY_FLOAT, min_size=1, max_size=6), st.lists(ANY_FLOAT, min_size=1, max_size=6))
+    @settings(max_examples=300)
+    def test_helpers_answer_finite_or_refuse(self, a, b):
+        """Any floats: a finite space-mean speed > 0, a finite fleet density other than 0
+        and a finite density q/v >= 0, or DomainError; never nan or inf."""
+        n = min(len(a), len(b))
+        for helper, args, holds in ((harmonic_mean_speed, (a,), lambda v: v > 0),
+                                    (fleet_density, (a[:n], b[:n]), lambda k: k != 0),
+                                    (density_from_flow_speed, (a[0], b[0]), lambda k: k >= 0)):
+            try:
+                result = helper(*args)
+            except DomainError:
+                continue
+            assert math.isfinite(result) and holds(result), (helper.__name__, args, result)
 
 
 class TestSummaryStats:
@@ -414,9 +453,19 @@ class TestSummaryStats:
 
 
 class TestInvariantEnforcement:
-    def test_flow_sample_consistency_checked(self):
-        with pytest.raises(DomainError):
-            FlowSample(density=3.0, mean_speed=10.0, flow=31.0)
+    def test_flow_is_not_an_input(self):
+        with pytest.raises(TypeError):
+            FlowSample(density=3.0, mean_speed=10.0, flow=30.0)
+        with pytest.raises(TypeError):
+            FlowSamples(density=np.ones(2), mean_speed=np.ones(2), flow=np.ones(2))
+        with pytest.raises(TypeError):  # a flow passed by position cannot land in t
+            FlowSample(3.0, 10.0, 30.0)
+
+    @given(st.lists(st.tuples(st.floats(1e-300, 1e150), st.floats(0, 1e150)), min_size=1))
+    def test_flow_is_density_times_speed_bit_for_bit(self, pairs):
+        k, v = (np.array(column) for column in zip(*pairs))
+        assert np.array_equal(FlowSamples(density=k, mean_speed=v).flow, k * v)
+        assert [FlowSample(density=a, mean_speed=b).flow for a, b in pairs] == (k * v).tolist()
 
     @pytest.mark.parametrize("density, speed", [
         ([1.0, 0.0], [5.0, 5.0]), ([1.0, math.inf], [5.0, 5.0]), ([1.0, 2.0], [5.0, -1.0]),
@@ -425,12 +474,7 @@ class TestInvariantEnforcement:
     def test_flow_batch_checked_once(self, density, speed):
         k, v = np.array(density), np.array(speed)
         with pytest.raises(DomainError):
-            FlowSamples(t=np.arange(2), density=k, mean_speed=v, flow=k * v)
-
-    def test_flow_batch_consistency_checked(self):
-        k, v = np.array([1.0, 2.0]), np.array([5.0, 5.0])
-        with pytest.raises(DomainError, match="flow"):
-            FlowSamples(t=np.arange(2), density=k, mean_speed=v, flow=np.array([5.0, 11.0]))
+            FlowSamples(t=np.arange(2), density=k, mean_speed=v)
 
     def test_track_needs_two_fixes(self):
         meta = VesselMeta(1, 40.0, 0.0, "loaded")
