@@ -221,9 +221,9 @@ def harmonic_mean_speed(speeds):
     v = np.asarray(speeds, dtype=float)
     if not len(v):
         raise DomainError("harmonic mean of an empty list is undefined")
-    mean = len(v) / reduce(add, 1.0 / v)  # row by row, left to right, as sum() adds
-    if not np.all((v > 0) & (v < math.inf)) or not np.all((mean > 0) & (mean < math.inf)):
-        raise DomainError("harmonic mean undefined: speeds and their mean must be finite and > 0")
+    mean = len(v) / reduce(add, 1.0 / v)  # as sum() adds, row by row: 1/v_i = inf gives 0.0
+    if not np.all((v > 0) & (v < math.inf)) or not np.all(mean < math.inf):
+        raise DomainError("harmonic mean undefined: speeds must be finite and > 0, mean finite")
     return mean
 
 

@@ -954,6 +954,22 @@ class TestTracksDerive:
         assert "--delta-t" in capsys.readouterr().err
         assert not (tmp_path / "derived").exists()
 
+    def test_subnormal_displacement_writes_the_reference_zero_mean_speed(self, tmp_path):
+        # 1/speed overflows for the follower, so the per-fix sum() gives a mean speed of 0.0.
+        rows = [("r1", 1, 0, 850.0, 0.0), ("r1", 1, 1, 850.0, 1.0),
+                ("r1", 2, 0, 700.0, 0.0), ("r1", 2, 1, 700.0, 5e-324)]
+        meta_rows = [("r1", 1, 20.0, 0.0, "loaded"), ("r1", 2, 20.0, 0.0, "loaded")]
+        tracks, meta = convoy_files(tmp_path, rows, meta_rows)
+        (tmp_path / "want").mkdir()
+        reference_tracks_derive(tracks, reference_meta(meta_rows), tmp_path / "want")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                             "--out-dir", str(tmp_path / "got")])
+        assert code == cli.EXIT_OK
+        for name in ("speeds.csv", "gaps.csv", "flow_samples.csv"):
+            assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+        assert (tmp_path / "got" / "flow_samples.csv").read_text().splitlines()[1].split(",")[3] == "0.0"
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_per_fix_reference_byte_for_byte(self, data):

@@ -413,10 +413,11 @@ class TestNoSilentNonFinite:
     @given(st.lists(ANY_FLOAT, min_size=1, max_size=6), st.lists(ANY_FLOAT, min_size=1, max_size=6))
     @settings(max_examples=300)
     def test_helpers_answer_finite_or_refuse(self, a, b):
-        """Any floats: a finite space-mean speed > 0, a finite fleet density other than 0
-        and a finite density q/v >= 0, or DomainError; never nan or inf."""
+        """Any floats: a finite space-mean speed >= 0 (0.0 only when a reciprocal overflows),
+        a finite fleet density other than 0 and a finite density q/v >= 0, or DomainError;
+        never nan or inf."""
         n = min(len(a), len(b))
-        for helper, args, holds in ((harmonic_mean_speed, (a,), lambda v: v > 0),
+        for helper, args, holds in ((harmonic_mean_speed, (a,), lambda v: v >= 0),
                                     (fleet_density, (a[:n], b[:n]), lambda k: k != 0),
                                     (density_from_flow_speed, (a[0], b[0]), lambda k: k >= 0)):
             try:
