@@ -18,7 +18,7 @@ import reprlib
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 from .errors import DegenerateFitError, DomainError, ParseError, SchemaVersionError
 
@@ -63,34 +63,6 @@ PIECEWISE_FORMS = ("piecewise_linear", "piecewise_log", "piecewise_exp")
 ALL_FORMS = CLASSICAL_FORMS + PIECEWISE_FORMS
 
 
-def _exp(x: float) -> float:
-    """math.exp, with overflow reported as a DomainError."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        raise DomainError(f"logarithmic closed form overflows: exp({x:.6g})") from None
-
-
-class _Shape(NamedTuple):
-    family: str  # regression family the branch is evaluated and fitted as
-    signs: tuple[int, int]  # (a, b) = (signs[0]*c1, signs[1]*c2), and back
-    v_at_zero: Callable  # (c1, c2) -> v at k -> 0+, None when unbounded
-    k_max: Callable  # (c1, c2, v_min) -> k where v falls to v_min
-    argmax: Callable  # (c1, c2) -> unconstrained argmax of k * v(k)
-
-
-# k_max <= 0 exactly when v_min is at or above the branch speed at k -> 0+; the
-# exp shape floors c1/v at the least subnormal, so an underflow gives ln < 0 too.
-_LINEAR = _Shape("linear", (-1, 1), lambda c1, c2: c2,
-                 lambda c1, c2, v: (c2 - v) / c1, lambda c1, c2: c2 / (2 * c1))
-_LOG = _Shape("logarithmic", (-1, 1), lambda c1, c2: None,
-              lambda c1, c2, v: _exp((c2 - v) / c1), lambda c1, c2: _exp(c2 / c1 - 1))
-_EXP = _Shape("exponential", (1, -1), lambda c1, c2: c1,
-              lambda c1, c2, v: math.log(max(c1 / v, math.ulp(0))) / c2, lambda c1, c2: 1 / c2)
-_FORM_SHAPE = {"greenshields": _LINEAR, "greenberg": _LOG, "underwood": _EXP,
-               "piecewise_linear": _LINEAR, "piecewise_log": _LOG, "piecewise_exp": _EXP}
-
-
 def _finite_positive(value) -> bool:
     return value is not None and 0 < value < math.inf
 
@@ -126,13 +98,6 @@ class FdModel:
     @property
     def is_piecewise(self) -> bool:
         return self.form in PIECEWISE_FORMS
-
-    @property
-    def free_flow_speed(self) -> Optional[float]:
-        """v at k -> 0+: v_f (piecewise), c2 (linear), c1 (exp), unbounded (log -> None)."""
-        if self.is_piecewise:
-            return self.v_f
-        return _FORM_SHAPE[self.form].v_at_zero(self.c1, self.c2)
 
 
 @dataclass(frozen=True)

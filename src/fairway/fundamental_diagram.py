@@ -2,8 +2,8 @@
 
 Six forms: three classical speed-density curves (linear, logarithmic,
 exponential decay) and their piecewise variants with a free-flow plateau
-at v_f up to a breakpoint density k1.  ``document._FORM_SHAPE`` maps each form
-to the shape of its non-free branch, one of three:
+at v_f up to a breakpoint density k1.  ``_FORM_SHAPE`` maps each form to
+the shape of its non-free branch, one of three:
 
     shape   branch v(k)        regression family  (a, b)    v at k->0+
     linear  v = -c1*k + c2     linear             (-c1, c2)  c2
@@ -27,12 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .document import (ALL_FORMS, CLASSICAL_FORMS, PIECEWISE_FORMS, _FORM_SHAPE,
-                       CharacteristicParams, FdModel, FiniteFields, FitReport, _finite_positive)
+from .document import (ALL_FORMS, CLASSICAL_FORMS, PIECEWISE_FORMS, CharacteristicParams, FdModel,
+                       FiniteFields, FitReport, _finite_positive)
 from .errors import (
     DegenerateFitError,
     DomainError,
@@ -55,6 +55,34 @@ class EconomicSpeed(FiniteFields):
 class RecommendedMinimums(FiniteFields):
     v_min: float  # km/h
     g_min: float  # m
+
+
+def _exp(x: float) -> float:
+    """math.exp, with overflow reported as a DomainError."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise DomainError(f"logarithmic closed form overflows: exp({x:.6g})") from None
+
+
+class _Shape(NamedTuple):
+    family: str  # regression family the branch is evaluated and fitted as
+    signs: tuple[int, int]  # (a, b) = (signs[0]*c1, signs[1]*c2), and back
+    v_at_zero: Callable  # (c1, c2) -> v at k -> 0+, None when unbounded
+    k_max: Callable  # (c1, c2, v_min) -> k where v falls to v_min
+    argmax: Callable  # (c1, c2) -> unconstrained argmax of k * v(k)
+
+
+# k_max <= 0 exactly when v_min is at or above the branch speed at k -> 0+; the
+# exp shape floors c1/v at the least subnormal, so an underflow gives ln < 0 too.
+_LINEAR = _Shape("linear", (-1, 1), lambda c1, c2: c2,
+                 lambda c1, c2, v: (c2 - v) / c1, lambda c1, c2: c2 / (2 * c1))
+_LOG = _Shape("logarithmic", (-1, 1), lambda c1, c2: None,
+              lambda c1, c2, v: _exp((c2 - v) / c1), lambda c1, c2: _exp(c2 / c1 - 1))
+_EXP = _Shape("exponential", (1, -1), lambda c1, c2: c1,
+              lambda c1, c2, v: math.log(max(c1 / v, math.ulp(0))) / c2, lambda c1, c2: 1 / c2)
+_FORM_SHAPE = {"greenshields": _LINEAR, "greenberg": _LOG, "underwood": _EXP,
+               "piecewise_linear": _LINEAR, "piecewise_log": _LOG, "piecewise_exp": _EXP}
 
 
 def speed_at_density(model: FdModel, k: float):
@@ -93,10 +121,10 @@ def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams
     if not _finite_positive(v_min):
         raise DomainError(f"v_min must be a finite positive number, got {v_min}")
     shape, c1, c2 = _FORM_SHAPE[model.form], model.c1, model.c2
-    sup_v = model.free_flow_speed  # None means unbounded (log shape)
-    if sup_v is not None and v_min >= sup_v:
+    v_f = model.v_f if model.is_piecewise else shape.v_at_zero(c1, c2)  # None: unbounded (log)
+    if v_f is not None and v_min >= v_f:
         raise NoFeasibleDensityError(
-            f"v_min {v_min} is not below the maximum attainable speed {sup_v}"
+            f"v_min {v_min} is not below the maximum attainable speed {v_f}"
         )
     k_max = shape.k_max(c1, c2, v_min)
     lower = model.k1 if model.is_piecewise else 0.0
@@ -116,7 +144,7 @@ def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams
     k_m = max(candidates, key=lambda k: flow_at_density(model, k))
     v_m = speed_at_density(model, k_m)
     return CharacteristicParams(
-        v_f=model.free_flow_speed,
+        v_f=v_f,
         v_m=v_m,
         k_m=k_m,
         q_m=k_m * v_m,

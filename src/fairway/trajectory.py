@@ -236,8 +236,8 @@ def fleet_density(gaps, follower_lengths):
     if np.any(lengths <= 0):
         raise DomainError("vessel lengths must be positive")
     density = len(g) / (reduce(add, g + lengths.reshape((-1,) + (1,) * (g.ndim - 1))) / M_PER_KM)
-    if not np.all((density != 0) & (np.abs(density) < math.inf)):  # any non-finite term is caught
-        raise DomainError("density undefined: the occupied length must be finite and non-zero")
+    if not np.all((density > 0) & (density < math.inf)):  # any non-finite term is caught
+        raise DomainError("density undefined: the occupied length must be finite and positive")
     return density
 
 

@@ -7,6 +7,7 @@ exponents are left to the benchmark's scale probe.  Loaders read CSV files
 that their layer writes into the test's own working directory.
 """
 
+import io
 import math
 import tracemalloc
 from functools import partial
@@ -15,17 +16,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairway.fundamental_diagram import estimate_breakpoint, fit_fd
-from fairway.io_store import (SURVEILLANCE_COLUMNS, TRACK_COLUMNS, load_surveillance, load_tracks,
-                              read_columns)
-from fairway.regression import bin_points, rank_families
-from fairway.traffic_state import kmeans, select_k, silhouette
+from fairway.fundamental_diagram import (FdModel, economic_speed, estimate_breakpoint, fit_fd,
+                                        flow_at_density, recommend_minimums, speed_at_density)
+from fairway.io_store import (SURVEILLANCE_COLUMNS, TRACK_COLUMNS, emit_curve_samples,
+                              load_surveillance, load_tracks, read_columns, write_rows)
+from fairway.regression import bin_points, fit_curve, r_squared, rank_families
+from fairway.traffic_state import assign_points, kmeans, select_k, silhouette
 from fairway.trajectory import (FleetRun, FlowSample, FlowSamples, VesselMeta, VesselTrack,
-                                derive_gap, fleet_flow_samples, speed_series)
+                                derive_gap, fleet_density, fleet_flow_samples,
+                                harmonic_mean_speed, speed_series, summary_stats)
 
 N = 500  # and 8N: a layer holding an m x m matrix would need 128 MB there
 V_F = 10.5  # km/h, the plateau of the piecewise_exp truth below, whose k1 is 4
 CANDIDATES = np.linspace(2.0, 6.0, 41).tolist()  # breakpoints, vessels/km
+TRUTH = FdModel("piecewise_exp", 13.62, 0.115, v_f=V_F, k1=4.0)
 
 
 def peak_bytes(run) -> int:
@@ -67,6 +71,17 @@ def flow_list(n: int) -> list[FlowSample]:
     batch = flow_batch(n)
     return [FlowSample.from_density_speed(k, v)
             for k, v in zip(batch.density.tolist(), batch.mean_speed.tolist())]
+
+
+def densities(n: int) -> np.ndarray:
+    """n densities spread over (0, 12] vessels/km."""
+    return np.linspace(12.0 / n, 12.0, n)
+
+
+def write_call(n: int):
+    """``write_rows`` of a key and three float columns of n rows, into a fresh buffer."""
+    columns = np.random.default_rng(n).uniform(0.0, 12.0, (3, n))
+    return lambda: write_rows(io.StringIO(), ("r", 1), *columns)
 
 
 def csv_file(name: str, header, rows) -> Path:
@@ -135,6 +150,26 @@ def run_series(n: int) -> tuple:
                  id="silhouette"),
     pytest.param(lambda n: partial(load_surveillance, surveillance_csv(n)),
                  id="load_surveillance"),
+    pytest.param(lambda n: partial(summary_stats, distinct_speeds(n)), id="summary_stats"),
+    pytest.param(lambda n: partial(economic_speed, distinct_speeds(n), distinct_speeds(n + 1)),
+                 id="economic_speed"),
+    pytest.param(lambda n: partial(recommend_minimums, distinct_speeds(n),
+                                   np.array(speed_gap_points(n))[:, 0]), id="recommend_minimums"),
+    pytest.param(lambda n: partial(assign_points, distinct_speeds(n), [4.5, 6.5, 8.3, 10.5]),
+                 id="assign_points"),
+    pytest.param(lambda n: partial(speed_at_density, TRUTH, densities(n)), id="speed_at_density"),
+    pytest.param(lambda n: partial(flow_at_density, TRUTH, densities(n)), id="flow_at_density"),
+    pytest.param(lambda n: partial(harmonic_mean_speed, distinct_speeds(n)),
+                 id="harmonic_mean_speed"),
+    pytest.param(lambda n: partial(fleet_density, 100.0 + distinct_speeds(n), np.full(n, 40.0)),
+                 id="fleet_density"),
+    pytest.param(lambda n: partial(emit_curve_samples, TRUTH, (0.5, 12.0), 11.5 / n, "curve.csv"),
+                 id="emit_curve_samples"),
+    pytest.param(write_call, id="write_rows"),
+    pytest.param(lambda n: partial(r_squared, distinct_speeds(n), np.sort(distinct_speeds(n))),
+                 id="r_squared"),
+    pytest.param(lambda n: partial(fit_curve, "logarithmic", speed_gap_points(n)),
+                 id="fit_curve"),
 ])
 def test_peak_memory_grows_no_faster_than_n_log_n(layer, tmp_path, monkeypatch):
     """``layer(n)`` builds its input of size n and returns the call to measure."""

@@ -18,9 +18,8 @@ ROOT = Path(__file__).resolve().parent.parent
 MOVED = {
     trajectory: ("FiniteFields",),
     regression: ("FAMILIES", "FitReport"),
-    fundamental_diagram: ("CLASSICAL_FORMS", "PIECEWISE_FORMS", "ALL_FORMS", "_FORM_SHAPE",
-                          "_finite_positive", "FdModel", "CharacteristicParams", "FiniteFields",
-                          "FitReport"),
+    fundamental_diagram: ("CLASSICAL_FORMS", "PIECEWISE_FORMS", "ALL_FORMS", "_finite_positive",
+                          "FdModel", "CharacteristicParams", "FiniteFields", "FitReport"),
     traffic_state: ("TrafficState", "StateBands", "classify_speed", "classify_flow_density"),
     io_store: ("ModelDocument", "document_to_dict", "document_from_dict", "json_text",
                "serialize_document", "save_model", "load_model", "FdModel"),
