@@ -168,53 +168,60 @@ def _cmd_tracks_derive(args) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # Chunk 0 is written here, into the final files; each other chunk by a forked child
-    # into unnamed parts, appended in chunk order: one process's bytes, also on an error.
+    # into unnamed parts, appended in chunk order: one process's bytes. On an error the
+    # three files are removed, so no partial output is left to read as a whole one.
     # The stack owns every part, report pipe and child, which it kills (a reported child has
     # written all) and reaps. A child that cannot start (a descriptor or process limit)
     # closes the stack early, and this process then derives every run.
     chunks, children, parent = _chunks(runs), [], os.getpid()  # (report pipe, parts) per child
-    with open(out_dir / "speeds.csv", "w", newline="", encoding="utf-8") as sh, \
-         open(out_dir / "gaps.csv", "w", newline="", encoding="utf-8") as gh, \
-         open(out_dir / "flow_samples.csv", "w", newline="", encoding="utf-8") as fh, \
-         ExitStack() as stack:
-        sh.write("run_id,fleet_position,t_seconds,speed_kmh\r\n")
-        gh.write("run_id,follower_position,t_seconds,gap_m,overlap_flagged\r\n")
-        fh.write("run_id,t_seconds,density_vpkm,speed_kmh,flow_vph\r\n")
-        try:
-            for chunk in chunks[1:]:
-                parts = [stack.enter_context(tempfile.TemporaryFile(
-                    "w+", newline="", encoding="utf-8", dir=out_dir)) for _ in range(3)]
-                read, write = os.pipe()
-                children.append((stack.enter_context(open(read, "rb")), parts))
-                with open(write, "wb", buffering=0) as report:
-                    if not (pid := os.fork()):  # the child never returns into the caller
-                        try:
+    paths = [out_dir / f"{name}.csv" for name in ("speeds", "gaps", "flow_samples")]
+    try:
+        with open(paths[0], "w", newline="", encoding="utf-8") as sh, \
+             open(paths[1], "w", newline="", encoding="utf-8") as gh, \
+             open(paths[2], "w", newline="", encoding="utf-8") as fh, \
+             ExitStack() as stack:
+            sh.write("run_id,fleet_position,t_seconds,speed_kmh\r\n")
+            gh.write("run_id,follower_position,t_seconds,gap_m,overlap_flagged\r\n")
+            fh.write("run_id,t_seconds,density_vpkm,speed_kmh,flow_vph\r\n")
+            try:
+                for chunk in chunks[1:]:
+                    parts = [stack.enter_context(tempfile.TemporaryFile(
+                        "w+", newline="", encoding="utf-8", dir=out_dir)) for _ in range(3)]
+                    read, write = os.pipe()
+                    children.append((stack.enter_context(open(read, "rb")), parts))
+                    with open(write, "wb", buffering=0) as report:
+                        if not (pid := os.fork()):  # the child never returns into the caller
                             try:
-                                result = _derive_runs(chunk, *parts, parent)
-                            except BaseException as exc:  # the parent raises it in turn
-                                result = exc
-                            for part in parts:
-                                part.flush()
-                            report.write(pickle.dumps(result))
-                        finally:
-                            os._exit(0)
-                stack.callback(os.waitpid, pid, 0)
-                stack.callback(os.kill, pid, signal.SIGKILL)  # runs first
-        except OSError:
-            stack.close()
-            chunks, children = [runs], []
-        counts = _derive_runs(chunks[0], sh, gh, fh)
-        for pipe, parts in children:
-            report = pipe.read()
-            result = pickle.loads(report) if report else ChildProcessError(
-                "a worker ended unreported")
-            for final, part in zip((sh, gh, fh), parts):
-                final.flush()
-                part.seek(0)
-                shutil.copyfileobj(part.buffer, final.buffer)
-            if isinstance(result, BaseException):
-                raise result
-            counts = {key: n + result[key] for key, n in counts.items()}
+                                try:
+                                    result = _derive_runs(chunk, *parts, parent)
+                                except BaseException as exc:  # the parent raises it in turn
+                                    result = exc
+                                for part in parts:
+                                    part.flush()
+                                report.write(pickle.dumps(result))
+                            finally:
+                                os._exit(0)
+                    stack.callback(os.waitpid, pid, 0)
+                    stack.callback(os.kill, pid, signal.SIGKILL)  # runs first
+            except OSError:
+                stack.close()
+                chunks, children = [runs], []
+            counts = _derive_runs(chunks[0], sh, gh, fh)
+            for pipe, parts in children:
+                report = pipe.read()
+                result = pickle.loads(report) if report else ChildProcessError(
+                    "a worker ended unreported")
+                for final, part in zip((sh, gh, fh), parts):
+                    final.flush()
+                    part.seek(0)
+                    shutil.copyfileobj(part.buffer, final.buffer)
+                if isinstance(result, BaseException):
+                    raise result
+                counts = {key: n + result[key] for key, n in counts.items()}
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
 
     print(f"runs {len(runs)}  speeds {counts['speeds']}  "
           f"gaps {counts['gaps']}  flow samples {counts['flow_samples']}  "

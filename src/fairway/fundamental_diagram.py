@@ -13,8 +13,9 @@ the shape of its non-free branch, one of three:
 plus the closed forms of k_max (where v falls to v_min) and of the
 unconstrained argmax of k*v(k).  Branches are evaluated and fitted through
 the regression family, with the signs mapping (c1, c2) to (a, b).
-``fit_fd`` fits a form in one loop over its splits and reads a FlowSample
-list, like a FlowSamples batch, as a density and a speed column;
+``fit_fd`` reads a FlowSample list, like a FlowSamples batch, as a density
+and a speed column; its k1 scan scores every candidate from one
+density-sorted pass and fits from the least score up, and
 ``estimate_breakpoint`` is the k1 it picks.
 Characteristic parameters are derived under a minimum-speed constraint:
 the maximum density k_max is where speed falls to v_min, and the
@@ -153,6 +154,38 @@ def derive_characteristics(model: FdModel, v_min: float) -> CharacteristicParams
     )
 
 
+def _scan_order(spec, ks: np.ndarray, vs: np.ndarray, v_f: float, splits: list) -> list:
+    """The splits in ascending order of their squared speed error in km/h, ties by k1.
+
+    One stable sort by density makes each split's plateau a prefix and its
+    branch a suffix (Hudson 1966): the plateau error is a prefix sum of
+    (v - v_f)^2, and the branch line comes from suffix sums of the columns
+    centred on the densest sample, so a branch of equal values has Sxy = 0
+    exactly.  A linear or log branch scores Syy - Sxy^2/Sxx in O(1); an exp
+    branch, fitted as ln v, sums its residuals in km/h over its sorted slice.
+    A NaN or infinite score sorts last, so its split is still tried.  Called
+    by ``fit_fd`` only, under its errstate.
+    """
+    order = np.argsort(ks, kind="stable")
+    k, v = ks[order], vs[order]
+    x, y = spec.transform(k, v)
+    p = np.searchsorted(k, splits, side="right")  # plateau sizes: samples at or below a split
+    plateau = np.concatenate(([0.0], np.cumsum((v - v_f) ** 2)))[p]
+    dx, dy = x - x[-1], y - y[-1]
+    suffix = np.cumsum(np.stack((dx, dy, dx * dx, dx * dy, dy * dy))[:, ::-1], axis=1)[:, ::-1]
+    sx, sy, sxx, sxy, syy = np.hstack((suffix, np.zeros((5, 1))))[:, p]
+    n = len(k) - p  # branch sizes
+    cxy = sxy - sx * sy / n
+    slope = cxy / (sxx - sx * sx / n)
+    if spec.log_y:  # ln v = ln a + slope * k, scored in km/h
+        a = np.exp(y[-1] + (sy - slope * sx) / n - slope * x[-1])
+        branch = [(r := v[i:] - spec.curve(ai, bi, k[i:])) @ r
+                  for i, ai, bi in zip(p.tolist(), a.tolist(), slope.tolist())]
+    else:
+        branch = syy - sy * sy / n - slope * cxy
+    return [splits[i] for i in np.argsort(plateau + branch, kind="stable").tolist()]
+
+
 @np.errstate(all="ignore")  # a scanned split whose fit or error sum is not finite is skipped
 def fit_fd(
     form: str,
@@ -161,14 +194,16 @@ def fit_fd(
     k1: Optional[float] = None,
     k1_candidates: Optional[Sequence[float]] = None,
 ) -> tuple[FdModel, FitReport]:
-    """Fit one model form to (density, mean_speed) samples in one loop over its splits.
+    """Fit one model form to (density, mean_speed) samples; a piecewise k1 may be scanned for.
 
-    The splits are none for a classical form, the given k1, or each sorted
-    k1_candidates value; a piecewise split holds v_f up to it and fits the
-    branch beyond it.  A given split raises its own error; the scan skips
-    failing splits and non-finite squared speed errors and keeps the first
-    least error's fit, not refitted.  A given v_f or k1 that is not finite
-    and positive is refused before any fit.  Every form reports family=form,
+    The split is none for a classical form, or the given k1; a piecewise
+    split holds v_f up to it and fits the branch beyond it, and raises its
+    own error.  A scan over k1_candidates scores every split from one sorted
+    pass (``_scan_order``), then fits them from the least score up and keeps
+    the first fit with a finite squared speed error; a split that fails is
+    skipped.  The kept fit and its speeds are the model and its R^2, so they
+    are those of a given k1.  A given v_f or k1 that is not finite and
+    positive is refused before any fit.  Every form reports family=form,
     a=c1, b=c2 and R^2 = 1 - SSE/SST of the speeds in km/h over all samples.
     """
     if form not in ALL_FORMS:
@@ -194,8 +229,9 @@ def fit_fd(
     shape = _FORM_SHAPE[form]
     spec = _family(shape.family)
     fx, fy = spec.transform(ks, vs)
+    splits = _scan_order(spec, ks, vs, v_f, sorted(map(float, k1_candidates))) if scan else (k1,)
     best = None
-    for split in sorted(map(float, k1_candidates)) if scan else (k1,):
+    for split in splits:
         beyond = slice(None) if split is None else ks > split
         bx, by = fx[beyond], fy[beyond]
         try:
@@ -216,15 +252,15 @@ def fit_fd(
         v = spec.curve(a, b, ks)
         if split is not None:
             v = np.where(beyond, v, v_f)
-        sse = float(np.sum((vs - v) ** 2))
-        if not scan or (math.isfinite(sse) and (best is None or sse < best[0])):
-            best = (sse, split, c1, c2, v)
+        if not scan or math.isfinite(float(np.sum((vs - v) ** 2))):
+            best = (split, c1, c2, v)
+            break
     if best is None:
         raise InsufficientDataError(
             "no candidate leaves at least 2 samples in the non-free branch "
             "with a fit whose squared error is finite"
         )
-    _, k1, c1, c2, v = best
+    k1, c1, c2, v = best
     r2 = _fit_r_squared(vs, v)
     return (FdModel(form=form, c1=c1, c2=c2, v_f=v_f, k1=k1),
             FitReport(family=form, a=c1, b=c2, r_squared=r2, n_points=len(vs)))

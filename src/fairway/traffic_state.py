@@ -64,12 +64,13 @@ def _optimal_splits(pts: np.ndarray, k_max: int):
     clusters starts.  The leftmost such start never falls as j grows
     (Gronlund et al. 2017, arXiv:1701.07204) nor as K grows (Yao 1980,
     "Efficient dynamic programming using quadrangle inequalities"), so row K
-    solves j = m first, then j = K-1 + s times each odd number as the stride
-    s halves from 2**ceil(log2 m) to 1: each j searches from row K-1's start
-    at j, and its solved neighbours j-s and j+s bound it, in O(m log m) per
-    row.  Both rows' starts are non-decreasing in j by construction, so that
-    lower bound never passes the upper one, whatever the rounding.  Nothing
-    reads row k_max back but at m, so it solves only m.
+    solves j = m first, then each j = K-1 + s times an odd number below m as
+    the stride s halves from the largest power of two below m to 1: each j
+    searches from row K-1's start at j, and its solved neighbours j-s and
+    j+s bound it, in O(m log m) per row.  Both rows' starts are non-decreasing
+    in j by construction, so that lower bound never passes the upper one,
+    whatever the rounding.  Nothing reads row k_max back but at m, so it
+    solves only m.
     """
     if not np.isfinite(pts).all():
         raise DomainError("points must be finite")
@@ -103,7 +104,7 @@ def _optimal_splits(pts: np.ndarray, k_max: int):
         prev, best = best, np.full(m + 1, np.inf)
         bound, split = split, np.full(m + 1, k - 1)  # split[k - 1] = k - 1 bounds j = k
         solve(np.array([m]), k - 1, m - 1)
-        s = 1 << (m - 1).bit_length()
+        s = 1 << ((m - 1).bit_length() - 1)  # the largest power of two below m
         while k < k_max and s:  # j = k - 1 + s * odd sits between two solved neighbours
             j = np.arange(k - 1 + s, m, 2 * s)
             solve(j, split[j - s], np.minimum(split[np.minimum(j + s, m)], j - 1))

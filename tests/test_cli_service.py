@@ -1064,8 +1064,9 @@ class TestTracksDerive:
 
             got = derive(cpus, limit)
             assert got == derive(1)
-            assert sorted(got[3]) == ["flow_samples.csv", "gaps.csv", "speeds.csv"]
             assert got[0] == (cli.EXIT_OK if fault is None else cli.EXIT_DATA)
+            assert sorted(got[3]) == (["flow_samples.csv", "gaps.csv", "speeds.csv"]
+                                      if fault is None else [])
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
 
@@ -1082,6 +1083,23 @@ class TestTracksDerive:
                          "--out-dir", str(tmp_path / "out")])
         assert code == cli.EXIT_DATA
         assert capsys.readouterr().err == "error: a worker ended unreported\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failing_run_leaves_no_output_file(self, tmp_path, capsys, monkeypatch, cpus):
+        """r1 derives and r2 has no fix at t = 2: exit 2, and none of the three files is left,
+        whether r2 fails in the command's own process or in a forked child."""
+        rows = [(run, pos, t, 1000.0 - 150.0 * pos + 2.5 * t, 0.0)
+                for run, times in (("r1", range(5)), ("r2", (0, 1, 3, 4)))
+                for pos in (1, 2) for t in times]
+        tracks, meta = convoy_files(tmp_path, rows, [(run, pos, 80.0, 10.0, "loaded")
+                                                     for run in ("r1", "r2") for pos in (1, 2)])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        code = cli.main(["tracks", "derive", "--tracks", tracks, "--meta", meta,
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == cli.EXIT_DATA and "error:" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

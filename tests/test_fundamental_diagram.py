@@ -165,6 +165,11 @@ def count_curve_calls(monkeypatch):
     return samples, sizes, calls
 
 
+def branch_sizes(samples, candidates) -> list:
+    """How many samples lie beyond each candidate: the slice an exp-branch score sums over."""
+    return [sum(s.density > c for s in samples) for c in candidates]
+
+
 def grid_optimum(model, k_max, step=1e-4):
     ks = np.arange(step, k_max + step / 2, step)
     q = np.asarray(ks) * speed_at_density(model, ks)
@@ -416,12 +421,13 @@ class TestFitFd:
                    k1_candidates=[3.0, 4.0])
 
     def test_keeps_the_scanned_fit(self, monkeypatch):
-        """The winning split's fit is the model: one curve evaluation per candidate, no refit."""
+        """Candidates are scored on their branch slices; only the winner is evaluated over all
+        samples, and its fit is the model, with no refit."""
         samples, sizes, calls = count_curve_calls(monkeypatch)
         model, report = fit_fd("piecewise_exp", samples, v_f=10.5, k1_candidates=SCAN_CANDIDATES)
         assert model.k1 == 4.0 and report.r_squared == pytest.approx(1.0, abs=1e-9)
         assert calls == []
-        assert sizes == [len(samples)] * len(SCAN_CANDIDATES)
+        assert sizes == branch_sizes(samples, SCAN_CANDIDATES) + [len(samples)]
 
     @pytest.mark.parametrize("candidates", [[3.0, 4.0], [6.0, 2.0, 4.0, 3.0], SCAN_CANDIDATES])
     def test_candidates_as_an_array_fit_as_the_equal_list(self, candidates):
@@ -583,11 +589,12 @@ class TestEstimateBreakpoint:
             fit_fd(form, samples, v_f=v_f, k1_candidates=[1.5])
 
     def test_never_evaluates_one_sample_at_a_time(self, monkeypatch):
-        """Candidates are scored on whole columns, with no model fit or prediction call."""
+        """Candidates are scored on whole branch slices, with no model fit or prediction call,
+        and one curve evaluation covers all samples: the winner's."""
         samples, sizes, calls = count_curve_calls(monkeypatch)
         assert estimate_breakpoint(samples, 10.5, SCAN_CANDIDATES) == 4.0
         assert calls == []
-        assert sizes == [len(samples)] * len(SCAN_CANDIDATES)
+        assert sizes == branch_sizes(samples, SCAN_CANDIDATES) + [len(samples)]
 
     @given(seed=st.integers(0, 2**32 - 1), form=st.sampled_from(PIECEWISE),
            n_candidates=st.integers(1, 40))
@@ -671,6 +678,8 @@ class TestOneScan:
            k1=st.one_of(st.just("candidate"), st.sampled_from(NOT_FINITE_POSITIVE)))
     @example(seed=7, form="piecewise_exp", split="candidates", n_candidates=8, batch=False,
              branch="constant", v_f="generator", k1="candidate")  # degenerate splits skipped
+    @example(seed=3, form="piecewise_exp", split="candidates", n_candidates=5, batch=True,
+             branch="constant", v_f="generator", k1="candidate")  # the least score is refused
     @example(seed=7, form="piecewise_linear", split="k1", n_candidates=1, batch=True,
              branch="constant", v_f="generator", k1="candidate")  # a given degenerate split
     @example(seed=0, form="piecewise_log", split="candidates", n_candidates=12, batch=True,
